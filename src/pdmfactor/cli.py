@@ -41,25 +41,17 @@ USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write_csv(sf: SampledFunction, path: Path) -> None:
+def _atomic_write(path: Path, content) -> None:
+    """Write text, or a SampledFunction as CSV, via a temp file and a rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     os.close(fd)
     try:
-        write_csv(sf, tmp)
+        if isinstance(content, str):
+            with open(tmp, "w") as fh:
+                fh.write(content)
+        else:
+            write_csv(content, tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -71,13 +63,16 @@ def _json_dump(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _model_from_args(args) -> object:
-    params = {}
+def _model_params_dict(args) -> dict:
     if args.model == "ex1":
-        params["alpha"] = args.alpha
-    elif args.model == "ex2":
-        params.update(a=args.a, b=args.b, c=args.c)
-    return catalog(args.model, **params)
+        return {"alpha": args.alpha}
+    if args.model == "ex2":
+        return {"a": args.a, "b": args.b, "c": args.c}
+    return {}
+
+
+def _model_from_args(args) -> object:
+    return catalog(args.model, **_model_params_dict(args))
 
 
 def _grid_from_args(args, model) -> Grid:
@@ -86,14 +81,6 @@ def _grid_from_args(args, model) -> Grid:
     x_max = base.x_max if args.grid_max is None else args.grid_max
     n = base.n_points if args.grid_points is None else args.grid_points
     return Grid(x_min, x_max, n)
-
-
-def _model_params_dict(args) -> dict:
-    if args.model == "ex1":
-        return {"alpha": args.alpha}
-    if args.model == "ex2":
-        return {"a": args.a, "b": args.b, "c": args.c}
-    return {}
 
 
 def _run_factorization(args, model, grid):
@@ -129,19 +116,19 @@ def cmd_construct(args) -> int:
         "V_tilde_minus": "V_tilde_minus.csv",
         "mass": "mass.csv",
     }
-    _atomic_write_csv(fac.W_n.values, out / files["W_n"])
-    _atomic_write_csv(fac.f_n.values, out / files["f_n"])
-    _atomic_write_csv(fac.V_n_minus, out / files["V_n_minus"])
-    _atomic_write_csv(fac.V_n_plus, out / files["V_n_plus"])
-    _atomic_write_csv(fac.V_tilde_minus, out / files["V_tilde_minus"])
-    _atomic_write_csv(SampledFunction(grid, model.mass(grid.points())), out / files["mass"])
+    _atomic_write(out / files["W_n"], fac.W_n.values)
+    _atomic_write(out / files["f_n"], fac.f_n.values)
+    _atomic_write(out / files["V_n_minus"], fac.V_n_minus)
+    _atomic_write(out / files["V_n_plus"], fac.V_n_plus)
+    _atomic_write(out / files["V_tilde_minus"], fac.V_tilde_minus)
+    _atomic_write(out / files["mass"], SampledFunction(grid, model.mass(grid.points())))
 
     states = {}
     if not fac.f_n.is_singular:
         try:
             zm = zero_mode(fac)
             name = "psi_tilde_zero_mode.csv"
-            _atomic_write_csv(zm, out / name)
+            _atomic_write(out / name, zm)
             states["zero_mode"] = name
         except NonNormalizableError:
             states["zero_mode"] = "non-normalizable"
@@ -151,7 +138,7 @@ def cmd_construct(args) -> int:
             psi_k = fac.model.eigenstate_samples(k, grid)
             mapped = map_eigenstate(psi_k, fac)
             name = f"psi_tilde_{k}.csv"
-            _atomic_write_csv(mapped, out / name)
+            _atomic_write(out / name, mapped)
             states[f"psi_tilde_{k}"] = name
 
     payload = _base_payload(args)
@@ -159,7 +146,7 @@ def cmd_construct(args) -> int:
         {
             "n": args.n,
             "beta": args.beta,
-            "lambda": fac.lam,
+            "lambda": fac.f_n.lam,
             "convention": fac.convention,
             "route": fac.f_n.route,
             "singular": fac.f_n.is_singular,
@@ -169,11 +156,11 @@ def cmd_construct(args) -> int:
             "states": states,
         }
     )
-    _atomic_write_text(out / "result.json", _json_dump(payload))
+    _atomic_write(out / "result.json", _json_dump(payload))
     status = "singular" if fac.f_n.is_singular else "nonsingular"
     print(
         f"constructed {args.model} n={args.n} beta={args.beta} "
-        f"lambda={fac.lam} route={fac.f_n.route}: {status}, shift={fac.spectrum_shift}"
+        f"lambda={fac.f_n.lam} route={fac.f_n.route}: {status}, shift={fac.spectrum_shift}"
     )
     return 0
 
@@ -194,9 +181,9 @@ def cmd_spectrum(args) -> int:
     payload = _base_payload(args)
     payload.update({"which": args.which, "levels": args.levels})
     payload.update(report.to_json_dict())
-    _atomic_write_text(out / "spectrum.json", _json_dump(payload))
+    _atomic_write(out / "spectrum.json", _json_dump(payload))
     for j, state in enumerate(report.eigenstates):
-        _atomic_write_csv(state, out / f"eigenstate_{j}.csv")
+        _atomic_write(out / f"eigenstate_{j}.csv", state)
     evals = ", ".join(f"{e:.10g}" for e in report.eigenvalues)
     print(f"{args.which} spectrum ({args.levels} levels): {evals}")
     return 0
@@ -212,10 +199,10 @@ def cmd_verify(args) -> int:
     if fac.f_n.is_singular:
         payload["singular"] = True
         payload["passed"] = False
-        _atomic_write_text(out / "verify.json", _json_dump(payload))
+        _atomic_write(out / "verify.json", _json_dump(payload))
         print(
             "FAIL: deformation function is singular for these parameters "
-            f"(lambda={fac.lam}, convention={fac.convention})",
+            f"(lambda={fac.f_n.lam}, convention={fac.convention})",
             file=sys.stderr,
         )
         return CHECK_FAILURE
@@ -226,7 +213,7 @@ def cmd_verify(args) -> int:
     payload["isospectrality"] = report.to_json_dict()
     payload["riccati_residual"] = ric
     payload["passed"] = report.passed
-    _atomic_write_text(out / "verify.json", _json_dump(payload))
+    _atomic_write(out / "verify.json", _json_dump(payload))
     deformed = ", ".join(f"{b:.6g}" for _, b, _ in report.pairs)
     print(
         f"isospectrality: max_gap={report.max_gap:.3e} (tol {tol:g}), "
@@ -250,7 +237,7 @@ def cmd_scan(args) -> int:
     payload = _base_payload(args)
     payload.update({"n": args.n, "convention": args.convention})
     payload.update(report.to_json_dict())
-    _atomic_write_text(out / "scan.json", _json_dump(payload))
+    _atomic_write(out / "scan.json", _json_dump(payload))
     crit = "none" if report.critical_lambda is None else f"{report.critical_lambda:.6f}"
     n_sing = sum(report.singular_flags)
     print(f"scanned {args.steps} values: {n_sing} singular, critical lambda = {crit}")

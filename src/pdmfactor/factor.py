@@ -36,7 +36,15 @@ from .errors import (
     InconsistentInputError,
     NonNormalizableError,
 )
-from .grids import Grid, SampledFunction, cumulative_integral, definite_integral, derivative
+from .grids import (
+    Grid,
+    SampledFunction,
+    _dilate,
+    cumulative_integral,
+    definite_integral,
+    derivative,
+    first_lobe_positive,
+)
 from .models import PdmModel
 from .spectra import count_nodes
 
@@ -75,11 +83,7 @@ def normalize_state(psi: SampledFunction) -> SampledFunction:
     norm2 = definite_integral(psi.with_values(psi.values**2))
     if norm2 <= 0.0:
         raise DegenerateStateError("state has vanishing norm")
-    v = psi.values / np.sqrt(norm2)
-    big = np.abs(v) > 1e-8 * np.max(np.abs(v))
-    if np.any(big) and v[np.argmax(big)] < 0.0:
-        v = -v
-    return psi.with_values(v)
+    return psi.with_values(first_lobe_positive(psi.values / np.sqrt(norm2)))
 
 
 def _crossings(values: np.ndarray, floor: float) -> list[tuple[int, int]]:
@@ -110,11 +114,7 @@ def _bridge(values: np.ndarray, mask: np.ndarray, x: np.ndarray, side_points: in
     residual mask flags runs that could not be bridged."""
     v = values.copy()
     left = np.zeros_like(mask)
-    idx = np.where(mask)[0]
-    if idx.size == 0:
-        return v, left
-    runs = np.split(idx, np.where(np.diff(idx) > 1)[0] + 1)
-    for run in runs:
+    for run in _mask_runs(mask):
         lo, hi = run[0], run[-1]
         a = lo - side_points
         b = hi + side_points + 1
@@ -448,7 +448,7 @@ def apply_ladder(psi: SampledFunction, w: Superpotential,
         raise InconsistentInputError("state and superpotential grids differ")
     dv = derivative(psi)
     u, _ = _ladder_values(which, w, f, model, psi.values, dv.values, None)
-    mask = w.values.singular_mask | _dilate_mask(psi.singular_mask, 2) | ~np.isfinite(u)
+    mask = w.values.singular_mask | _dilate(psi.singular_mask, 2) | ~np.isfinite(u)
     if tilde:
         mask |= f.values.singular_mask
     u = np.where(mask, np.nan, u)
@@ -470,14 +470,6 @@ def apply_ladder(psi: SampledFunction, w: Superpotential,
         u, residual = _bridge(u, bridgeable, psi.x)
         mask = (mask & ~bridgeable) | residual
     return SampledFunction(psi.grid, np.where(mask, np.nan, u), mask)
-
-
-def _dilate_mask(mask: np.ndarray, reach: int) -> np.ndarray:
-    out = mask.copy()
-    for s in range(1, reach + 1):
-        out[s:] |= mask[:-s]
-        out[:-s] |= mask[s:]
-    return out
 
 
 def _mask_runs(mask: np.ndarray):
@@ -510,7 +502,7 @@ def ladder_pair(psi: SampledFunction, w: Superpotential,
     if du is None:  # pragma: no cover - ddv is always supplied above
         raise RuntimeError("first ladder stage must produce a derivative")
     out, _ = _ladder_values(second, w, f, model, u, du, None)
-    mask = ~np.isfinite(out) | _dilate_mask(psi.singular_mask, 4)
+    mask = ~np.isfinite(out) | _dilate(psi.singular_mask, 4)
     out = np.where(mask, np.nan, out)
     out, residual = _bridge(out, mask, psi.x)
     return SampledFunction(psi.grid, np.where(residual, np.nan, out), residual)
@@ -532,9 +524,7 @@ class FactorizationResult:
     V_n_plus: SampledFunction
     V_tilde_minus: SampledFunction
     spectrum_shift: float  # beta
-    chi_n: Optional[SampledFunction] = None
     psi_n: SampledFunction = None
-    lam: Optional[float] = None
     convention: str = "normalized"
 
     @property
@@ -633,8 +623,6 @@ def factorize(model: PdmModel, n: int, *, beta: float = 0.0,
     e_n = model.energy(n)
     v_minus = partner_minus(v0, e_n)
     v_plus = partner_plus(w, model, v_minus)
-    chi = None
-    lam_eff = None
     if beta == 0.0:
         if lam is None:
             raise ConfigurationError("the beta = 0 route requires lambda")
@@ -649,7 +637,6 @@ def factorize(model: PdmModel, n: int, *, beta: float = 0.0,
             )
         seed = model.seed_solution(n, beta, g)
         f = auxiliary_f(seed, psi_n, model, w, beta)
-        chi = f.chi
     v_tilde = deformed_partner(v_minus, f, model, beta)
     return FactorizationResult(
         model=model,
@@ -660,8 +647,6 @@ def factorize(model: PdmModel, n: int, *, beta: float = 0.0,
         V_n_plus=v_plus,
         V_tilde_minus=v_tilde,
         spectrum_shift=beta,
-        chi_n=chi,
         psi_n=psi_n,
-        lam=lam_eff,
         convention=convention,
     )

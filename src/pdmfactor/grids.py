@@ -176,6 +176,14 @@ def trapezoid_norm(values: np.ndarray, h: float) -> float:
     return float(np.sqrt(h * (np.sum(y2) - 0.5 * y2[0] - 0.5 * y2[-1])))
 
 
+def first_lobe_positive(values: np.ndarray) -> np.ndarray:
+    """Fix the sign of a state: its first lobe above 1e-8 of the peak is positive."""
+    big = np.abs(values) > 1e-8 * np.max(np.abs(values))
+    if np.any(big) and values[np.argmax(big)] < 0.0:
+        return -values
+    return values
+
+
 def write_csv(f: SampledFunction, path) -> None:
     """Serialize as ``x,value,singular`` rows at full precision."""
     x = f.x

@@ -20,7 +20,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import kernels
 from .errors import ConfigurationError, DomainError
 from .grids import Grid, SampledFunction
 from .specfun import HypergeometricParams, gauss_2f1, hermite, jacobi
@@ -291,6 +290,42 @@ def _seed_energy(p: Ex2Params, n: int, beta: float) -> float:
     return n * n + n * (p.a + p.b) + p.c * (p.a + p.b - p.c + 1.0) / 2.0 - beta
 
 
+def _integrate_linear2(y0, dy0, hs, c1, c2, nsub, n_nodes):
+    """RK4 march of u'' = c1(x) u + c2(x) u' from node 0 to node n_nodes-1,
+    with nsub substeps per interval.
+
+    c1 and c2 are sampled on the half-substep lattice along the marching
+    direction: index 2*s is the start of substep s, 2*s + 1 its midpoint.
+    """
+    out = np.empty(n_nodes)
+    y = y0
+    dy = dy0
+    out[0] = y0
+    s = 0
+    for node in range(1, n_nodes):
+        for _ in range(nsub):
+            j0 = 2 * s
+            k1y = dy
+            k1d = c1[j0] * y + c2[j0] * dy
+            y2 = y + 0.5 * hs * k1y
+            d2 = dy + 0.5 * hs * k1d
+            k2y = d2
+            k2d = c1[j0 + 1] * y2 + c2[j0 + 1] * d2
+            y3 = y + 0.5 * hs * k2y
+            d3 = dy + 0.5 * hs * k2d
+            k3y = d3
+            k3d = c1[j0 + 1] * y3 + c2[j0 + 1] * d3
+            y4 = y + hs * k3y
+            d4 = dy + hs * k3d
+            k4y = d4
+            k4d = c1[j0 + 2] * y4 + c2[j0 + 2] * d4
+            y = y + hs * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
+            dy = dy + hs * (k1d + 2.0 * k2d + 2.0 * k3d + k4d) / 6.0
+            s += 1
+        out[node] = y
+    return out
+
+
 def seed_solution_ex2(p: Ex2Params, n: int, beta: float, grid: Grid) -> SampledFunction:
     """Solution of the mass-weighted Schrodinger equation at energy E_n - beta.
 
@@ -326,7 +361,7 @@ def seed_solution_ex2(p: Ex2Params, n: int, beta: float, grid: Grid) -> SampledF
         m = model.mass(xs)
         c1 = m * (model.potential(xs) - e)
         c2 = model.mass_d1(xs) / m
-        marched = kernels.integrate_linear2(values[icut], dpsi0, hs, c1, c2, nsub, n_right)
+        marched = _integrate_linear2(values[icut], dpsi0, hs, c1, c2, nsub, n_right)
         values[icut:] = marched
         # consistency between the two evaluation routes at the matching nodes
         if icut + 1 < grid.n_points and x[icut + 1] < 4.0:

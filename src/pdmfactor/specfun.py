@@ -1,20 +1,18 @@
 """Special functions for the closed-form models.
 
-Hermite and Jacobi polynomials by three-term recurrence, the error function
-by series plus continued fraction, and the Gauss hypergeometric function by
-direct power series on [0, 1).
+Hermite and Jacobi polynomials by three-term recurrence and the Gauss
+hypergeometric function by direct power series on [0, 1).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
 
-__all__ = ["HypergeometricParams", "hermite", "jacobi", "erf", "gauss_2f1"]
+__all__ = ["HypergeometricParams", "hermite", "jacobi", "gauss_2f1"]
 
 HERMITE_MAX_DEGREE = 60
 HYP_SERIES_EDGE = 1.0 - 1e-3
@@ -62,65 +60,6 @@ def jacobi(n: int, sigma: float, delta: float, x):
         a4 = 2.0 * (j + sigma - 1.0) * (j + delta - 1.0) * (2.0 * j + sigma + delta)
         p, p_prev = ((a2 + a3 * x) * p - a4 * p_prev) / a1, p
     return p if p.ndim else float(p)
-
-
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
-_ERF_SPLIT = 3.0
-
-
-def _erf_series(x: float) -> float:
-    # absolutely convergent Maclaurin series; used for |x| <= 3 where the
-    # alternating cancellation stays below ~1e3
-    x2 = x * x
-    term = x
-    total = x
-    n = 0
-    while abs(term) > 1e-18 * abs(total) + 1e-300:
-        n += 1
-        term *= -x2 / n
-        total += term / (2 * n + 1)
-    return _TWO_OVER_SQRT_PI * total
-
-
-def _erfc_cf(x: float) -> float:
-    # Lentz continued fraction for erfc, accurate for x >= 3
-    # erfc(x) = exp(-x^2)/sqrt(pi) * 1/(x + (1/2)/(x + (2/2)/(x + (3/2)/(x + ...))))
-    tiny = 1e-300
-    c = 1.0 / tiny
-    d = 1.0 / x
-    h = d
-    for n in range(1, 300):
-        a = 0.5 * n
-        d = x + a * d
-        if d == 0.0:
-            d = tiny
-        c = x + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(-x * x) / math.sqrt(math.pi) * h
-
-
-def erf(x):
-    """Error function, absolute accuracy better than 1e-12, vectorized."""
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr).ravel()
-    out = np.empty_like(flat)
-    for i, xi in enumerate(flat):
-        a = abs(xi)
-        if a <= _ERF_SPLIT:
-            val = _erf_series(a)
-        else:
-            val = 1.0 - _erfc_cf(a)
-        out[i] = math.copysign(val, xi) if xi != 0.0 else 0.0
-    if scalar:
-        return float(out[0])
-    return out.reshape(arr.shape)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,10 @@ matrix (flux conserving, real spectrum) under Dirichlet truncation.
 additionally solves on the every-second-node subgrid and Richardson
 extrapolates the eigenvalues, removing the leading h^2 error while leaving
 the base discretization untouched.
+
+The eigensolver is plain numpy: Sturm-count bisection for the eigenvalues
+(one vectorized sweep per round serves all k targets) and inverse iteration
+with a partially pivoted tridiagonal solve for the eigenvectors.
 """
 
 from __future__ import annotations
@@ -18,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import ConfigurationError, DomainError, SolverError
-from .grids import Grid, SampledFunction, trapezoid_norm
+from .grids import Grid, SampledFunction, first_lobe_positive, trapezoid_norm
 from .models import PdmModel
 
 __all__ = [
@@ -33,6 +36,7 @@ __all__ = [
 ]
 
 NODE_NOISE_FLOOR = 1e-9
+_TINY = 1e-300
 
 
 @dataclass
@@ -44,8 +48,6 @@ class SturmLiouvilleProblem:
     """
 
     grid: Grid
-    inv_mass_half: np.ndarray
-    potential: np.ndarray
     diag: np.ndarray
     off: np.ndarray
 
@@ -69,8 +71,7 @@ def discretize(model: PdmModel, v: SampledFunction, grid: Grid | None = None) ->
     h2 = g.h * g.h
     diag = (im[:-1] + im[1:]) / h2 + v.values[1:-1]
     off = -im[1:-1] / h2
-    return SturmLiouvilleProblem(grid=g, inv_mass_half=im, potential=v.values.copy(),
-                                 diag=diag, off=off)
+    return SturmLiouvilleProblem(grid=g, diag=diag, off=off)
 
 
 @dataclass
@@ -105,6 +106,101 @@ def count_nodes(psi: SampledFunction) -> int:
     return int(np.sum(np.sign(big[1:]) != np.sign(big[:-1])))
 
 
+def _bisect_lowest(diag, off2, k, lo0, hi0, tol, maxit):
+    """Vectorized bisection: one Sturm sweep per round serves all k targets."""
+    lo = np.full(k, lo0)
+    hi = np.full(k, hi0)
+    targets = np.arange(k)
+    n = diag.shape[0]
+    for _ in range(maxit):
+        if np.max(hi - lo) <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        d = diag[0] - mid
+        d[d == 0.0] = _TINY
+        counts = (d < 0.0).astype(np.int64)
+        for i in range(1, n):
+            d = diag[i] - mid - off2[i - 1] / d
+            d[d == 0.0] = _TINY
+            counts += d < 0.0
+        above = counts > targets
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def _tridiag_solve_pivot(sub, diag, sup, rhs, out):
+    """Solve T x = rhs for tridiagonal T with partial pivoting.
+
+    sub[i] couples row i+1 to column i; sup[i] couples row i to column i+1.
+    Pivoting introduces a second superdiagonal, carried in u2.
+    """
+    n = diag.shape[0]
+    d = np.empty(n)
+    u1 = np.empty(n)
+    u2 = np.empty(n)
+    b = np.empty(n)
+    for i in range(n):
+        d[i] = diag[i]
+        u1[i] = sup[i] if i < n - 1 else 0.0
+        u2[i] = 0.0
+        b[i] = rhs[i]
+    for i in range(n - 1):
+        low = sub[i]
+        if abs(low) > abs(d[i]):
+            # swap rows i and i+1
+            t = d[i]
+            d[i] = low
+            low = t
+            t = u1[i]
+            u1[i] = d[i + 1]
+            d[i + 1] = t
+            t = u2[i]
+            u2[i] = u1[i + 1]
+            u1[i + 1] = t
+            t = b[i]
+            b[i] = b[i + 1]
+            b[i + 1] = t
+        if d[i] == 0.0:
+            d[i] = _TINY
+        m = low / d[i]
+        d[i + 1] -= m * u1[i]
+        u1[i + 1] -= m * u2[i]
+        b[i + 1] -= m * b[i]
+    if d[n - 1] == 0.0:
+        d[n - 1] = _TINY
+    out[n - 1] = b[n - 1] / d[n - 1]
+    if n > 1:
+        out[n - 2] = (b[n - 2] - u1[n - 2] * out[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        out[i] = (b[i] - u1[i] * out[i + 1] - u2[i] * out[i + 2]) / d[i]
+    return out
+
+
+def _inverse_iteration(sub, diag, sup, lam, iters):
+    """Eigenvector of tridiag(sub, diag, sup) at an isolated eigenvalue lam."""
+    n = diag.shape[0]
+    v = np.empty(n)
+    state = np.uint64(88172645463325252)
+    for i in range(n):
+        # xorshift64 gives a deterministic, sign-mixed start vector
+        state ^= state << np.uint64(13)
+        state ^= state >> np.uint64(7)
+        state ^= state << np.uint64(17)
+        v[i] = (np.float64(state % np.uint64(2000003)) / 1000001.5) - 1.0
+    shifted = diag - lam
+    work = np.empty(n)
+    for _ in range(iters):
+        _tridiag_solve_pivot(sub, shifted, sup, v, work)
+        nrm = 0.0
+        for i in range(n):
+            nrm += work[i] * work[i]
+        nrm = np.sqrt(nrm)
+        for i in range(n):
+            v[i] = work[i] / nrm
+    return v
+
+
 def _eigenvalues_only(prob: SturmLiouvilleProblem, k: int) -> np.ndarray:
     diag = prob.diag
     off2 = prob.off * prob.off
@@ -116,7 +212,7 @@ def _eigenvalues_only(prob: SturmLiouvilleProblem, k: int) -> np.ndarray:
     span = max(hi - lo, 1.0)
     # bisection resolves eigenvalues down to a few ulps of the matrix scale
     tol = span * 4e-15 + 1e-13
-    return kernels.bisect_lowest(diag, off2, k, lo, hi, tol)
+    return _bisect_lowest(diag, off2, k, lo, hi, tol, 120)
 
 
 def lowest_eigenpairs(prob: SturmLiouvilleProblem, k: int,
@@ -138,11 +234,11 @@ def lowest_eigenpairs(prob: SturmLiouvilleProblem, k: int,
     residuals = []
     sub = prob.off
     for j in range(k):
-        v = kernels.inverse_iteration(sub, prob.diag, sub, eigs[j], iters=3)
+        v = _inverse_iteration(sub, prob.diag, sub, eigs[j], 3)
         res = float(np.max(np.abs(prob.matrix_action(v) - eigs[j] * v)))
         extra = 0
         while res > cap and extra < 3:
-            v = kernels.inverse_iteration(sub, prob.diag, sub, eigs[j], iters=2)
+            v = _inverse_iteration(sub, prob.diag, sub, eigs[j], 2)
             res = float(np.max(np.abs(prob.matrix_action(v) - eigs[j] * v)))
             extra += 1
         if res > cap:
@@ -152,10 +248,7 @@ def lowest_eigenpairs(prob: SturmLiouvilleProblem, k: int,
         full = np.zeros(prob.grid.n_points)
         full[1:-1] = v
         full /= trapezoid_norm(full, prob.grid.h)
-        big = np.abs(full) > 1e-8 * np.max(np.abs(full))
-        if np.any(big) and full[np.argmax(big)] < 0.0:
-            full = -full
-        sf = SampledFunction(prob.grid, full)
+        sf = SampledFunction(prob.grid, first_lobe_positive(full))
         states.append(sf)
         nodes.append(count_nodes(sf))
         residuals.append(res)

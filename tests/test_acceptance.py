@@ -41,8 +41,8 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 class TestAcceptance:
     def test_01_base_spectrum_and_runtime(self, ex1):
-        # warm the JIT cache on a small problem so the timing below measures
-        # the solve, not compilation
+        # a small warm-up solve first, so the timing below measures the
+        # N = 8001 solve rather than first-call overhead
         small = Grid(-20.0, 20.0, 1001)
         solve_spectrum(ex1, ex1.potential_samples(small), 2)
         t0 = time.perf_counter()

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pdmfactor
 from pdmfactor.cli import main
 from pdmfactor.grids import read_csv
 
@@ -181,3 +186,21 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             run([])
         assert exc.value.code == 2
+
+
+class TestImports:
+    def test_cli_imports_only_numpy_beyond_the_stdlib(self):
+        # scipy (a test oracle) and any compiler backend stay out of the package
+        src = str(Path(pdmfactor.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import pdmfactor.cli\n"
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "print(sorted(new - set(sys.stdlib_module_names)))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "['numpy', 'pdmfactor']"

@@ -4,6 +4,7 @@ import pytest
 from pdmfactor.errors import DomainError
 from pdmfactor.grids import Grid, definite_integral, derivative
 from pdmfactor.models import (
+    _integrate_linear2,
     Ex1Params,
     Ex2Params,
     catalog,
@@ -137,6 +138,18 @@ def pdmse_residual_weighted(model, psi, energy):
         model.potential(x) - energy
     ) * psi.values
     return np.max(np.abs(res[4:-4])) / np.max(np.abs(psi.values))
+
+
+class TestSeedMarch:
+    def test_rk4_matches_sine(self):
+        # u'' = -u, u(0) = 0, u'(0) = 1 -> sin
+        n_nodes, nsub = 201, 4
+        h = np.pi / (n_nodes - 1)
+        width = 2 * nsub * (n_nodes - 1) + 1
+        got = _integrate_linear2(0.0, 1.0, h / nsub, -np.ones(width), np.zeros(width),
+                                 nsub, n_nodes)
+        x = np.linspace(0.0, np.pi, n_nodes)
+        assert np.max(np.abs(got - np.sin(x))) < 1e-10
 
 
 class TestSeedSolution:

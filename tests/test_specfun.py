@@ -2,11 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pdmfactor.errors import ConfigurationError, DomainError
-from pdmfactor.specfun import HypergeometricParams, erf, gauss_2f1, hermite, jacobi
+from pdmfactor.specfun import HypergeometricParams, gauss_2f1, hermite, jacobi
 
 
 def hermite_sum(k, x):
@@ -90,30 +88,6 @@ class TestJacobi:
             jacobi(2, -1.5, 0.0, 0.1)
         with pytest.raises(DomainError):
             jacobi(2, 0.0, 0.0, 1.5)
-
-
-class TestErf:
-    def test_zero(self):
-        assert erf(0.0) == 0.0
-
-    @given(st.floats(-6.0, 6.0))
-    @settings(max_examples=100, deadline=None)
-    def test_odd(self, x):
-        assert erf(-x) == pytest.approx(-erf(x), abs=0.0)
-
-    def test_reference_value(self):
-        assert abs(erf(1.0) - 0.8427007929497149) < 1e-12
-
-    def test_against_math_erf(self):
-        xs = np.linspace(-7, 7, 2001)
-        ref = np.array([math.erf(v) for v in xs])
-        assert np.max(np.abs(erf(xs) - ref)) < 1e-12
-
-    def test_monotone_bounded(self):
-        xs = np.linspace(-10, 10, 4001)
-        vals = erf(xs)
-        assert np.all(np.diff(vals) >= 0.0)
-        assert np.all(np.abs(vals) < 1.0 + 1e-15)
 
 
 class TestGauss2F1:

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
-from pdmfactor import kernels
 from pdmfactor.errors import ConfigurationError, DomainError, SolverError
 from pdmfactor.grids import Grid, SampledFunction
 from pdmfactor.models import model_box, model_constant_mass_ho, model_ex1, model_ex2
-from pdmfactor.spectra import count_nodes, discretize, lowest_eigenpairs, solve_spectrum
+from pdmfactor.spectra import (
+    _bisect_lowest,
+    _tridiag_solve_pivot,
+    count_nodes,
+    discretize,
+    lowest_eigenpairs,
+    solve_spectrum,
+)
 
 
 class TestDiscretize:
@@ -97,7 +103,7 @@ class TestAgainstDenseOracle:
             n = 200
             diag = rng.uniform(1.0, 10.0, n)
             off = rng.uniform(-3.0, -0.5, n - 1)
-            eigs = kernels.bisect_lowest(diag, off**2, 4, -50.0, 50.0, 1e-13)
+            eigs = _bisect_lowest(diag, off**2, 4, -50.0, 50.0, 1e-13, 120)
             ref = scipy_linalg.eigh_tridiagonal(
                 diag, off, select="i", select_range=(0, 3), eigvals_only=True
             )
@@ -114,78 +120,17 @@ class TestAgainstDenseOracle:
         assert np.max(np.abs(rep.eigenvalues - ref)) < 5e-7
 
 
-class TestBackends:
-    """The numba fast path and the numpy fallback must agree exactly."""
-
-    def test_sturm_count_agreement(self, rng):
-        diag = rng.uniform(0.0, 5.0, 500)
-        off2 = rng.uniform(0.01, 4.0, 499)
-        for sigma in (-1.0, 1.7, 4.2):
-            ref = kernels._sturm_count_impl(diag, off2, sigma)
-            assert kernels.sturm_count(diag, off2, sigma) == ref
-
-    def test_bisect_agreement(self, rng):
-        diag = rng.uniform(0.0, 5.0, 400)
-        off2 = rng.uniform(0.01, 4.0, 399)
-        a = kernels._bisect_lowest_np(diag, off2, 4, -10.0, 15.0, 1e-12, 120)
-        b = kernels.bisect_lowest(diag, off2, 4, -10.0, 15.0, 1e-12)
-        assert np.max(np.abs(a - b)) < 1e-11
-
-    def test_tridiag_solve_agreement(self, rng):
+class TestPivotedSolve:
+    def test_matches_dense_solve(self, rng):
         n = 300
         diag = rng.uniform(2.0, 4.0, n)
         off = rng.uniform(-1.0, 1.0, n - 1)
         rhs = rng.standard_normal(n)
-        out_py = np.empty(n)
-        kernels._tridiag_solve_pivot_impl(off, diag, off, rhs, out_py)
-        # dense reference
+        out = np.empty(n)
+        _tridiag_solve_pivot(off, diag, off, rhs, out)
         T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         ref = np.linalg.solve(T, rhs)
-        assert np.max(np.abs(out_py - ref)) < 1e-9
-        if kernels.NUMBA_AVAILABLE:
-            out_jit = np.empty(n)
-            kernels.tridiag_solve_pivot_jit(off, diag, off, rhs, out_jit)
-            assert np.array_equal(out_py, out_jit)
-
-    def test_integrator_agreement(self):
-        # u'' = -u, u(0) = 0, u'(0) = 1 -> sin
-        n_nodes, nsub = 201, 4
-        h = np.pi / (n_nodes - 1)
-        width = 2 * nsub * (n_nodes - 1) + 1
-        c1 = -np.ones(width)
-        c2 = np.zeros(width)
-        hs = h / nsub
-        got = kernels.integrate_linear2(0.0, 1.0, hs, c1, c2, nsub, n_nodes)
-        x = np.linspace(0.0, np.pi, n_nodes)
-        assert np.max(np.abs(got - np.sin(x))) < 1e-10
-        out_py = np.empty(n_nodes)
-        kernels._integrate_linear2_impl(0.0, 1.0, hs, c1, c2, nsub, n_nodes, out_py)
-        assert np.array_equal(got, out_py) or np.max(np.abs(got - out_py)) < 1e-15
-
-    def test_backend_name(self):
-        assert kernels.backend_name() in ("numba", "numpy")
-
-    def test_env_flag_selects_numpy_fallback(self):
-        # the flag is read at import time, so probe in a subprocess
-        import os
-        import subprocess
-        import sys
-
-        code = (
-            "from pdmfactor import kernels, model_box, solve_spectrum\n"
-            "assert kernels.backend_name() == 'numpy', kernels.backend_name()\n"
-            "box = model_box()\n"
-            "rep = solve_spectrum(box, box.potential_samples(), 2)\n"
-            "import numpy as np\n"
-            "assert abs(rep.eigenvalues[0] - np.pi**2) < 1e-2\n"
-            "print('numpy backend ok')\n"
-        )
-        env = dict(os.environ, PDMFACTOR_DISABLE_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        assert "numpy backend ok" in out.stdout
+        assert np.max(np.abs(out - ref)) < 1e-9
 
 
 class TestCountNodes:

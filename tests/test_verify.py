@@ -1,8 +1,15 @@
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pdmfactor.errors import ConfigurationError, DomainError
-from pdmfactor.factor import factorize
+from pdmfactor.factor import bernoulli_f, factorize, normalize_state
+from pdmfactor.grids import cumulative_integral
+from pdmfactor.models import catalog
 from pdmfactor.verify import (
     check_isospectral,
     constant_mass_limit_check,
@@ -76,6 +83,16 @@ class TestScanLambda:
         assert rep.critical_lambda is not None
         assert abs(rep.critical_lambda - 0.5) <= 1e-3
 
+    def test_boundaries_are_the_discrete_edges(self, ex1):
+        _, _, F = _state_and_running_norm("ex1", 1)
+        up = scan_lambda(ex1, 1, np.linspace(-2.0, 1.0, 31))
+        assert up.boundaries == [-np.max(F), -np.min(F)]
+        assert math.copysign(1.0, up.boundaries[1]) == 1.0  # +0.0, not -0.0
+        down = scan_lambda(ex1, 1, np.linspace(1.0, -2.0, 31))
+        assert down.boundaries == up.boundaries[::-1]
+        paper = scan_lambda(ex1, 1, np.linspace(0.0, 1.0, 11), convention="paper-ex1")
+        assert paper.critical_lambda == -np.min(F) + 0.5
+
     def test_huge_lambda_nonsingular(self, ex1):
         rep = scan_lambda(ex1, 1, [1e6])
         assert rep.singular_flags == [False]
@@ -104,6 +121,43 @@ class TestScanLambda:
                 pool.map(lambda v: scan_lambda(ex1, 1, [v]).singular_flags[0], lams)
             )
         assert parallel == serial
+
+
+@functools.lru_cache(maxsize=None)
+def _state_and_running_norm(name, n):
+    model = catalog(name)
+    psi = normalize_state(model.eigenstate_samples(n))
+    return model, psi, cumulative_integral(psi.with_values(psi.values**2)).values
+
+
+class TestWindowRule:
+    """bernoulli_f is singular on [-max F, -min F] and, outside it, only
+    where f itself overflows."""
+
+    @given(
+        name=st.sampled_from(["ex1", "ex2", "ho", "box"]),
+        n=st.sampled_from([1, 2, 3]),
+        lam=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    )
+    @example(name="ex1", n=1, lam=5e-324)
+    @example(name="ex2", n=1, lam=5e-324)
+    @example(name="ex1", n=1, lam=-0.0)
+    @settings(max_examples=200, deadline=None)
+    def test_window_implies_singular(self, name, n, lam):
+        model, psi, F = _state_and_running_norm(name, n)
+        singular = bernoulli_f(psi, model, lam).is_singular
+        if -np.max(F) <= lam <= -np.min(F):
+            assert singular
+        elif singular:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                f = psi.values**2 / (np.sqrt(model.mass(psi.x)) * (lam + F))
+            assert not np.all(np.isfinite(f))
+
+    def test_tiny_lambda_overflows_outside_window(self, ex1):
+        # lambda = 5e-324 lies just above the window, yet f overflows at x_min
+        _, psi, F = _state_and_running_norm("ex1", 1)
+        assert 5e-324 > -np.min(F)
+        assert bernoulli_f(psi, ex1, 5e-324).is_singular
 
 
 class TestIntertwining:
