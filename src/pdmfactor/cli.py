@@ -7,16 +7,18 @@ spectrum    solve the original or deformed potential and export the report
 verify      run the isospectrality / node checks; exit 1 on failure
 scan        sweep lambda and bracket the singularity boundary
 
-Exit codes: 0 success, 1 check failure, 2 usage error.  All files are
-written atomically (temp file in the target directory, then rename), and all
-numeric output is full precision.  The only non-deterministic JSON field is
-the isolated "timestamp" key.
+Exit codes: 0 success, 1 check failure, 2 usage error (nan or inf in a
+number flag is one); a package error exits 1 or 2, never with a traceback.
+All files are written atomically (temp file in the target directory, then
+rename), and all numeric output is full precision.  The only
+non-deterministic JSON field is the isolated "timestamp" key.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -27,9 +29,11 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
+    DegenerateStateError,
     DomainError,
     InconsistentInputError,
     NonNormalizableError,
+    SolverError,
 )
 from .factor import factorize, map_eigenstate, zero_mode
 from .grids import Grid, SampledFunction, write_csv
@@ -244,6 +248,17 @@ def cmd_scan(args) -> int:
     return 0
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: nan and inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdmfactor",
@@ -256,22 +271,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, needs_level=True):
         p.add_argument("--model", required=True, choices=["ex1", "ex2", "ho", "box"])
-        p.add_argument("--alpha", type=float, default=1.0, help="ex1 mass parameter")
-        p.add_argument("--a", type=float, default=1.0, help="ex2 parameter a")
-        p.add_argument("--b", type=float, default=5.0, help="ex2 parameter b")
-        p.add_argument("--c", type=float, default=4.0, help="ex2 parameter c")
+        p.add_argument("--alpha", type=_finite_float, default=1.0, help="ex1 mass parameter")
+        p.add_argument("--a", type=_finite_float, default=1.0, help="ex2 parameter a")
+        p.add_argument("--b", type=_finite_float, default=5.0, help="ex2 parameter b")
+        p.add_argument("--c", type=_finite_float, default=4.0, help="ex2 parameter c")
         if needs_level:
             p.add_argument("--n", type=int, default=1, help="factorization level")
-            p.add_argument("--beta", type=float, default=0.0, help="spectral shift")
-            p.add_argument("--lambda", dest="lambda_", type=float, default=None)
+            p.add_argument("--beta", type=_finite_float, default=0.0, help="spectral shift")
+            p.add_argument("--lambda", dest="lambda_", type=_finite_float, default=None)
         p.add_argument(
             "--convention",
             choices=["normalized", "paper-ex1"],
             default="normalized",
             help="lambda parametrization of the beta = 0 route",
         )
-        p.add_argument("--grid-min", type=float, default=None)
-        p.add_argument("--grid-max", type=float, default=None)
+        p.add_argument("--grid-min", type=_finite_float, default=None)
+        p.add_argument("--grid-max", type=_finite_float, default=None)
         p.add_argument("--grid-points", type=int, default=None)
         p.add_argument("--out", default=".", help="output directory")
 
@@ -293,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="sweep lambda and bracket the singular window")
     add_common(p, needs_level=False)
     p.add_argument("--n", type=int, default=1, help="factorization level")
-    p.add_argument("--lambda-min", type=float, required=True)
-    p.add_argument("--lambda-max", type=float, required=True)
+    p.add_argument("--lambda-min", type=_finite_float, required=True)
+    p.add_argument("--lambda-max", type=_finite_float, required=True)
     p.add_argument("--steps", type=int, default=101)
     p.set_defaults(func=cmd_scan)
 
@@ -309,7 +324,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, InconsistentInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (DomainError, NonNormalizableError) as exc:
+    except (DomainError, NonNormalizableError, DegenerateStateError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_FAILURE
 

@@ -10,14 +10,15 @@ additionally solves on the every-second-node subgrid and Richardson
 extrapolates the eigenvalues, removing the leading h^2 error while leaving
 the base discretization untouched.
 
-The eigensolver is plain numpy: Sturm-count bisection for the eigenvalues
-(one vectorized sweep per round serves all k targets) and inverse iteration
-with a partially pivoted tridiagonal solve for the eigenvectors.
+The eigensolver is plain numpy: Sturm-count multisection for the eigenvalues
+(one vectorized sweep serves the next _DEPTH bisection rounds of all k
+targets) and inverse iteration with a partially pivoted tridiagonal solve.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,9 @@ __all__ = [
 
 NODE_NOISE_FLOOR = 1e-9
 _TINY = 1e-300
+# one Sturm sweep serves _DEPTH bisection rounds, _SWEEP_ROWS rows at a time
+_DEPTH = 6
+_SWEEP_ROWS = 64
 
 
 @dataclass
@@ -106,26 +110,56 @@ def count_nodes(psi: SampledFunction) -> int:
     return int(np.sum(np.sign(big[1:]) != np.sign(big[:-1])))
 
 
+def _sturm_counts(diag, off2, shifts):
+    """Eigenvalues below each shift: negative LDL^T pivots, counted per block."""
+    lanes = shifts.size
+    off2 = off2.tolist()
+    counts = np.zeros(lanes, np.int64)
+    d = None
+    for start in range(0, diag.shape[0], _SWEEP_ROWS):
+        block = diag[start:start + _SWEEP_ROWS, None] - shifts
+        for i, row in enumerate(block, start):
+            if i:
+                row -= off2[i - 1] / d
+            if np.count_nonzero(row) < lanes:
+                # a zero pivot would turn the next row into inf or nan
+                row[row == 0.0] = _TINY
+            d = row
+        counts += np.count_nonzero(block < 0.0, axis=0)
+    return counts
+
+
 def _bisect_lowest(diag, off2, k, lo0, hi0, tol, maxit):
-    """Vectorized bisection: one Sturm sweep per round serves all k targets."""
+    """Bisection for the k lowest eigenvalues, _DEPTH rounds per Sturm sweep.
+
+    A sweep counts at every midpoint of each target's depth-_DEPTH bisection
+    tree; walking down it visits exactly the brackets plain bisection visits.
+    """
     lo = np.full(k, lo0)
     hi = np.full(k, hi0)
     targets = np.arange(k)
-    n = diag.shape[0]
-    for _ in range(maxit):
-        if np.max(hi - lo) <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        d = diag[0] - mid
-        d[d == 0.0] = _TINY
-        counts = (d < 0.0).astype(np.int64)
-        for i in range(1, n):
-            d = diag[i] - mid - off2[i - 1] / d
-            d[d == 0.0] = _TINY
-            counts += d < 0.0
-        above = counts > targets
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
+    rounds = 0
+    # the stop test of plain bisection, written so that a nan width continues too
+    while rounds < maxit and not np.max(hi - lo) <= tol:
+        edges = np.stack([lo, hi], axis=1)
+        levels = []
+        for _ in range(_DEPTH):
+            levels.append(0.5 * (edges[:, :-1] + edges[:, 1:]))
+            edges = np.insert(edges, range(1, edges.shape[1]), levels[-1], axis=1)
+        # heap order per target: node j of level l sits at column 2**l - 1 + j
+        tree = np.concatenate(levels, axis=1)
+        counts = _sturm_counts(diag, off2, tree.ravel()).reshape(k, -1)
+        node = np.zeros(k, np.int64)
+        for level in range(_DEPTH):
+            col = (1 << level) - 1 + node
+            mid = tree[targets, col]
+            above = counts[targets, col] > targets
+            hi = np.where(above, mid, hi)
+            lo = np.where(above, lo, mid)
+            node = 2 * node + ~above
+            rounds += 1
+            if rounds == maxit or np.max(hi - lo) <= tol:
+                break
     return 0.5 * (lo + hi)
 
 
@@ -133,34 +167,23 @@ def _tridiag_solve_pivot(sub, diag, sup, rhs, out):
     """Solve T x = rhs for tridiagonal T with partial pivoting.
 
     sub[i] couples row i+1 to column i; sup[i] couples row i to column i+1.
-    Pivoting introduces a second superdiagonal, carried in u2.
+    Pivoting introduces a second superdiagonal, carried in u2.  The work is
+    done on Python floats, which are IEEE doubles like the arrays.
     """
     n = diag.shape[0]
-    d = np.empty(n)
-    u1 = np.empty(n)
-    u2 = np.empty(n)
-    b = np.empty(n)
-    for i in range(n):
-        d[i] = diag[i]
-        u1[i] = sup[i] if i < n - 1 else 0.0
-        u2[i] = 0.0
-        b[i] = rhs[i]
+    sub = sub.tolist()
+    d = diag.tolist()
+    u1 = sup.tolist()[:n - 1] + [0.0]
+    u2 = [0.0] * n
+    b = rhs.tolist()
     for i in range(n - 1):
         low = sub[i]
         if abs(low) > abs(d[i]):
             # swap rows i and i+1
-            t = d[i]
-            d[i] = low
-            low = t
-            t = u1[i]
-            u1[i] = d[i + 1]
-            d[i + 1] = t
-            t = u2[i]
-            u2[i] = u1[i + 1]
-            u1[i + 1] = t
-            t = b[i]
-            b[i] = b[i + 1]
-            b[i + 1] = t
+            d[i], low = low, d[i]
+            u1[i], d[i + 1] = d[i + 1], u1[i]
+            u2[i], u1[i + 1] = u1[i + 1], u2[i]
+            b[i], b[i + 1] = b[i + 1], b[i]
         if d[i] == 0.0:
             d[i] = _TINY
         m = low / d[i]
@@ -169,11 +192,13 @@ def _tridiag_solve_pivot(sub, diag, sup, rhs, out):
         b[i + 1] -= m * b[i]
     if d[n - 1] == 0.0:
         d[n - 1] = _TINY
-    out[n - 1] = b[n - 1] / d[n - 1]
+    # back substitution overwrites b with the solution
+    b[n - 1] = b[n - 1] / d[n - 1]
     if n > 1:
-        out[n - 2] = (b[n - 2] - u1[n - 2] * out[n - 1]) / d[n - 2]
+        b[n - 2] = (b[n - 2] - u1[n - 2] * b[n - 1]) / d[n - 2]
     for i in range(n - 3, -1, -1):
-        out[i] = (b[i] - u1[i] * out[i + 1] - u2[i] * out[i + 2]) / d[i]
+        b[i] = (b[i] - u1[i] * b[i + 1] - u2[i] * b[i + 2]) / d[i]
+    out[:] = b
     return out
 
 
@@ -181,23 +206,21 @@ def _inverse_iteration(sub, diag, sup, lam, iters):
     """Eigenvector of tridiag(sub, diag, sup) at an isolated eigenvalue lam."""
     n = diag.shape[0]
     v = np.empty(n)
-    state = np.uint64(88172645463325252)
+    state = 88172645463325252
     for i in range(n):
         # xorshift64 gives a deterministic, sign-mixed start vector
-        state ^= state << np.uint64(13)
-        state ^= state >> np.uint64(7)
-        state ^= state << np.uint64(17)
-        v[i] = (np.float64(state % np.uint64(2000003)) / 1000001.5) - 1.0
+        state ^= (state << 13) & 0xFFFFFFFFFFFFFFFF
+        state ^= state >> 7
+        state ^= (state << 17) & 0xFFFFFFFFFFFFFFFF
+        v[i] = state % 2000003 / 1000001.5 - 1.0
     shifted = diag - lam
     work = np.empty(n)
     for _ in range(iters):
         _tridiag_solve_pivot(sub, shifted, sup, v, work)
         nrm = 0.0
-        for i in range(n):
-            nrm += work[i] * work[i]
-        nrm = np.sqrt(nrm)
-        for i in range(n):
-            v[i] = work[i] / nrm
+        for w in work.tolist():
+            nrm += w * w
+        v = work / math.sqrt(nrm)
     return v
 
 

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import pdmfactor
+import pdmfactor.cli
 from pdmfactor.cli import main
+from pdmfactor.errors import SolverError
 from pdmfactor.grids import read_csv
 
 
@@ -186,6 +188,26 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             run([])
         assert exc.value.code == 2
+
+
+class TestPackageErrors:
+    def test_solver_error_exits_one_with_one_line(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise SolverError("inverse iteration residual above cap")
+
+        monkeypatch.setattr(pdmfactor.cli, "solve_spectrum", refuse)
+        code = run(["spectrum", "--model", "ho", "--levels", "2", "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: inverse iteration residual above cap\n"
+
+    @pytest.mark.parametrize("flag, value", [("--lambda", "nan"), ("--beta", "inf"),
+                                             ("--grid-min", "-inf"), ("--alpha", "nan")])
+    def test_non_finite_float_flag_exits_two(self, tmp_path, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run(["construct", "--model", "ex1", "--n", "1", f"{flag}={value}",
+                 "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
 
 
 class TestImports:

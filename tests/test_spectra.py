@@ -5,13 +5,43 @@ from pdmfactor.errors import ConfigurationError, DomainError, SolverError
 from pdmfactor.grids import Grid, SampledFunction
 from pdmfactor.models import model_box, model_constant_mass_ho, model_ex1, model_ex2
 from pdmfactor.spectra import (
+    _TINY,
     _bisect_lowest,
+    _inverse_iteration,
     _tridiag_solve_pivot,
     count_nodes,
     discretize,
     lowest_eigenpairs,
     solve_spectrum,
 )
+
+
+def plain_bisect(diag, off2, k, lo0, hi0, tol, maxit):
+    """Reference bisection, one Sturm sweep per round; also returns the rounds."""
+    lo = np.full(k, lo0)
+    hi = np.full(k, hi0)
+    targets = np.arange(k)
+    rounds = 0
+    for _ in range(maxit):
+        if np.max(hi - lo) <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        d = diag[0] - mid
+        d[d == 0.0] = _TINY
+        counts = (d < 0.0).astype(np.int64)
+        for i in range(1, diag.shape[0]):
+            d = diag[i] - mid - off2[i - 1] / d
+            d[d == 0.0] = _TINY
+            counts += d < 0.0
+        above = counts > targets
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+        rounds += 1
+    return 0.5 * (lo + hi), rounds
+
+
+def random_tridiagonal(rng, n):
+    return rng.uniform(-5.0, 5.0, n), rng.uniform(-3.0, 3.0, n - 1) ** 2
 
 
 class TestDiscretize:
@@ -120,6 +150,45 @@ class TestAgainstDenseOracle:
         assert np.max(np.abs(rep.eigenvalues - ref)) < 5e-7
 
 
+class TestMultisection:
+    """_bisect_lowest walks a bisection tree; it must match plain bisection bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_matches_plain_bisection(self, rng, k):
+        diag, off2 = random_tridiagonal(rng, 150)
+        ref, _ = plain_bisect(diag, off2, k, -30.0, 30.0, 1e-13, 120)
+        assert np.array_equal(_bisect_lowest(diag, off2, k, -30.0, 30.0, 1e-13, 120), ref)
+
+    def test_tol_reached_inside_a_sweep(self, rng):
+        diag, off2 = random_tridiagonal(rng, 120)
+        tol = 64.0 * 2.0**-21  # the bracket width after exactly 21 rounds
+        ref, rounds = plain_bisect(diag, off2, 4, -32.0, 32.0, tol, 120)
+        assert rounds == 21
+        assert np.array_equal(_bisect_lowest(diag, off2, 4, -32.0, 32.0, tol, 120), ref)
+
+    @pytest.mark.parametrize("maxit", [1, 7, 50, 120])
+    def test_maxit_caps_the_rounds(self, rng, maxit):
+        diag, off2 = random_tridiagonal(rng, 100)
+        # tol = 0 is never met, so maxit alone stops both
+        ref, rounds = plain_bisect(diag, off2, 2, -30.0, 30.0, 0.0, maxit)
+        assert rounds == maxit
+        assert np.array_equal(_bisect_lowest(diag, off2, 2, -30.0, 30.0, 0.0, maxit), ref)
+
+    def test_zero_pivot_is_nudged(self, rng):
+        diag, off2 = random_tridiagonal(rng, 60)
+        # 1x1 blocks whose entry is a shift: the first, 0.5 * (lo + hi) = 2, or
+        # the level-1 shift 0.5 * (-14 + 2).  Their pivots are exactly zero and
+        # the next coupling is zero too, so without the nudge 0 / 0 poisons the
+        # rest of the sweep.
+        diag[[0, 20, 40]] = 2.0
+        diag[30] = -6.0
+        off2[[0, 19, 20, 29, 30, 39, 40]] = 0.0
+        ref, _ = plain_bisect(diag, off2, 5, -14.0, 18.0, 1e-12, 120)
+        eigs = _bisect_lowest(diag, off2, 5, -14.0, 18.0, 1e-12, 120)
+        assert np.array_equal(eigs, ref)
+        assert np.all(np.isfinite(eigs))
+
+
 class TestPivotedSolve:
     def test_matches_dense_solve(self, rng):
         n = 300
@@ -131,6 +200,33 @@ class TestPivotedSolve:
         T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         ref = np.linalg.solve(T, rhs)
         assert np.max(np.abs(out - ref)) < 1e-9
+
+    def test_row_swaps_match_dense_solve(self, rng):
+        n = 200
+        # |sub| > |diag| on every row, so at least the first step swaps rows
+        diag = rng.uniform(-0.5, 0.5, n)
+        sub = rng.uniform(1.0, 2.0, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+        sup = rng.uniform(-1.0, 1.0, n - 1)
+        rhs = rng.standard_normal(n)
+        out = np.empty(n)
+        _tridiag_solve_pivot(sub, diag, sup, rhs, out)
+        T = np.diag(diag) + np.diag(sup, 1) + np.diag(sub, -1)
+        ref = np.linalg.solve(T, rhs)
+        assert np.max(np.abs(out - ref)) < 1e-9 * np.max(np.abs(ref))
+
+
+class TestInverseIteration:
+    def test_start_vector_is_the_uint64_xorshift(self):
+        n = 500
+        ref = np.empty(n)
+        state = np.uint64(88172645463325252)
+        for i in range(n):
+            state ^= state << np.uint64(13)
+            state ^= state >> np.uint64(7)
+            state ^= state << np.uint64(17)
+            ref[i] = (np.float64(state % np.uint64(2000003)) / 1000001.5) - 1.0
+        off = np.zeros(n - 1)
+        assert np.array_equal(_inverse_iteration(off, np.ones(n), off, 0.0, 0), ref)
 
 
 class TestCountNodes:
