@@ -8,7 +8,8 @@ verify      run the isospectrality / node checks; exit 1 on failure
 scan        sweep lambda and bracket the singularity boundary
 
 Exit codes: 0 success, 1 check failure, 2 usage error (nan or inf in a
-number flag is one); a package error exits 1 or 2, never with a traceback.
+number flag is one, and so is a negative --n); a package error exits 1 or
+2, never with a traceback.
 All files are written atomically (temp file in the target directory, then
 rename), and all numeric output is full precision.  The only
 non-deterministic JSON field is the isolated "timestamp" key.
@@ -259,6 +260,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _level(text: str) -> int:
+    """argparse type of every --n flag: a negative level is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdmfactor",
@@ -276,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--b", type=_finite_float, default=5.0, help="ex2 parameter b")
         p.add_argument("--c", type=_finite_float, default=4.0, help="ex2 parameter c")
         if needs_level:
-            p.add_argument("--n", type=int, default=1, help="factorization level")
+            p.add_argument("--n", type=_level, default=1, help="factorization level")
             p.add_argument("--beta", type=_finite_float, default=0.0, help="spectral shift")
             p.add_argument("--lambda", dest="lambda_", type=_finite_float, default=None)
         p.add_argument(
@@ -307,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="sweep lambda and bracket the singular window")
     add_common(p, needs_level=False)
-    p.add_argument("--n", type=int, default=1, help="factorization level")
+    p.add_argument("--n", type=_level, default=1, help="factorization level")
     p.add_argument("--lambda-min", type=_finite_float, required=True)
     p.add_argument("--lambda-max", type=_finite_float, required=True)
     p.add_argument("--steps", type=int, default=101)

@@ -184,14 +184,25 @@ def first_lobe_positive(values: np.ndarray) -> np.ndarray:
     return values
 
 
+_CSV_ROWS = 4096
+
+
 def write_csv(f: SampledFunction, path) -> None:
-    """Serialize as ``x,value,singular`` rows at full precision."""
-    x = f.x
+    """Serialize as ``x,value,singular`` rows at full precision.
+
+    Fields are ``%.17g`` (the same bytes as ``f"{v:.17g}"``, nan and inf
+    included), the flag is 0 or 1, and rows end in CRLF, as ``csv.writer``
+    writes them.  Rows are formatted in blocks of ``_CSV_ROWS`` so that the
+    text of the whole file is never held at once.
+    """
+    x, v = f.x, f.values
+    flag = f.singular_mask.view(np.uint8)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "value", "singular"])
-        for i in range(f.grid.n_points):
-            w.writerow([f"{x[i]:.17g}", f"{f.values[i]:.17g}", int(f.singular_mask[i])])
+        fh.write("x,value,singular\r\n")
+        for s in range(0, f.grid.n_points, _CSV_ROWS):
+            e = s + _CSV_ROWS
+            rows = zip(x[s:e].tolist(), v[s:e].tolist(), flag[s:e].tolist())
+            fh.write("".join(map("%.17g,%.17g,%d\r\n".__mod__, rows)))
 
 
 def read_csv(path) -> SampledFunction:
@@ -205,6 +216,8 @@ def read_csv(path) -> SampledFunction:
             xs.append(float(row[0]))
             vals.append(float(row[1]))
             sing.append(bool(int(row[2])))
+    if not xs:
+        raise ConfigurationError("CSV has no data rows")
     xs = np.asarray(xs)
     grid = Grid(xs[0], xs[-1], len(xs))
     if not np.allclose(xs, grid.points(), rtol=0.0, atol=1e-9 * max(1.0, abs(xs[-1]))):

@@ -210,6 +210,26 @@ class TestPackageErrors:
         assert not any(tmp_path.iterdir())
 
 
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--model", "ho", "--n", "-1", "--lambda", "1"],
+        ["verify", "--model", "ex1", "--n", "-1", "--lambda", "1"],
+        ["spectrum", "--model", "ho", "--which", "deformed", "--n", "-1", "--beta", "0.5"],
+        ["scan", "--model", "ho", "--n", "-1", "--lambda-min", "-1", "--lambda-max", "1"],
+    ])
+    def test_negative_level_exits_two(self, tmp_path, capsys, argv):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"pdmfactor {argv[0]}: error: argument --n: expected a non-negative integer, "
+            "got '-1'"
+        ]
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestImports:
     def test_cli_imports_only_numpy_beyond_the_stdlib(self):
         # scipy (a test oracle) and any compiler backend stay out of the package

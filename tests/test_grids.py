@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -157,6 +158,16 @@ class TestQuadrature:
         assert np.all(np.diff(F.values) >= -1e-15)
 
 
+def reference_write_csv(f, path):
+    """The per-row csv.writer serializer that write_csv must match byte for byte."""
+    x = f.x
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x", "value", "singular"])
+        for i in range(f.grid.n_points):
+            w.writerow([f"{x[i]:.17g}", f"{f.values[i]:.17g}", int(f.singular_mask[i])])
+
+
 class TestCsv:
     def test_roundtrip(self, tmp_path):
         g = Grid(-1.0, 2.0, 64)
@@ -177,3 +188,24 @@ class TestCsv:
         path = tmp_path / "f.csv"
         write_csv(sample(lambda x: x, g), path)
         assert open(path).readline().strip() == "x,value,singular"
+
+    @pytest.mark.parametrize("n", [8, 4096, 4097, 2 * 4096 + 3])
+    def test_bytes_match_the_csv_module(self, tmp_path, n):
+        # first, exact and partial 4096-row blocks, with every special double
+        rng = np.random.default_rng(n)
+        vals = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+        special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308]
+        vals[: len(special)] = special
+        vals[rng.integers(0, n, len(special))] = special
+        mask = rng.random(n) < 0.25
+        g = Grid(-1.0 / 3.0, 1e5 * math.pi, n)
+        for f in (SampledFunction(g, vals, mask), SampledFunction(g, vals)):
+            write_csv(f, tmp_path / "new.csv")
+            reference_write_csv(f, tmp_path / "ref.csv")
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_header_only_file_rejected(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("x,value,singular\r\n")
+        with pytest.raises(ConfigurationError, match="CSV has no data rows"):
+            read_csv(path)

@@ -3,6 +3,7 @@ import pytest
 
 from pdmfactor.errors import DomainError
 from pdmfactor.grids import Grid, definite_integral, derivative
+import pdmfactor.models
 from pdmfactor.models import (
     _integrate_linear2,
     Ex1Params,
@@ -140,6 +141,38 @@ def pdmse_residual_weighted(model, psi, energy):
     return np.max(np.abs(res[4:-4])) / np.max(np.abs(psi.values))
 
 
+def numpy_scalar_march(y0, dy0, hs, c1, c2, nsub, n_nodes):
+    """The RK4 march on numpy scalars and indexed tables; _integrate_linear2
+    must reproduce it bit for bit."""
+    out = np.empty(n_nodes)
+    y = y0
+    dy = dy0
+    out[0] = y0
+    s = 0
+    for node in range(1, n_nodes):
+        for _ in range(nsub):
+            j0 = 2 * s
+            k1y = dy
+            k1d = c1[j0] * y + c2[j0] * dy
+            y2 = y + 0.5 * hs * k1y
+            d2 = dy + 0.5 * hs * k1d
+            k2y = d2
+            k2d = c1[j0 + 1] * y2 + c2[j0 + 1] * d2
+            y3 = y + 0.5 * hs * k2y
+            d3 = dy + 0.5 * hs * k2d
+            k3y = d3
+            k3d = c1[j0 + 1] * y3 + c2[j0 + 1] * d3
+            y4 = y + hs * k3y
+            d4 = dy + hs * k3d
+            k4y = d4
+            k4d = c1[j0 + 2] * y4 + c2[j0 + 2] * d4
+            y = y + hs * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
+            dy = dy + hs * (k1d + 2.0 * k2d + 2.0 * k3d + k4d) / 6.0
+            s += 1
+        out[node] = y
+    return out
+
+
 class TestSeedMarch:
     def test_rk4_matches_sine(self):
         # u'' = -u, u(0) = 0, u'(0) = 1 -> sin
@@ -150,6 +183,29 @@ class TestSeedMarch:
                                  nsub, n_nodes)
         x = np.linspace(0.0, np.pi, n_nodes)
         assert np.max(np.abs(got - np.sin(x))) < 1e-10
+
+    @pytest.mark.parametrize("n, beta", [(1, 0.5), (1, 1.0), (2, 0.5), (2, 1.0)])
+    def test_matches_numpy_scalar_march_on_seed_tables(self, monkeypatch, n, beta):
+        calls = []
+
+        def record(*args):
+            calls.append(args)
+            return _integrate_linear2(*args)
+
+        monkeypatch.setattr(pdmfactor.models, "_integrate_linear2", record)
+        seed_solution_ex2(Ex2Params(), n, beta, model_ex2().recommended_grid)
+        (args,) = calls
+        assert isinstance(args[0], np.float64)
+        assert np.array_equal(_integrate_linear2(*args), numpy_scalar_march(*args))
+
+    def test_matches_numpy_scalar_march_from_float64_start(self):
+        rng = np.random.default_rng(7)
+        n_nodes, nsub = 301, 3
+        width = 2 * nsub * (n_nodes - 1) + 1
+        c1, c2 = rng.uniform(-2.0, 2.0, (2, width))
+        y0, dy0 = np.float64(0.3), np.float64(-1.7)
+        got = _integrate_linear2(y0, dy0, 0.01, c1, c2, nsub, n_nodes)
+        assert np.array_equal(got, numpy_scalar_march(y0, dy0, 0.01, c1, c2, nsub, n_nodes))
 
 
 class TestSeedSolution:
