@@ -43,9 +43,9 @@ from .grids import (
     cumulative_integral,
     definite_integral,
     derivative,
-    first_lobe_positive,
+    normalize_state,
 )
-from .models import PdmModel
+from .models import PdmModel, weighted_defect
 from .spectra import count_nodes
 
 __all__ = [
@@ -64,7 +64,6 @@ __all__ = [
     "zero_mode",
     "spectrum_map",
     "factorize",
-    "normalize_state",
     "count_nodes",
     "paper_ex1_lambda",
 ]
@@ -72,19 +71,12 @@ __all__ = [
 DEFAULT_GUARD_BAND = 3
 _NOISE_FLOOR = 1e-9
 _SEED_RESIDUAL_GATE = 1e-3
+_BRIDGE_SIDE_POINTS = 4
 
 
 # ---------------------------------------------------------------------------
 # Small shared helpers
 # ---------------------------------------------------------------------------
-
-def normalize_state(psi: SampledFunction) -> SampledFunction:
-    """Unit L2 norm, first nonzero lobe positive."""
-    norm2 = definite_integral(psi.with_values(psi.values**2))
-    if norm2 <= 0.0:
-        raise DegenerateStateError("state has vanishing norm")
-    return psi.with_values(first_lobe_positive(psi.values / np.sqrt(norm2)))
-
 
 def _crossings(values: np.ndarray, floor: float) -> list[tuple[int, int]]:
     """Bracketing index pairs of the sign changes of ``values``.
@@ -101,29 +93,30 @@ def _crossings(values: np.ndarray, floor: float) -> list[tuple[int, int]]:
     return [(int(idx[j]), int(idx[j + 1])) for j in where]
 
 
-def _band_mask(n: int, crossings, guard: int) -> np.ndarray:
+def _band_mask(n: int, crossings) -> np.ndarray:
     mask = np.zeros(n, dtype=bool)
     for lo, hi in crossings:
-        mask[max(0, lo - guard + 1) : min(n, hi + guard)] = True
+        mask[max(0, lo - DEFAULT_GUARD_BAND + 1) : min(n, hi + DEFAULT_GUARD_BAND)] = True
     return mask
 
 
-def _bridge(values: np.ndarray, mask: np.ndarray, x: np.ndarray, side_points: int = 4):
-    """Fill each masked run by polynomial interpolation through side_points
-    good nodes on each side.  Returns (values, residual_mask) where the
-    residual mask flags runs that could not be bridged."""
+def _bridge(values: np.ndarray, mask: np.ndarray, x: np.ndarray):
+    """Fill each masked run by polynomial interpolation through
+    _BRIDGE_SIDE_POINTS good nodes on each side.  Returns (values,
+    residual_mask) where the residual mask flags runs that could not be
+    bridged."""
     v = values.copy()
     left = np.zeros_like(mask)
     for run in _mask_runs(mask):
         lo, hi = run[0], run[-1]
-        a = lo - side_points
-        b = hi + side_points + 1
+        a = lo - _BRIDGE_SIDE_POINTS
+        b = hi + _BRIDGE_SIDE_POINTS + 1
         if a < 0 or b > len(v):
             left[run] = True
             continue
         use = np.r_[a:lo, hi + 1 : b]
         x0 = x[lo]
-        coef = np.polyfit(x[use] - x0, v[use], 2 * side_points - 1)
+        coef = np.polyfit(x[use] - x0, v[use], 2 * _BRIDGE_SIDE_POINTS - 1)
         v[run] = np.polyval(coef, x[run] - x0)
     return v, left
 
@@ -147,7 +140,6 @@ class Superpotential:
     state: SampledFunction = field(repr=False)
     state_d1: np.ndarray = field(repr=False)
     state_d2: np.ndarray = field(repr=False)
-    guard: int = DEFAULT_GUARD_BAND
 
     def log_deriv(self) -> np.ndarray:
         """psi_n'/psi_n; infinite at the exact nodes."""
@@ -161,8 +153,7 @@ class Superpotential:
             return self.state_d2 / self.state.values - r * r
 
 
-def superpotential(psi_n: SampledFunction, model: PdmModel, n: int,
-                   guard: int = DEFAULT_GUARD_BAND) -> Superpotential:
+def superpotential(psi_n: SampledFunction, model: PdmModel, n: int) -> Superpotential:
     """Build W_n from the level-n state; raises if the node count is wrong."""
     x = psi_n.x
     v = psi_n.values
@@ -176,7 +167,7 @@ def superpotential(psi_n: SampledFunction, model: PdmModel, n: int,
     sqm = np.sqrt(model.mass(x))
     with np.errstate(divide="ignore", invalid="ignore"):
         w = -dpsi.values / (sqm * v)
-    mask = _band_mask(psi_n.grid.n_points, crossings, guard) | ~np.isfinite(w)
+    mask = _band_mask(psi_n.grid.n_points, crossings) | ~np.isfinite(w)
     positions = [
         float(x[lo] + (x[hi] - x[lo]) * v[lo] / (v[lo] - v[hi])) for lo, hi in crossings
     ]
@@ -188,7 +179,6 @@ def superpotential(psi_n: SampledFunction, model: PdmModel, n: int,
         state=psi_n,
         state_d1=dpsi.values,
         state_d2=d2.values,
-        guard=guard,
     )
 
 
@@ -261,7 +251,7 @@ def bernoulli_f(psi_n: SampledFunction, model: PdmModel, lam: float) -> Deformat
     with np.errstate(divide="ignore", invalid="ignore"):
         f = psi_n.values**2 / (sqm * den)
     crossings = _crossings(den, 0.0)  # denominator crossings are genuine
-    mask = _band_mask(psi_n.grid.n_points, crossings, DEFAULT_GUARD_BAND)
+    mask = _band_mask(psi_n.grid.n_points, crossings)
     mask |= den == 0.0
     mask |= ~np.isfinite(f)
     return DeformationFunction(
@@ -288,7 +278,7 @@ def auxiliary_f(seed: SampledFunction, psi_n: SampledFunction, model: PdmModel,
     """beta != 0 deformation from an auxiliary solution at energy E_n - beta.
 
     chi = (psi_n seed' - psi_n' seed)/m obeys chi' = beta psi_n seed exactly,
-    so chi is reconstructed by quadrature of that identity, anchored with the
+    so chi is reconstructed by quadrature of that identity, started from the
     asymptotic value at a decaying edge (the direct Wronskian cancels to
     noise there).  f = beta psi_n seed / (sqrt(m) chi) is then smooth through
     the nodes of psi_n; only genuine zero crossings of chi are flagged.
@@ -335,7 +325,7 @@ def auxiliary_f(seed: SampledFunction, psi_n: SampledFunction, model: PdmModel,
         for lo, hi in _crossings(chi, 0.0)
         if abs(chi[lo]) > noise[lo] and abs(chi[hi]) > noise[hi]
     ]
-    mask = _band_mask(psi_n.grid.n_points, crossings, DEFAULT_GUARD_BAND)
+    mask = _band_mask(psi_n.grid.n_points, crossings)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = beta * prod / (sqm * chi)
     mask |= ~np.isfinite(f)
@@ -348,24 +338,18 @@ def auxiliary_f(seed: SampledFunction, psi_n: SampledFunction, model: PdmModel,
     )
 
 
-def _check_pdmse_residual(psi: SampledFunction, model: PdmModel, energy: float,
-                          gate: float = _SEED_RESIDUAL_GATE) -> float:
-    """Defect of the equation in its m-weighted form
-    -psi'' + (m'/m) psi' + m (V - E) psi = 0.
+def _check_pdmse_residual(psi: SampledFunction, model: PdmModel, energy: float) -> float:
+    """Relative defect of the equation in its m-weighted form, refused above
+    _SEED_RESIDUAL_GATE.
 
-    The weighted form keeps all coefficients O(1); the raw 1/m form amplifies
-    double-precision stencil noise by 1/m at the truncation wings, where the
-    mass vanishes, and would reject exact solutions there.
+    The raw 1/m form would amplify double-precision stencil noise by 1/m at
+    the truncation wings, where the mass vanishes, and reject exact
+    solutions there.
     """
-    x = psi.x
-    m = model.mass(x)
-    mp = model.mass_d1(x)
-    d1 = derivative(psi)
-    d2 = derivative(d1)
-    res = -d2.values + (mp / m) * d1.values + m * (model.potential(x) - energy) * psi.values
+    res = weighted_defect(model, model.potential_samples(psi.grid), psi, energy)
     scale = np.max(np.abs(psi.values))
     worst = float(np.max(np.abs(res[4:-4])) / scale)
-    if worst > gate:
+    if worst > _SEED_RESIDUAL_GATE:
         raise InconsistentInputError(
             f"input does not solve the mass-weighted equation at E = {energy} "
             f"(relative residual {worst:.2e})"
@@ -611,14 +595,13 @@ def paper_ex1_lambda(lam: float) -> float:
 
 def factorize(model: PdmModel, n: int, *, beta: float = 0.0,
               lam: Optional[float] = None, convention: str = "normalized",
-              grid: Optional[Grid] = None,
-              guard: int = DEFAULT_GUARD_BAND) -> FactorizationResult:
+              grid: Optional[Grid] = None) -> FactorizationResult:
     """Run the whole construction for one model, level and shift."""
     if convention not in ("normalized", "paper-ex1"):
         raise ConfigurationError(f"unknown lambda convention {convention!r}")
     g = grid or model.recommended_grid
     psi_n = normalize_state(model.eigenstate_samples(n, g))
-    w = superpotential(psi_n, model, n, guard=guard)
+    w = superpotential(psi_n, model, n)
     v0 = model.potential_samples(g)
     e_n = model.energy(n)
     v_minus = partner_minus(v0, e_n)

@@ -8,12 +8,11 @@ no derivative is ever taken across a flagged point.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DegenerateStateError, DomainError
 
 __all__ = [
     "Grid",
@@ -21,8 +20,8 @@ __all__ = [
     "derivative",
     "cumulative_integral",
     "definite_integral",
+    "normalize_state",
     "write_csv",
-    "read_csv",
 ]
 
 
@@ -47,9 +46,6 @@ class Grid:
     @property
     def h(self) -> float:
         return (self.x_max - self.x_min) / (self.n_points - 1)
-
-    def point(self, i: int) -> float:
-        return self.x_min + i * self.h
 
     def points(self) -> np.ndarray:
         x = self.x_min + self.h * np.arange(self.n_points)
@@ -151,15 +147,14 @@ def _cumulative_increments(y: np.ndarray, h: float) -> np.ndarray:
     return inc
 
 
-def cumulative_integral(f: SampledFunction, anchor: float = 0.0) -> SampledFunction:
-    """Running antiderivative F with F(x_min) = anchor, 4th-order accurate."""
+def cumulative_integral(f: SampledFunction) -> SampledFunction:
+    """Running antiderivative F with F(x_min) = 0, 4th-order accurate."""
     if f.is_singular:
         raise DomainError("cumulative_integral requires an unmasked input")
     inc = _cumulative_increments(f.values, f.grid.h)
     F = np.empty(f.grid.n_points)
-    F[0] = anchor
+    F[0] = 0.0
     np.cumsum(inc, out=F[1:])
-    F[1:] += anchor
     return SampledFunction(f.grid, F)
 
 
@@ -170,18 +165,21 @@ def definite_integral(f: SampledFunction) -> float:
     return float(np.sum(_cumulative_increments(f.values, f.grid.h)))
 
 
-def trapezoid_norm(values: np.ndarray, h: float) -> float:
-    """L2 norm by trapezoid quadrature (the eigensolver's normalization rule)."""
-    y2 = values * values
-    return float(np.sqrt(h * (np.sum(y2) - 0.5 * y2[0] - 0.5 * y2[-1])))
+def normalize_state(psi: SampledFunction) -> SampledFunction:
+    """Unit L2 norm by ``definite_integral``; the first lobe above 1e-8 of the
+    peak is made positive.
 
-
-def first_lobe_positive(values: np.ndarray) -> np.ndarray:
-    """Fix the sign of a state: its first lobe above 1e-8 of the peak is positive."""
+    The package's one normalization rule: the eigensolver's states and the
+    closed-form states of the factorization are both scaled by it.
+    """
+    norm2 = definite_integral(psi.with_values(psi.values**2))
+    if norm2 <= 0.0:
+        raise DegenerateStateError("state has vanishing norm")
+    values = psi.values / np.sqrt(norm2)
     big = np.abs(values) > 1e-8 * np.max(np.abs(values))
     if np.any(big) and values[np.argmax(big)] < 0.0:
-        return -values
-    return values
+        values = -values
+    return psi.with_values(values)
 
 
 _CSV_ROWS = 4096
@@ -204,22 +202,3 @@ def write_csv(f: SampledFunction, path) -> None:
             rows = zip(x[s:e].tolist(), v[s:e].tolist(), flag[s:e].tolist())
             fh.write("".join(map("%.17g,%.17g,%d\r\n".__mod__, rows)))
 
-
-def read_csv(path) -> SampledFunction:
-    xs, vals, sing = [], [], []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if header[:3] != ["x", "value", "singular"]:
-            raise ConfigurationError(f"unexpected CSV header {header!r}")
-        for row in r:
-            xs.append(float(row[0]))
-            vals.append(float(row[1]))
-            sing.append(bool(int(row[2])))
-    if not xs:
-        raise ConfigurationError("CSV has no data rows")
-    xs = np.asarray(xs)
-    grid = Grid(xs[0], xs[-1], len(xs))
-    if not np.allclose(xs, grid.points(), rtol=0.0, atol=1e-9 * max(1.0, abs(xs[-1]))):
-        raise ConfigurationError("CSV nodes are not a uniform grid")
-    return SampledFunction(grid, np.asarray(vals), np.asarray(sing))

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .grids import Grid, SampledFunction
+from .grids import Grid, SampledFunction, derivative
 from .specfun import HypergeometricParams, gauss_2f1, hermite, jacobi
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "model_box",
     "seed_solution_ex2",
     "catalog",
+    "weighted_defect",
 ]
 
 
@@ -59,6 +60,24 @@ class PdmModel:
     def potential_samples(self, grid: Grid | None = None) -> SampledFunction:
         g = grid or self.recommended_grid
         return SampledFunction(g, self.potential(g.points()))
+
+
+def weighted_defect(model: PdmModel, potential: SampledFunction,
+                    psi: SampledFunction, energy: float) -> np.ndarray:
+    """-psi'' + (m'/m) psi' + m (V - E) psi: the PDM equation times m.
+
+    This is the package's one application of the operator, with 4th-order
+    stencils.  The m-weighted form keeps every coefficient O(1) where the
+    mass vanishes at the truncation wings; divide by m for the residual of
+    -(1/m) psi'' + (m'/m^2) psi' + (V - E) psi.
+    """
+    x = psi.x
+    m = model.mass(x)
+    d1 = derivative(psi)
+    d2 = derivative(d1)
+    return -d2.values + (model.mass_d1(x) / m) * d1.values + m * (
+        potential.values - energy
+    ) * psi.values
 
 
 @dataclass(frozen=True)

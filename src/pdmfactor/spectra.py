@@ -6,25 +6,27 @@ inverse mass sampled at cell midpoints, which yields a symmetric tridiagonal
 matrix (flux conserving, real spectrum) under Dirichlet truncation.
 
 ``lowest_eigenpairs`` is the plain second-order solve.  ``solve_spectrum``
-additionally solves on the every-second-node subgrid and Richardson
-extrapolates the eigenvalues, removing the leading h^2 error while leaving
-the base discretization untouched.
+runs it once, on the given grid, and takes only eigenvalues on the
+every-second-node subgrid; it Richardson extrapolates the two sets,
+removing the leading h^2 error while leaving the base discretization
+untouched.
 
 The eigensolver is plain numpy: Sturm-count multisection for the eigenvalues
 (one vectorized sweep serves the next _DEPTH bisection rounds of all k
 targets) and inverse iteration with a partially pivoted tridiagonal solve.
+States are normalized by ``grids.normalize_state``, the 4th-order quadrature
+rule the factorization uses too.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, SolverError
-from .grids import Grid, SampledFunction, first_lobe_positive, trapezoid_norm
+from .grids import Grid, SampledFunction, normalize_state
 from .models import PdmModel
 
 __all__ = [
@@ -38,6 +40,8 @@ __all__ = [
 
 NODE_NOISE_FLOOR = 1e-9
 _TINY = 1e-300
+# a pair whose residual exceeds _RESIDUAL_SCALE * |diag|_inf is refused
+_RESIDUAL_SCALE = 1e-6
 # one Sturm sweep serves _DEPTH bisection rounds, _SWEEP_ROWS rows at a time
 _DEPTH = 6
 _SWEEP_ROWS = 64
@@ -62,11 +66,9 @@ class SturmLiouvilleProblem:
         return out
 
 
-def discretize(model: PdmModel, v: SampledFunction, grid: Grid | None = None) -> SturmLiouvilleProblem:
-    """Assemble the divergence-form matrix for mass profile and potential."""
-    g = grid or v.grid
-    if v.grid != g:
-        raise ConfigurationError("potential grid does not match the requested grid")
+def discretize(model: PdmModel, v: SampledFunction) -> SturmLiouvilleProblem:
+    """Assemble the divergence-form matrix for mass profile and potential on v's grid."""
+    g = v.grid
     if v.is_singular:
         raise DomainError("cannot discretize a singular-flagged potential")
     im = 1.0 / model.mass(g.midpoints())
@@ -93,9 +95,6 @@ class SpectrumReport:
             "node_counts": list(self.node_counts),
             "residuals": [float(r) for r in self.residuals],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def count_nodes(psi: SampledFunction) -> int:
@@ -225,6 +224,11 @@ def _inverse_iteration(sub, diag, sup, lam, iters):
 
 
 def _eigenvalues_only(prob: SturmLiouvilleProblem, k: int) -> np.ndarray:
+    """The k lowest eigenvalues; refuses k outside 1 .. n_points // 10."""
+    if k < 1 or k > prob.grid.n_points // 10:
+        raise ConfigurationError(
+            f"requested {k} eigenpairs; must be between 1 and n_points/10"
+        )
     diag = prob.diag
     off2 = prob.off * prob.off
     offsum = np.zeros_like(diag)
@@ -238,20 +242,15 @@ def _eigenvalues_only(prob: SturmLiouvilleProblem, k: int) -> np.ndarray:
     return _bisect_lowest(diag, off2, k, lo, hi, tol, 120)
 
 
-def lowest_eigenpairs(prob: SturmLiouvilleProblem, k: int,
-                      residual_cap: float | None = None) -> SpectrumReport:
+def lowest_eigenpairs(prob: SturmLiouvilleProblem, k: int) -> SpectrumReport:
     """k lowest eigenpairs by Sturm bisection plus inverse iteration.
 
-    Eigenvectors are normalized by trapezoid quadrature.  A pair whose
-    operator-application residual exceeds the cap (default 1e-6 * |diag|_inf)
-    triggers a SolverError.
+    Eigenvectors are normalized by ``grids.normalize_state`` (4th-order
+    quadrature of psi^2).  A pair whose operator-application residual exceeds
+    _RESIDUAL_SCALE * |diag|_inf triggers a SolverError.
     """
-    if k < 1 or k > prob.grid.n_points // 10:
-        raise ConfigurationError(
-            f"requested {k} eigenpairs; must be between 1 and n_points/10"
-        )
     eigs = _eigenvalues_only(prob, k)
-    cap = residual_cap if residual_cap is not None else 1e-6 * float(np.max(np.abs(prob.diag)))
+    cap = _RESIDUAL_SCALE * float(np.max(np.abs(prob.diag)))
     states = []
     nodes = []
     residuals = []
@@ -270,8 +269,7 @@ def lowest_eigenpairs(prob: SturmLiouvilleProblem, k: int,
             )
         full = np.zeros(prob.grid.n_points)
         full[1:-1] = v
-        full /= trapezoid_norm(full, prob.grid.h)
-        sf = SampledFunction(prob.grid, first_lobe_positive(full))
+        sf = normalize_state(SampledFunction(prob.grid, full))
         states.append(sf)
         nodes.append(count_nodes(sf))
         residuals.append(res)
@@ -280,27 +278,20 @@ def lowest_eigenpairs(prob: SturmLiouvilleProblem, k: int,
     )
 
 
-def solve_spectrum(model: PdmModel, v: SampledFunction, k: int,
-                   refine: bool = True) -> SpectrumReport:
-    """Solve for the k lowest levels of (m, V); optionally extrapolate.
+def solve_spectrum(model: PdmModel, v: SampledFunction, k: int) -> SpectrumReport:
+    """Solve for the k lowest levels of (m, V) and extrapolate the eigenvalues.
 
-    With refine=True the problem is also solved on the every-second-node
-    subgrid (identical sampled potential values, exactly representable) and
-    the eigenvalues are combined as (4 E_h - E_2h)/3.  Eigenvectors, node
-    counts and residuals come from the fine solve.
+    The eigenvalues alone are also found on the every-second-node subgrid
+    (identical sampled potential values, exactly representable), which must
+    hold k levels too, and the two sets are combined as (4 E_h - E_2h)/3.
+    Eigenvectors, node counts and residuals come from the one full solve on
+    v's grid.
     """
-    fine = lowest_eigenpairs(discretize(model, v), k)
-    if not refine:
-        return fine
-    if v.grid.n_points % 2 == 0:
-        raise ConfigurationError("refinement requires an odd number of grid points")
-    coarse_grid = v.grid.coarsened()
-    v_coarse = SampledFunction(coarse_grid, v.values[::2], v.singular_mask[::2])
-    coarse = lowest_eigenpairs(discretize(model, v_coarse), k)
-    extrapolated = (4.0 * fine.eigenvalues - coarse.eigenvalues) / 3.0
-    return SpectrumReport(
-        eigenvalues=extrapolated,
-        eigenstates=fine.eigenstates,
-        node_counts=fine.node_counts,
-        residuals=fine.residuals,
-    )
+    fine = discretize(model, v)
+    # coarsened() refuses an even n_points; the coarse solve refuses a k the
+    # subgrid cannot hold, both before the costly eigenvectors
+    v_coarse = SampledFunction(v.grid.coarsened(), v.values[::2], v.singular_mask[::2])
+    coarse = _eigenvalues_only(discretize(model, v_coarse), k)
+    report = lowest_eigenpairs(fine, k)
+    report.eigenvalues = (4.0 * report.eigenvalues - coarse) / 3.0
+    return report

@@ -16,15 +16,15 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateStateError, DomainError
 from .factor import (
+    DEFAULT_GUARD_BAND,
     FactorizationResult,
     bernoulli_f,
     factorize,
     ladder_pair,
-    normalize_state,
     paper_ex1_lambda,
 )
-from .grids import SampledFunction, cumulative_integral, derivative
-from .models import PdmModel, model_constant_mass_ho
+from .grids import SampledFunction, derivative, normalize_state
+from .models import PdmModel, model_constant_mass_ho, weighted_defect
 from .spectra import solve_spectrum
 
 __all__ = [
@@ -141,7 +141,7 @@ def scan_lambda(model: PdmModel, n: int, lambdas, convention: str = "normalized"
     for lam in lambdas:
         deformation = bernoulli_f(psi_n, model, lam - shift)
         flags.append(deformation.is_singular)
-    F = cumulative_integral(psi_n.with_values(psi_n.values**2)).values
+    F = deformation.cumulative_norm.values
     # adding the shift (0.0 or 0.5) also turns the edge -F[0] = -0.0 into +0.0
     lower, upper = -np.max(F) + shift, -np.min(F) + shift
     # stepping up into the window, or down out of it, crosses its lower edge
@@ -159,15 +159,6 @@ def scan_lambda(model: PdmModel, n: int, lambdas, convention: str = "normalized"
     )
 
 
-def _pdmse_apply(model: PdmModel, v: SampledFunction, psi: SampledFunction) -> np.ndarray:
-    x = psi.x
-    m = model.mass(x)
-    mp = model.mass_d1(x)
-    d1 = derivative(psi)
-    d2 = derivative(d1)
-    return -(1.0 / m) * d2.values + (mp / m**2) * d1.values + v.values * psi.values
-
-
 def intertwining_residual(model: PdmModel, n: int, fac: FactorizationResult,
                           psi_k: SampledFunction, e_k: float) -> float:
     """Relative residual of the intertwining relation on one bound state.
@@ -182,12 +173,12 @@ def intertwining_residual(model: PdmModel, n: int, fac: FactorizationResult,
     amax = float(np.max(np.abs(K.values[~K.singular_mask])))
     if amax < 1e-12 * float(np.max(np.abs(psi_k.values))):
         raise DegenerateStateError("composite state is numerically zero (k = n?)")
-    hk = _pdmse_apply(model, fac.V_tilde_minus, K)
-    res = np.abs(hk - (e_k + fac.spectrum_shift) * K.values)
+    defect = weighted_defect(model, fac.V_tilde_minus, K, e_k + fac.spectrum_shift)
+    res = np.abs(defect / model.mass(K.x))
     ok = np.ones(K.grid.n_points, dtype=bool)
     ok[:8] = False
     ok[-8:] = False
-    reach = fac.W_n.guard + 6
+    reach = DEFAULT_GUARD_BAND + 6
     for pos in fac.W_n.node_positions:
         i = int(round((pos - K.grid.x_min) / K.grid.h))
         ok[max(0, i - reach) : i + reach + 1] = False

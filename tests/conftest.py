@@ -1,11 +1,24 @@
+import csv
+
 import numpy as np
 import pytest
 
 from pdmfactor import factorize, model_constant_mass_ho, model_ex1, model_ex2
-from pdmfactor.grids import Grid
+from pdmfactor.grids import Grid, SampledFunction
 
 EX1_FINE_GRID = Grid(-250.0, 250.0, 32001)
 EX2_TAIL_SAFE_GRID = Grid(-12.0, 14.0, 32001)
+
+
+def read_csv(path) -> SampledFunction:
+    """Load a file written by ``grids.write_csv`` back onto its uniform grid."""
+    with open(path, newline="") as fh:
+        rows = csv.reader(fh)
+        assert next(rows) == ["x", "value", "singular"]
+        xs, vals, sing = zip(*((float(x), float(v), bool(int(s))) for x, v, s in rows))
+    grid = Grid(xs[0], xs[-1], len(xs))
+    assert np.allclose(xs, grid.points(), rtol=0.0, atol=1e-9 * max(1.0, abs(xs[-1])))
+    return SampledFunction(grid, np.asarray(vals), np.asarray(sing))
 
 
 @pytest.fixture(scope="session")

@@ -17,10 +17,9 @@ from pdmfactor.factor import (
     count_nodes,
     factorize,
     map_eigenstate,
-    normalize_state,
     zero_mode,
 )
-from pdmfactor.grids import Grid
+from pdmfactor.grids import Grid, normalize_state
 from pdmfactor.spectra import solve_spectrum
 from pdmfactor.verify import (
     check_isospectral,
@@ -28,7 +27,7 @@ from pdmfactor.verify import (
     riccati_residual,
     scan_lambda,
 )
-from tests.conftest import EX1_FINE_GRID, EX2_TAIL_SAFE_GRID
+from tests.conftest import EX1_FINE_GRID, EX2_TAIL_SAFE_GRID, read_csv
 from tests.test_factor import (
     _closed_form_states_ex1,
     _reference_deformed_potential_ex1,
@@ -208,7 +207,7 @@ class TestAcceptance:
         assert ric <= 1e-6
 
     def test_10_figure_data(self, ex1, ex2, fac_ex2_n1, fac_ex2_n2, tmp_path):
-        from pdmfactor.grids import write_csv, read_csv
+        from pdmfactor.grids import write_csv
 
         worst = 0.0
         for lam_paper in (1.0, 0.7):

@@ -11,7 +11,7 @@ import pdmfactor
 import pdmfactor.cli
 from pdmfactor.cli import main
 from pdmfactor.errors import SolverError
-from pdmfactor.grids import read_csv
+from tests.conftest import read_csv
 
 
 def run(args):
@@ -199,6 +199,15 @@ class TestPackageErrors:
         code = run(["spectrum", "--model", "ho", "--levels", "2", "--out", str(tmp_path)])
         assert code == 1
         assert capsys.readouterr().err == "error: inverse iteration residual above cap\n"
+
+    def test_coarse_grid_refuses_levels_the_fine_grid_holds(self, tmp_path, capsys):
+        # 150 <= 2001 // 10 on the given grid, but 150 > 1001 // 10 on the
+        # every-second-node subgrid that the extrapolation solves on too
+        code = run(["spectrum", "--model", "ho", "--levels", "150", "--grid-points", "2001",
+                    "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: requested 150 eigenpairs")
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag, value", [("--lambda", "nan"), ("--beta", "inf"),
                                              ("--grid-min", "-inf"), ("--alpha", "nan")])

@@ -16,7 +16,6 @@ from pdmfactor.factor import (
     factorize,
     ladder_pair,
     map_eigenstate,
-    normalize_state,
     partner_minus,
     partner_plus,
     spectrum_map,
@@ -24,7 +23,7 @@ from pdmfactor.factor import (
     zero_mode,
     DeformationFunction,
 )
-from pdmfactor.grids import Grid, SampledFunction, definite_integral, derivative
+from pdmfactor.grids import Grid, SampledFunction, definite_integral, derivative, normalize_state
 from pdmfactor.models import Ex2Params, model_ex1, seed_solution_ex2
 from scipy.special import erf
 

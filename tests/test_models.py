@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from pdmfactor.errors import DomainError
-from pdmfactor.grids import Grid, definite_integral, derivative
+from pdmfactor.grids import Grid, definite_integral
 import pdmfactor.models
 from pdmfactor.models import (
     _integrate_linear2,
+    weighted_defect,
     Ex1Params,
     Ex2Params,
     catalog,
@@ -22,15 +23,8 @@ SEED_GRID = Grid(-12.0, 14.0, 32001)
 
 def pdmse_residual(model, psi, energy):
     """Direct defect of -(1/m) psi'' + (m'/m^2) psi' + V psi = E psi."""
-    x = psi.x
-    m = model.mass(x)
-    d1 = derivative(psi)
-    d2 = derivative(d1)
-    res = (
-        -(1.0 / m) * d2.values
-        + (model.mass_d1(x) / m**2) * d1.values
-        + (model.potential(x) - energy) * psi.values
-    )
+    v = model.potential_samples(psi.grid)
+    res = weighted_defect(model, v, psi, energy) / model.mass(psi.x)
     return np.max(np.abs(res[4:-4])) / np.max(np.abs(psi.values))
 
 
@@ -131,13 +125,7 @@ class TestCatalogInvariants:
 
 def pdmse_residual_weighted(model, psi, energy):
     """Defect of -psi'' + (m'/m) psi' + m (V - E) psi = 0 (all terms O(1))."""
-    x = psi.x
-    m = model.mass(x)
-    d1 = derivative(psi)
-    d2 = derivative(d1)
-    res = -d2.values + (model.mass_d1(x) / m) * d1.values + m * (
-        model.potential(x) - energy
-    ) * psi.values
+    res = weighted_defect(model, model.potential_samples(psi.grid), psi, energy)
     return np.max(np.abs(res[4:-4])) / np.max(np.abs(psi.values))
 
 
@@ -217,14 +205,8 @@ class TestSeedSolution:
         assert pdmse_residual_weighted(ex2, seed, ex2.energy(1) - 1.0) <= 1e-6
         x = SEED_GRID.points()
         window = np.abs(x) <= 6.0
-        m = ex2.mass(x)
-        d1 = derivative(seed)
-        d2 = derivative(d1)
-        raw = (
-            -(1.0 / m) * d2.values
-            + (ex2.mass_d1(x) / m**2) * d1.values
-            + (ex2.potential(x) - (ex2.energy(1) - 1.0)) * seed.values
-        )
+        v = ex2.potential_samples(SEED_GRID)
+        raw = weighted_defect(ex2, v, seed, ex2.energy(1) - 1.0) / ex2.mass(x)
         assert np.max(np.abs(raw[window])) <= 1e-6 * np.max(np.abs(seed.values))
 
     def test_node_structure(self):

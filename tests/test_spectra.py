@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import pdmfactor.spectra
 from pdmfactor.errors import ConfigurationError, DomainError, SolverError
 from pdmfactor.grids import Grid, SampledFunction
-from pdmfactor.models import model_box, model_constant_mass_ho, model_ex1, model_ex2
+from pdmfactor.models import catalog, model_box, model_constant_mass_ho, model_ex1, model_ex2
 from pdmfactor.spectra import (
     _TINY,
     _bisect_lowest,
@@ -48,7 +49,7 @@ class TestDiscretize:
     def test_constant_mass_stencil(self, ho):
         g = Grid(-1.0, 1.0, 11)
         v = SampledFunction(g, np.arange(11, dtype=float))
-        prob = discretize(ho, v, g)
+        prob = discretize(ho, v)
         h2 = g.h**2
         assert np.allclose(prob.diag, 2.0 / h2 + v.values[1:-1])
         assert np.allclose(prob.off, -1.0 / h2)
@@ -79,7 +80,7 @@ class TestDiscretize:
 class TestLowestEigenpairs:
     def test_constant_mass_ho(self, ho):
         grid = Grid(-8.0, 8.0, 12801)
-        prob = discretize(ho, ho.potential_samples(grid), grid)
+        prob = discretize(ho, ho.potential_samples(grid))
         rep = lowest_eigenpairs(prob, 4)
         assert np.max(np.abs(rep.eigenvalues - np.array([0.0, 2.0, 4.0, 6.0]))) < 1e-5
 
@@ -93,14 +94,21 @@ class TestLowestEigenpairs:
 
     def test_too_many_levels(self, ho):
         g = Grid(-8.0, 8.0, 101)
-        prob = discretize(ho, ho.potential_samples(g), g)
+        prob = discretize(ho, ho.potential_samples(g))
         with pytest.raises(ConfigurationError):
             lowest_eigenpairs(prob, 11)
 
-    def test_residual_cap_triggers(self, ho):
+    def test_coarse_grid_refuses_levels_the_fine_grid_holds(self, ho):
+        # 150 <= 2001 // 10, but the every-second-node subgrid holds only 100
+        v = ho.potential_samples(Grid(-8.0, 8.0, 2001))
+        with pytest.raises(ConfigurationError, match="requested 150 eigenpairs"):
+            solve_spectrum(ho, v, 150)
+
+    def test_residual_cap_triggers(self, ho, monkeypatch):
+        monkeypatch.setattr(pdmfactor.spectra, "_RESIDUAL_SCALE", 1e-300)
         prob = discretize(ho, ho.potential_samples())
         with pytest.raises(SolverError):
-            lowest_eigenpairs(prob, 2, residual_cap=1e-300)
+            lowest_eigenpairs(prob, 2)
 
     def test_eigenvector_residuals_small(self, ho):
         prob = discretize(ho, ho.potential_samples())
@@ -118,12 +126,35 @@ class TestLowestEigenpairs:
 
         def err(n):
             g = Grid(0.0, 1.0, n)
-            prob = discretize(box, box.potential_samples(g), g)
+            prob = discretize(box, box.potential_samples(g))
             rep = lowest_eigenpairs(prob, 1)
             return abs(rep.eigenvalues[0] - np.pi**2)
 
         ratio = err(501) / err(1001)
         assert 3.0 < ratio < 5.0
+
+
+class TestSolveSpectrum:
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ho", "box"])
+    def test_matches_two_full_solves(self, name, monkeypatch):
+        # reference: the full solve on both grids, eigenvectors and all
+        model = catalog(name)
+        v = model.potential_samples()
+        coarse_v = SampledFunction(v.grid.coarsened(), v.values[::2])
+        fine = lowest_eigenpairs(discretize(model, v), 4)
+        coarse = lowest_eigenpairs(discretize(model, coarse_v), 4)
+        calls = []
+
+        def counted(prob, k):
+            calls.append(prob.grid)
+            return lowest_eigenpairs(prob, k)
+
+        monkeypatch.setattr(pdmfactor.spectra, "lowest_eigenpairs", counted)
+        rep = solve_spectrum(model, v, 4)
+        assert calls == [v.grid]
+        assert np.array_equal(rep.eigenvalues, (4.0 * fine.eigenvalues - coarse.eigenvalues) / 3.0)
+        assert rep.node_counts == fine.node_counts
+        assert np.array_equal(rep.residuals, fine.residuals)
 
 
 class TestAgainstDenseOracle:

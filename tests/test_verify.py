@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdmfactor.errors import ConfigurationError, DomainError
-from pdmfactor.factor import bernoulli_f, factorize, normalize_state
-from pdmfactor.grids import cumulative_integral
+from pdmfactor.factor import bernoulli_f, factorize
+from pdmfactor.grids import cumulative_integral, normalize_state
 from pdmfactor.models import catalog
 from pdmfactor.verify import (
     check_isospectral,
