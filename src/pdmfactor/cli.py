@@ -212,7 +212,7 @@ def cmd_verify(args) -> int:
         )
         return CHECK_FAILURE
     tol = model.spectrum_tolerance
-    report = check_isospectral(model, args.n, fac, args.levels, tol)
+    report = check_isospectral(fac, args.levels, tol)
     ric = riccati_residual(fac)
     payload["singular"] = False
     payload["isospectrality"] = report.to_json_dict()
@@ -236,6 +236,8 @@ def cmd_scan(args) -> int:
     grid = _grid_from_args(args, model)
     if args.steps < 2 or not args.lambda_max > args.lambda_min:
         raise ConfigurationError("scan needs lambda-max > lambda-min and at least 2 steps")
+    if not math.isfinite(args.lambda_max - args.lambda_min):
+        raise ConfigurationError("lambda-max - lambda-min overflows")
     lambdas = np.linspace(args.lambda_min, args.lambda_max, args.steps)
     report = scan_lambda(model, args.n, lambdas, convention=args.convention, grid=grid)
     out = Path(args.out)

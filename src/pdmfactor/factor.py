@@ -37,9 +37,10 @@ from .errors import (
     NonNormalizableError,
 )
 from .grids import (
+    NOISE_FLOOR,
     Grid,
     SampledFunction,
-    _dilate,
+    _crossings,
     cumulative_integral,
     definite_integral,
     derivative,
@@ -69,7 +70,6 @@ __all__ = [
 ]
 
 DEFAULT_GUARD_BAND = 3
-_NOISE_FLOOR = 1e-9
 _SEED_RESIDUAL_GATE = 1e-3
 _BRIDGE_SIDE_POINTS = 4
 
@@ -78,21 +78,6 @@ _BRIDGE_SIDE_POINTS = 4
 # Small shared helpers
 # ---------------------------------------------------------------------------
 
-def _crossings(values: np.ndarray, floor: float) -> list[tuple[int, int]]:
-    """Bracketing index pairs of the sign changes of ``values``.
-
-    Entries with |value| <= floor are indeterminate (exact node hits, noise
-    tails) and are skipped; a crossing is reported between the surrounding
-    determinate values.
-    """
-    idx = np.where(np.abs(values) > floor)[0]
-    if idx.size < 2:
-        return []
-    signs = np.sign(values[idx])
-    where = np.where(signs[1:] != signs[:-1])[0]
-    return [(int(idx[j]), int(idx[j + 1])) for j in where]
-
-
 def _band_mask(n: int, crossings) -> np.ndarray:
     mask = np.zeros(n, dtype=bool)
     for lo, hi in crossings:
@@ -100,25 +85,23 @@ def _band_mask(n: int, crossings) -> np.ndarray:
     return mask
 
 
-def _bridge(values: np.ndarray, mask: np.ndarray, x: np.ndarray):
+def _bridge(values: np.ndarray, mask: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Fill each masked run by polynomial interpolation through
-    _BRIDGE_SIDE_POINTS good nodes on each side.  Returns (values,
-    residual_mask) where the residual mask flags runs that could not be
-    bridged."""
+    _BRIDGE_SIDE_POINTS nodes on each side.  The masked nodes must already
+    be NaN: a run too close to an edge to be bridged stays NaN, and a bridge
+    fitted through a NaN neighbour comes out NaN."""
     v = values.copy()
-    left = np.zeros_like(mask)
     for run in _mask_runs(mask):
         lo, hi = run[0], run[-1]
         a = lo - _BRIDGE_SIDE_POINTS
         b = hi + _BRIDGE_SIDE_POINTS + 1
         if a < 0 or b > len(v):
-            left[run] = True
             continue
         use = np.r_[a:lo, hi + 1 : b]
         x0 = x[lo]
         coef = np.polyfit(x[use] - x0, v[use], 2 * _BRIDGE_SIDE_POINTS - 1)
         v[run] = np.polyval(coef, x[run] - x0)
-    return v, left
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +141,7 @@ def superpotential(psi_n: SampledFunction, model: PdmModel, n: int) -> Superpote
     x = psi_n.x
     v = psi_n.values
     dpsi = derivative(psi_n)
-    floor = _NOISE_FLOOR * np.max(np.abs(v))
-    crossings = _crossings(v, floor)
+    crossings = _crossings(v, NOISE_FLOOR * np.max(np.abs(v)))
     if len(crossings) != n:
         raise InconsistentInputError(
             f"state has {len(crossings)} sign changes but level {n} was requested"
@@ -167,14 +149,13 @@ def superpotential(psi_n: SampledFunction, model: PdmModel, n: int) -> Superpote
     sqm = np.sqrt(model.mass(x))
     with np.errstate(divide="ignore", invalid="ignore"):
         w = -dpsi.values / (sqm * v)
-    mask = _band_mask(psi_n.grid.n_points, crossings) | ~np.isfinite(w)
     positions = [
         float(x[lo] + (x[hi] - x[lo]) * v[lo] / (v[lo] - v[hi])) for lo, hi in crossings
     ]
     d2 = derivative(dpsi)
     return Superpotential(
         n=n,
-        values=SampledFunction(psi_n.grid, np.where(mask, np.nan, w), mask),
+        values=SampledFunction(psi_n.grid, w, _band_mask(psi_n.grid.n_points, crossings)),
         node_positions=positions,
         state=psi_n,
         state_d1=dpsi.values,
@@ -184,7 +165,7 @@ def superpotential(psi_n: SampledFunction, model: PdmModel, n: int) -> Superpote
 
 def partner_minus(v0: SampledFunction, e_n: float) -> SampledFunction:
     """V_n- is just the base potential shifted down by the level energy."""
-    return v0.with_values(v0.values - e_n, v0.singular_mask)
+    return v0.with_values(v0.values - e_n)
 
 
 def partner_plus(w: Superpotential, model: PdmModel, v_n_minus: SampledFunction) -> SampledFunction:
@@ -203,8 +184,7 @@ def partner_plus(w: Superpotential, model: PdmModel, v_n_minus: SampledFunction)
         w_prime = -rp / sqm + r * mp / (2.0 * m * sqm)
         curvature_term = -mpp / (2.0 * m * m) + 3.0 * mp * mp / (4.0 * m ** 3)
         vals = v_n_minus.values + 2.0 * w_prime / sqm - curvature_term
-    mask = w.values.singular_mask | v_n_minus.singular_mask | ~np.isfinite(vals)
-    return SampledFunction(v_n_minus.grid, np.where(mask, np.nan, vals), mask)
+    return SampledFunction(v_n_minus.grid, vals, w.values.singular_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +195,7 @@ def partner_plus(w: Superpotential, model: PdmModel, v_n_minus: SampledFunction)
 class DeformationFunction:
     """The extra term f_n of the deformed operators.
 
-    Singularity is recorded in the value mask, never hidden: a masked f means
+    Singularity is recorded as NaN samples, never hidden: a singular f means
     the deformation fails for these parameters.
     """
 
@@ -237,7 +217,7 @@ def bernoulli_f(psi_n: SampledFunction, model: PdmModel, lam: float) -> Deformat
 
     F runs from 0 at the left edge, so with a normalized state the
     denominator crosses zero exactly when lambda lies in [-1, 0].  Crossings
-    are flagged in the mask; nothing is raised.
+    are flagged, with a guard band, as NaN samples; nothing is raised.
     """
     norm2 = definite_integral(psi_n.with_values(psi_n.values**2))
     if abs(norm2 - 1.0) > 1e-6:
@@ -251,11 +231,8 @@ def bernoulli_f(psi_n: SampledFunction, model: PdmModel, lam: float) -> Deformat
     with np.errstate(divide="ignore", invalid="ignore"):
         f = psi_n.values**2 / (sqm * den)
     crossings = _crossings(den, 0.0)  # denominator crossings are genuine
-    mask = _band_mask(psi_n.grid.n_points, crossings)
-    mask |= den == 0.0
-    mask |= ~np.isfinite(f)
     return DeformationFunction(
-        values=SampledFunction(psi_n.grid, np.where(mask, np.nan, f), mask),
+        values=SampledFunction(psi_n.grid, f, _band_mask(psi_n.grid.n_points, crossings)),
         beta=0.0,
         route="bernoulli",
         lam=lam,
@@ -325,12 +302,10 @@ def auxiliary_f(seed: SampledFunction, psi_n: SampledFunction, model: PdmModel,
         for lo, hi in _crossings(chi, 0.0)
         if abs(chi[lo]) > noise[lo] and abs(chi[hi]) > noise[hi]
     ]
-    mask = _band_mask(psi_n.grid.n_points, crossings)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = beta * prod / (sqm * chi)
-    mask |= ~np.isfinite(f)
     return DeformationFunction(
-        values=SampledFunction(psi_n.grid, np.where(mask, np.nan, f), mask),
+        values=SampledFunction(psi_n.grid, f, _band_mask(psi_n.grid.n_points, crossings)),
         beta=beta,
         route="auxiliary",
         chi=SampledFunction(psi_n.grid, chi),
@@ -359,13 +334,12 @@ def _check_pdmse_residual(psi: SampledFunction, model: PdmModel, energy: float) 
 
 def deformed_partner(v_n_minus: SampledFunction, f: DeformationFunction,
                      model: PdmModel, beta: float) -> SampledFunction:
-    """V~_n- = V_n- - 2 f'/sqrt(m) + beta; masks propagate from f."""
+    """V~_n- = V_n- - 2 f'/sqrt(m) + beta; NaN samples propagate from f."""
     df = derivative(f.values)
     sqm = np.sqrt(model.mass(v_n_minus.x))
     with np.errstate(invalid="ignore"):
         vals = v_n_minus.values - 2.0 * df.values / sqm + beta
-    mask = v_n_minus.singular_mask | df.singular_mask | ~np.isfinite(vals)
-    return SampledFunction(v_n_minus.grid, np.where(mask, np.nan, vals), mask)
+    return SampledFunction(v_n_minus.grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +391,9 @@ def apply_ladder(psi: SampledFunction, w: Superpotential,
                  which: str) -> SampledFunction:
     """Apply one of A_n+-, A~_n+- to a sampled state.
 
-    The W pole bands are masked in the output and bridged by interpolation
+    The W pole bands are NaN in the output and bridged by interpolation
     when the limit is finite there (the input vanishes at the node);
-    otherwise they stay masked.
+    otherwise they stay NaN.
     """
     if which not in _LADDER_KINDS:
         raise ConfigurationError(f"unknown ladder operator {which!r}")
@@ -432,14 +406,13 @@ def apply_ladder(psi: SampledFunction, w: Superpotential,
         raise InconsistentInputError("state and superpotential grids differ")
     dv = derivative(psi)
     u, _ = _ladder_values(which, w, f, model, psi.values, dv.values, None)
-    mask = w.values.singular_mask | _dilate(psi.singular_mask, 2) | ~np.isfinite(u)
-    if tilde:
-        mask |= f.values.singular_mask
-    u = np.where(mask, np.nan, u)
+    # the W band is finite but unusable; every other flag is already NaN, so
+    # no bridge is ever fitted through a flagged value
+    out = SampledFunction(psi.grid, u, w.values.singular_mask)
     # a pole band is bridgeable when the input also changes sign there, so
     # that the product W * psi has a finite limit at the node
-    bridgeable = np.zeros_like(mask)
-    for run in _mask_runs(mask):
+    bridgeable = np.zeros_like(out.singular_mask)
+    for run in _mask_runs(out.singular_mask):
         at_node = any(
             run[0] - 1 <= _nearest_index(psi.grid, pos) <= run[-1] + 1
             for pos in w.node_positions
@@ -450,10 +423,9 @@ def apply_ladder(psi: SampledFunction, w: Superpotential,
         input_vanishes = np.any(np.sign(seg[1:]) != np.sign(seg[:-1])) or np.any(seg == 0.0)
         if at_node and input_vanishes:
             bridgeable[run] = True
-    if np.any(bridgeable):
-        u, residual = _bridge(u, bridgeable, psi.x)
-        mask = (mask & ~bridgeable) | residual
-    return SampledFunction(psi.grid, np.where(mask, np.nan, u), mask)
+    if not np.any(bridgeable):
+        return out
+    return SampledFunction(psi.grid, _bridge(out.values, bridgeable, psi.x))
 
 
 def _mask_runs(mask: np.ndarray):
@@ -475,7 +447,7 @@ def ladder_pair(psi: SampledFunction, w: Superpotential,
     The intermediate state has genuine poles at the nodes of the defining
     state, so its derivative is carried algebraically instead of being
     re-differenced across the pole.  Only the exact node points end up
-    masked; they are bridged by interpolation.
+    NaN; they are bridged by interpolation.
     """
     for kind in (first, second):
         if kind not in _LADDER_KINDS:
@@ -486,10 +458,8 @@ def ladder_pair(psi: SampledFunction, w: Superpotential,
     if du is None:  # pragma: no cover - ddv is always supplied above
         raise RuntimeError("first ladder stage must produce a derivative")
     out, _ = _ladder_values(second, w, f, model, u, du, None)
-    mask = ~np.isfinite(out) | _dilate(psi.singular_mask, 4)
-    out = np.where(mask, np.nan, out)
-    out, residual = _bridge(out, mask, psi.x)
-    return SampledFunction(psi.grid, np.where(residual, np.nan, out), residual)
+    out = SampledFunction(psi.grid, out)
+    return SampledFunction(psi.grid, _bridge(out.values, out.singular_mask, psi.x))
 
 
 # ---------------------------------------------------------------------------

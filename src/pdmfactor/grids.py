@@ -1,13 +1,17 @@
 """Uniform grids, sampled functions, numerical differentiation and quadrature.
 
 Everything downstream works on ``SampledFunction`` objects: real values on a
-uniform grid plus a boolean mask marking nodes where the value is singular or
-otherwise unusable.  Masks propagate pessimistically through stencils so that
-no derivative is ever taken across a flagged point.
+uniform grid.  The package has one mask rule: a singular or otherwise
+unusable sample is a NaN sample.  ``SampledFunction`` stores NaN at every
+node it is told is singular and at every non-finite value, so its
+``singular_mask`` is exactly ``isnan(values)``, and IEEE arithmetic carries
+the flag through every stencil, product and quotient.  No derivative is
+ever taken across a flagged point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +44,10 @@ class Grid:
     def __post_init__(self):
         if not self.x_min < self.x_max:
             raise ConfigurationError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
+        if not math.isfinite(self.x_max - self.x_min):
+            raise ConfigurationError(
+                f"grid width x_max - x_min overflows, got [{self.x_min}, {self.x_max}]"
+            )
         if self.n_points < 8:
             raise ConfigurationError(f"n_points must be >= 8, got {self.n_points}")
 
@@ -64,7 +72,13 @@ class Grid:
 
 @dataclass
 class SampledFunction:
-    """Real-valued function tabulated on a Grid, with singular-point flags."""
+    """Real-valued function tabulated on a Grid; a singular sample is NaN.
+
+    The nodes passed in ``singular_mask`` and every non-finite value are
+    stored as NaN, and ``singular_mask`` is then exactly ``isnan(values)``.
+    Pass a mask only for nodes whose values are finite but unusable (guard
+    bands); everything else is flagged by its value alone.
+    """
 
     grid: Grid
     values: np.ndarray
@@ -76,16 +90,14 @@ class SampledFunction:
             raise ConfigurationError(
                 f"values length {self.values.shape} does not match grid ({self.grid.n_points},)"
             )
-        if self.singular_mask is None:
-            self.singular_mask = np.zeros(self.grid.n_points, dtype=bool)
-        else:
-            self.singular_mask = np.array(self.singular_mask, dtype=bool)
-            if self.singular_mask.shape != (self.grid.n_points,):
+        mask = ~np.isfinite(self.values)
+        if self.singular_mask is not None:
+            band = np.asarray(self.singular_mask, dtype=bool)
+            if band.shape != (self.grid.n_points,):
                 raise ConfigurationError("singular_mask length does not match grid")
-        bad = ~np.isfinite(self.values) & ~self.singular_mask
-        if np.any(bad):
-            # non-finite values must be flagged, never silent
-            self.singular_mask = self.singular_mask | ~np.isfinite(self.values)
+            mask |= band
+        self.values[mask] = np.nan
+        self.singular_mask = mask
         self.values.flags.writeable = False
         self.singular_mask.flags.writeable = False
 
@@ -97,40 +109,47 @@ class SampledFunction:
     def is_singular(self) -> bool:
         return bool(np.any(self.singular_mask))
 
-    def with_values(self, values, mask=None) -> "SampledFunction":
-        return SampledFunction(self.grid, values, mask)
+    def with_values(self, values) -> "SampledFunction":
+        return SampledFunction(self.grid, values)
 
 
-def _dilate(mask: np.ndarray, reach: int) -> np.ndarray:
-    out = mask.copy()
-    for s in range(1, reach + 1):
-        out[s:] |= mask[:-s]
-        out[:-s] |= mask[s:]
-    return out
+# a value within NOISE_FLOOR of the peak magnitude has no determinate sign
+NOISE_FLOOR = 1e-9
+
+
+def _crossings(values: np.ndarray, floor: float) -> list[tuple[int, int]]:
+    """Bracketing index pairs of the sign changes of ``values``.
+
+    Entries with |value| <= floor are indeterminate (exact node hits, noise
+    tails) and are skipped; a crossing is reported between the surrounding
+    determinate values.
+    """
+    idx = np.where(np.abs(values) > floor)[0]
+    if idx.size < 2:
+        return []
+    signs = np.sign(values[idx])
+    where = np.where(signs[1:] != signs[:-1])[0]
+    return [(int(idx[j]), int(idx[j + 1])) for j in where]
 
 
 def derivative(f: SampledFunction) -> SampledFunction:
     """First derivative, 4th-order central stencils, one-sided at the edges.
 
-    Masked nodes poison every node whose stencil touches them.
+    A NaN sample poisons every node whose stencil touches it; the central
+    stencil skips its own node, so a singular node is kept singular by hand.
     """
     n = f.grid.n_points
     if n < 5:
         raise ConfigurationError("derivative needs at least 5 nodes")
     h = f.grid.h
-    y = np.where(f.singular_mask, 0.0, f.values)
+    y = f.values
     dy = np.empty(n)
     dy[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * h)
     dy[0] = (-25.0 * y[0] + 48.0 * y[1] - 36.0 * y[2] + 16.0 * y[3] - 3.0 * y[4]) / (12.0 * h)
     dy[1] = (-3.0 * y[0] - 10.0 * y[1] + 18.0 * y[2] - 6.0 * y[3] + y[4]) / (12.0 * h)
     dy[-2] = (3.0 * y[-1] + 10.0 * y[-2] - 18.0 * y[-3] + 6.0 * y[-4] - y[-5]) / (12.0 * h)
     dy[-1] = (25.0 * y[-1] - 48.0 * y[-2] + 36.0 * y[-3] - 16.0 * y[-4] + 3.0 * y[-5]) / (12.0 * h)
-    mask = _dilate(f.singular_mask, 2)
-    if np.any(f.singular_mask[:5]):
-        mask[:2] = True
-    if np.any(f.singular_mask[-5:]):
-        mask[-2:] = True
-    return SampledFunction(f.grid, dy, mask)
+    return SampledFunction(f.grid, dy, f.singular_mask)
 
 
 def _cumulative_increments(y: np.ndarray, h: float) -> np.ndarray:

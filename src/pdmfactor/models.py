@@ -96,6 +96,14 @@ class Ex2Params:
     c: float = 4.0
 
     def __post_init__(self):
+        # a and b enter only as a + b; the potential, the energies and the
+        # auxiliary exponent square a + b, a + b - c and c
+        roots = (self.a + self.b, self.a + self.b - self.c, self.c)
+        if not all(math.isfinite(r * r) for r in roots):
+            raise DomainError(
+                f"a={self.a}, b={self.b}, c={self.c} overflow double precision "
+                "(the squares of a + b, a + b - c and c must be finite)"
+            )
         if not self.c > 0.5:
             raise DomainError(f"need c > 1/2, got c={self.c}")
         if not self.a + self.b - self.c + 0.5 > 0.0:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, SolverError
-from .grids import Grid, SampledFunction, normalize_state
+from .grids import NOISE_FLOOR, Grid, SampledFunction, _crossings, normalize_state
 from .models import PdmModel
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "solve_spectrum",
 ]
 
-NODE_NOISE_FLOOR = 1e-9
 _TINY = 1e-300
 # a pair whose residual exceeds _RESIDUAL_SCALE * |diag|_inf is refused
 _RESIDUAL_SCALE = 1e-6
@@ -98,15 +97,9 @@ class SpectrumReport:
 
 
 def count_nodes(psi: SampledFunction) -> int:
-    """Strict sign changes among values above the noise floor."""
+    """Strict sign changes among finite values above the noise floor."""
     v = psi.values[~psi.singular_mask]
-    amax = np.max(np.abs(v))
-    if amax == 0.0:
-        return 0
-    big = v[np.abs(v) > NODE_NOISE_FLOOR * amax]
-    if big.size < 2:
-        return 0
-    return int(np.sum(np.sign(big[1:]) != np.sign(big[:-1])))
+    return len(_crossings(v, NOISE_FLOOR * np.max(np.abs(v))))
 
 
 def _sturm_counts(diag, off2, shifts):
@@ -290,7 +283,7 @@ def solve_spectrum(model: PdmModel, v: SampledFunction, k: int) -> SpectrumRepor
     fine = discretize(model, v)
     # coarsened() refuses an even n_points; the coarse solve refuses a k the
     # subgrid cannot hold, both before the costly eigenvectors
-    v_coarse = SampledFunction(v.grid.coarsened(), v.values[::2], v.singular_mask[::2])
+    v_coarse = SampledFunction(v.grid.coarsened(), v.values[::2])
     coarse = _eigenvalues_only(discretize(model, v_coarse), k)
     report = lowest_eigenpairs(fine, k)
     report.eigenvalues = (4.0 * report.eigenvalues - coarse) / 3.0

@@ -54,8 +54,8 @@ class TestAcceptance:
         assert np.max(errs) <= 1e-3
         assert elapsed <= 10.0
 
-    def test_02_deformed_spectrum(self, ex1, fac_ex1):
-        rep = check_isospectral(ex1, 1, fac_ex1, 6, 1e-3)
+    def test_02_deformed_spectrum(self, fac_ex1):
+        rep = check_isospectral(fac_ex1, 6, 1e-3)
         deformed = np.array([b for _, b, _ in rep.pairs])
         errs = np.abs(deformed - (2.0 * np.arange(6) - 2.0))
         ok = bool(np.max(errs) <= 1e-3 and rep.max_gap <= 1e-3)
@@ -145,12 +145,12 @@ class TestAcceptance:
         for k in (0, 2, 3):
             psi_k = ex1.eigenstate_samples(k, EX1_FINE_GRID)
             residuals[f"ex1 k={k}"] = intertwining_residual(
-                ex1, 1, fac_ex1_fine, psi_k, ex1.energy(k) - ex1.energy(1)
+                fac_ex1_fine, psi_k, ex1.energy(k) - ex1.energy(1)
             )
         for k in (0, 2, 3):
             psi_k = ho.eigenstate_samples(k)
             residuals[f"ho k={k}"] = intertwining_residual(
-                ho, 1, fac_ho, psi_k, ho.energy(k) - ho.energy(1)
+                fac_ho, psi_k, ho.energy(k) - ho.energy(1)
             )
         worst = max(residuals.values())
         ok = bool(worst <= 1e-3)
@@ -193,8 +193,8 @@ class TestAcceptance:
         report("8b", ok, f"mapped node counts (n=1): {results} (want identity)")
         assert ok
 
-    def test_09_constant_mass_limit(self, ho, fac_ho):
-        rep = check_isospectral(ho, 1, fac_ho, 4, 1e-4)
+    def test_09_constant_mass_limit(self, fac_ho):
+        rep = check_isospectral(fac_ho, 4, 1e-4)
         deformed = np.array([b for _, b, _ in rep.pairs])
         errs = np.abs(deformed - np.array([-2.0, 0.0, 2.0, 4.0]))
         ric = riccati_residual(fac_ho)

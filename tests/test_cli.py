@@ -238,6 +238,45 @@ class TestPackageErrors:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_overflowing_lambda_range_exits_two(self, tmp_path, capsys):
+        # each end is finite, but the width and so the linspace step are inf
+        out = tmp_path / "run"
+        code = run(["scan", "--model", "ho", "--lambda-min=-1e308", "--lambda-max=1e308",
+                    "--steps", "5", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: lambda-max - lambda-min overflows\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--model", "ho"],
+        ["construct", "--model", "ho", "--lambda", "1"],
+        ["construct", "--model", "ex2", "--beta", "1"],
+    ])
+    def test_overflowing_grid_window_exits_two(self, tmp_path, capsys, argv):
+        out = tmp_path / "run"
+        code = run(argv + ["--grid-min=-1e308", "--grid-max=1e308", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: grid width x_max - x_min overflows, got [-1e+308, 1e+308]\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--model", "ex2", "--a", "1e300"],
+        ["spectrum", "--model", "ex2", "--b", "1e300"],
+        ["construct", "--model", "ex2", "--beta", "1", "--a", "1e300"],
+        ["construct", "--model", "ex2", "--beta", "1", "--b", "1e300"],
+    ])
+    def test_overflowing_ex2_parameters_exit_one(self, tmp_path, capsys, argv):
+        # (a + b) ** 2 on Python floats raised OverflowError with a traceback
+        out = tmp_path / "run"
+        code = run(argv + ["--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: a=") and "overflow double precision" in err
+        assert not out.exists()
+
 
 class TestImports:
     def test_cli_imports_only_numpy_beyond_the_stdlib(self):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from pdmfactor.factor import (
     DeformationFunction,
 )
 from pdmfactor.grids import Grid, SampledFunction, definite_integral, derivative, normalize_state
-from pdmfactor.models import Ex2Params, model_ex1, seed_solution_ex2
+from pdmfactor.models import Ex2Params, catalog, model_ex1, seed_solution_ex2
 from scipy.special import erf
 
 EX1_FINE_GRID = Grid(-250.0, 250.0, 32001)
@@ -266,6 +268,8 @@ class TestLadder:
         psi0 = normalize_state(ex1.eigenstate_samples(0))
         out = apply_ladder(psi0, fac_ex1.W_n, None, ex1, "A_plus")
         assert out.is_singular
+        # the whole guard band, whose W values are finite, stays flagged
+        assert np.array_equal(out.singular_mask, fac_ex1.W_n.values.singular_mask)
 
 
 class TestFactorizationIdentities:
@@ -403,3 +407,32 @@ class TestFactorizeDriver:
     def test_pointwise_identity_v_minus(self, fac_ex1, ex1):
         v0 = ex1.potential_samples()
         assert np.max(np.abs(fac_ex1.V_n_minus.values - (v0.values - 3.0))) < 1e-10
+
+
+def _sampled_functions(obj):
+    """Every SampledFunction held by obj or, recursively, its dataclass fields."""
+    if isinstance(obj, SampledFunction):
+        yield obj
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for fld in dataclasses.fields(obj):
+            yield from _sampled_functions(getattr(obj, fld.name))
+
+
+class TestMaskRule:
+    @pytest.mark.parametrize("name, kwargs, singular", [
+        ("ex1", dict(lam=1.0), False),
+        ("ex1", dict(lam=-0.5), True),
+        ("ho", dict(lam=1.0), False),
+        ("ho", dict(lam=-0.5), True),
+        ("ex2", dict(beta=1.0), False),
+    ])
+    def test_flag_is_nan_in_every_result(self, name, kwargs, singular):
+        fac = factorize(catalog(name), 1, **kwargs)
+        found = list(_sampled_functions(fac))
+        # W_n, psi_n and its state copy, V_n-, V_n+, V~_n-, f_n and its
+        # route's running integral or chi and seed
+        assert len(found) >= 7
+        for sf in found:
+            assert np.array_equal(sf.singular_mask, np.isnan(sf.values))
+        assert fac.f_n.is_singular == singular
+        assert fac.W_n.values.is_singular  # the guard band around the node

@@ -41,11 +41,59 @@ class TestGrid:
         i = i % n
         assert g.points()[i] == x_min + i * g.h
 
+    def test_non_finite_width_refused(self):
+        # both ends finite, but x_max - x_min and so h overflow to inf
+        with pytest.raises(ConfigurationError, match="overflows"):
+            Grid(-1e308, 1e308, 100)
+        with pytest.raises(ConfigurationError, match="overflows"):
+            Grid(-math.inf, 0.0, 100)
+
     def test_coarsened_shares_endpoints(self):
         g = Grid(-2.0, 3.0, 101)
         c = g.coarsened()
         assert (c.x_min, c.x_max, c.n_points) == (-2.0, 3.0, 51)
         assert np.array_equal(c.points(), g.points()[::2])
+
+
+class TestMaskRule:
+    def test_inf_is_stored_as_flagged_nan(self):
+        g = Grid(0.0, 1.0, 8)
+        vals = np.arange(8.0)
+        vals[[1, 4, 6]] = [np.inf, -np.inf, np.nan]
+        f = SampledFunction(g, vals)
+        assert np.isnan(f.values[[1, 4, 6]]).all()
+        assert np.array_equal(f.singular_mask, np.isin(np.arange(8), [1, 4, 6]))
+        assert np.array_equal(f.values[~f.singular_mask], [0.0, 2.0, 3.0, 5.0, 7.0])
+        assert np.isinf(vals[1])  # the caller's array is left alone
+
+    def test_flagged_finite_node_is_stored_as_nan(self):
+        g = Grid(0.0, 1.0, 8)
+        mask = np.zeros(8, bool)
+        mask[[0, 3]] = True
+        f = SampledFunction(g, np.ones(8), mask)
+        assert np.array_equal(f.singular_mask, mask)
+        assert np.array_equal(np.isnan(f.values), mask)
+        assert np.all(f.values[~mask] == 1.0)
+
+    def test_mask_shape_checked(self):
+        with pytest.raises(ConfigurationError):
+            SampledFunction(Grid(0.0, 1.0, 8), np.ones(8), np.zeros(7, bool))
+
+    @pytest.mark.parametrize("node", [0, 2, 4, 30, 59, 61, 63])
+    def test_derivative_flags_match_values(self, node):
+        # edge stencils reach five nodes, central ones two on each side
+        g = Grid(0.0, 1.0, 64)
+        mask = np.zeros(64, bool)
+        mask[node] = True
+        d = derivative(SampledFunction(g, np.ones(64), mask))
+        assert np.array_equal(d.singular_mask, np.isnan(d.values))
+        reach = np.zeros(64, bool)
+        reach[max(0, node - 2) : node + 3] = True
+        if node < 5:
+            reach[:2] = True
+        if node > 58:
+            reach[-2:] = True
+        assert np.array_equal(d.singular_mask, reach)
 
 
 class TestDerivative:

@@ -273,3 +273,14 @@ class TestCountNodes:
         v = np.ones(101)
         v[50] = -1e-12  # below the floor: not a node
         assert count_nodes(SampledFunction(g, v)) == 0
+
+    def test_nan_samples_are_skipped(self):
+        # a crossing whose bracketing samples are NaN still counts once, and a
+        # NaN peak does not set the floor
+        g = Grid(-1.0, 1.0, 201)
+        mask = np.zeros(201, bool)
+        mask[95:106] = True
+        assert count_nodes(SampledFunction(g, g.points(), mask)) == 1
+        v = np.sin(3.0 * np.pi * g.points())
+        v[10] = np.inf
+        assert count_nodes(SampledFunction(g, v)) == 5

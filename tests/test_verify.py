@@ -21,8 +21,8 @@ from tests.conftest import EX1_FINE_GRID
 
 
 class TestCheckIsospectral:
-    def test_ex1_level_one(self, ex1, fac_ex1):
-        rep = check_isospectral(ex1, 1, fac_ex1, 5, 1e-3)
+    def test_ex1_level_one(self, fac_ex1):
+        rep = check_isospectral(fac_ex1, 5, 1e-3)
         assert rep.passed
         assert rep.max_gap <= 1e-3
         deformed = [b for _, b, _ in rep.pairs]
@@ -31,30 +31,30 @@ class TestCheckIsospectral:
 
     def test_huge_lambda_gaps_tiny(self, ex1):
         fac = factorize(ex1, 1, lam=1e6)
-        rep = check_isospectral(ex1, 1, fac, 4, 1e-4)
+        rep = check_isospectral(fac, 4, 1e-4)
         assert rep.max_gap <= 1e-4
 
     def test_singular_precondition(self, ex1):
         fac = factorize(ex1, 1, lam=-0.5)
         with pytest.raises(DomainError):
-            check_isospectral(ex1, 1, fac, 4, 1e-3)
+            check_isospectral(fac, 4, 1e-3)
 
     def test_ex2_beta_zero_fully_isospectral(self, ex2):
         fac = factorize(ex2, 1, lam=1.0)
-        rep = check_isospectral(ex2, 1, fac, 4, 1e-2)
+        rep = check_isospectral(fac, 4, 1e-2)
         assert rep.passed
 
     def test_ex2_shifted_factorization_deletes_level_n(self, ex2, fac_ex2_n1):
         # with a nonzero shift the deformed problem loses exactly the level
         # used in the factorization: its spectrum is {E_k - E_n + beta, k != n}
-        rep = check_isospectral(ex2, 1, fac_ex2_n1, 4, 1e-2)
+        rep = check_isospectral(fac_ex2_n1, 4, 1e-2)
         assert not rep.passed  # the full shifted ladder comparison must fail
         deformed = [b for _, b, _ in rep.pairs]
         expected = [ex2.energy(k) - ex2.energy(1) + 1.0 for k in (0, 2, 3, 4)]
         assert np.max(np.abs(np.array(deformed) - np.array(expected))) <= 1e-2
 
-    def test_report_json_fields(self, ex1, fac_ex1):
-        rep = check_isospectral(ex1, 1, fac_ex1, 3, 1e-3)
+    def test_report_json_fields(self, fac_ex1):
+        rep = check_isospectral(fac_ex1, 3, 1e-3)
         d = rep.to_json_dict()
         assert set(d) == {
             "levels_checked",
@@ -165,22 +165,22 @@ class TestIntertwining:
     def test_ex1(self, ex1, fac_ex1_fine, k):
         psi_k = ex1.eigenstate_samples(k, EX1_FINE_GRID)
         res = intertwining_residual(
-            ex1, 1, fac_ex1_fine, psi_k, ex1.energy(k) - ex1.energy(1)
+            fac_ex1_fine, psi_k, ex1.energy(k) - ex1.energy(1)
         )
         assert res <= 1e-3
 
     def test_constant_mass(self, ho, fac_ho):
         psi0 = ho.eigenstate_samples(0)
-        res = intertwining_residual(ho, 1, fac_ho, psi0, ho.energy(0) - ho.energy(1))
+        res = intertwining_residual(fac_ho, psi0, ho.energy(0) - ho.energy(1))
         assert res <= 1e-4
 
     def test_scale_invariance(self, ho, fac_ho):
         # the ratio is scale-free; the residual itself sits at its roundoff
         # floor, so invariance holds to a few percent of that floor
         psi0 = ho.eigenstate_samples(0)
-        a = intertwining_residual(ho, 1, fac_ho, psi0, -2.0)
+        a = intertwining_residual(fac_ho, psi0, -2.0)
         b = intertwining_residual(
-            ho, 1, fac_ho, psi0.with_values(3.0 * psi0.values), -2.0
+            fac_ho, psi0.with_values(3.0 * psi0.values), -2.0
         )
         assert abs(a - b) <= 1e-10 + 0.05 * max(a, b)
 
