@@ -112,7 +112,6 @@ def cmd_construct(args) -> int:
     model = _model_from_args(args)
     grid = _grid_from_args(args, model)
     fac = _run_factorization(args, model, grid)
-    out = Path(args.out)
     files = {
         "W_n": "W_n.csv",
         "f_n": "f_n.csv",
@@ -121,19 +120,21 @@ def cmd_construct(args) -> int:
         "V_tilde_minus": "V_tilde_minus.csv",
         "mass": "mass.csv",
     }
-    _atomic_write(out / files["W_n"], fac.W_n.values)
-    _atomic_write(out / files["f_n"], fac.f_n.values)
-    _atomic_write(out / files["V_n_minus"], fac.V_n_minus)
-    _atomic_write(out / files["V_n_plus"], fac.V_n_plus)
-    _atomic_write(out / files["V_tilde_minus"], fac.V_tilde_minus)
-    _atomic_write(out / files["mass"], SampledFunction(grid, model.mass(grid.points())))
-
+    outputs = {
+        files["W_n"]: fac.W_n.values,
+        files["f_n"]: fac.f_n.values,
+        files["V_n_minus"]: fac.V_n_minus,
+        files["V_n_plus"]: fac.V_n_plus,
+        files["V_tilde_minus"]: fac.V_tilde_minus,
+        files["mass"]: SampledFunction(grid, model.mass(grid.points())),
+    }
+    # every state is built before the first write, so a failure leaves no
+    # half-written directory behind
     states = {}
     if not fac.f_n.is_singular:
         try:
-            zm = zero_mode(fac)
             name = "psi_tilde_zero_mode.csv"
-            _atomic_write(out / name, zm)
+            outputs[name] = zero_mode(fac)
             states["zero_mode"] = name
         except NonNormalizableError:
             states["zero_mode"] = "non-normalizable"
@@ -141,9 +142,8 @@ def cmd_construct(args) -> int:
             if k == args.n:
                 continue
             psi_k = fac.model.eigenstate_samples(k, grid)
-            mapped = map_eigenstate(psi_k, fac)
             name = f"psi_tilde_{k}.csv"
-            _atomic_write(out / name, mapped)
+            outputs[name] = map_eigenstate(psi_k, fac)
             states[f"psi_tilde_{k}"] = name
 
     payload = _base_payload(args)
@@ -161,6 +161,9 @@ def cmd_construct(args) -> int:
             "states": states,
         }
     )
+    out = Path(args.out)
+    for name, content in outputs.items():
+        _atomic_write(out / name, content)
     _atomic_write(out / "result.json", _json_dump(payload))
     status = "singular" if fac.f_n.is_singular else "nonsingular"
     print(

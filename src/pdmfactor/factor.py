@@ -541,8 +541,8 @@ def zero_mode(fac: FactorizationResult) -> SampledFunction:
         raise NonNormalizableError(
             "zero mode grows toward the truncation boundary; its norm diverges"
         )
-    out = normalize_state(SampledFunction(fac.grid, raw))
-    return out
+    # a huge lambda makes raw so small that its square underflows to zero
+    return normalize_state(SampledFunction(fac.grid, raw / amax))
 
 
 def spectrum_map(e_k_list, e_n: float, beta: float) -> list[float]:

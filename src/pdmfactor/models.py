@@ -85,6 +85,11 @@ class Ex1Params:
     alpha: float = 1.0
 
     def __post_init__(self):
+        # the mass, the potential and the stretched coordinate square alpha
+        if not math.isfinite(self.alpha * self.alpha):
+            raise DomainError(
+                f"alpha={self.alpha} overflows double precision (alpha^2 must be finite)"
+            )
         if self.alpha <= 0.0:
             raise DomainError(f"alpha must be positive, got {self.alpha}")
 
@@ -375,14 +380,22 @@ def seed_solution_ex2(p: Ex2Params, n: int, beta: float, grid: Grid) -> SampledF
     values = np.empty(grid.n_points)
     icut = int(np.searchsorted(x, _SEED_SERIES_CUT))
     icut = min(max(icut, 3), grid.n_points - 1)
-    values[: icut + 1] = _seed_closed_form(p, n, beta, x[: icut + 1])
-
-    if icut < grid.n_points - 1:
-        x0 = x[icut]
-        dd = 1e-6
+    x0 = x[icut]
+    dd = 1e-6
+    # the series terms grow with x, so a seed energy too large for double
+    # precision shows in the matching stencil first; refuse it before the
+    # closed form is evaluated anywhere else
+    with np.errstate(over="ignore", invalid="ignore"):
         stencil = _seed_closed_form(
             p, n, beta, np.array([x0 - 2 * dd, x0 - dd, x0 + dd, x0 + 2 * dd])
         )
+    if not np.all(np.isfinite(stencil)):
+        raise DomainError(
+            f"seed energy {e} overflows the closed-form auxiliary solution at x = {x0}"
+        )
+    values[: icut + 1] = _seed_closed_form(p, n, beta, x[: icut + 1])
+
+    if icut < grid.n_points - 1:
         dpsi0 = (stencil[0] - 8.0 * stencil[1] + 8.0 * stencil[2] - stencil[3]) / (12.0 * dd)
         nsub = _SEED_SUBSTEPS
         hs = grid.h / nsub

@@ -11,11 +11,10 @@ every-second-node subgrid; it Richardson extrapolates the two sets,
 removing the leading h^2 error while leaving the base discretization
 untouched.
 
-The eigensolver is plain numpy: Sturm-count multisection for the eigenvalues
-(one vectorized sweep serves the next _DEPTH bisection rounds of all k
-targets) and inverse iteration with a partially pivoted tridiagonal solve.
-States are normalized by ``grids.normalize_state``, the 4th-order quadrature
-rule the factorization uses too.
+The eigensolver is plain numpy: Sturm-count multisection (one vectorized sweep
+serves the next _DEPTH bisection rounds of all k targets; the fine grid starts
+from verified brackets around the coarse eigenvalues), then Fernando's twisted
+factorization for an O(N) eigenvector per level.
 """
 
 from __future__ import annotations
@@ -44,6 +43,11 @@ _RESIDUAL_SCALE = 1e-6
 # one Sturm sweep serves _DEPTH bisection rounds, _SWEEP_ROWS rows at a time
 _DEPTH = 6
 _SWEEP_ROWS = 64
+# the fine bisection starts _WARM_WIDTH * (E - lo) around each coarse eigenvalue
+# E (the gap was at most 0.0044 * (E - lo) on perfbench's solve decks); a failed
+# bracket doubles at most _WARM_TRIES times
+_WARM_WIDTH = 2e-2
+_WARM_TRIES = 4
 
 
 @dataclass
@@ -103,29 +107,39 @@ def count_nodes(psi: SampledFunction) -> int:
 
 
 def _sturm_counts(diag, off2, shifts):
-    """Eigenvalues below each shift: negative LDL^T pivots, counted per block."""
+    """Eigenvalues below each shift: negative LDL^T pivots, counted per block.
+
+    A block of _SWEEP_ROWS rows is swept unchecked.  Only a block holding an
+    exact zero pivot is swept again row by row from its carried-in pivots,
+    nudging each zero pivot to _TINY, so the counts are a row-by-row sweep's.
+    """
     lanes = shifts.size
-    off2 = off2.tolist()
+    off2 = [0.0] + off2.tolist()
     counts = np.zeros(lanes, np.int64)
-    d = None
-    for start in range(0, diag.shape[0], _SWEEP_ROWS):
-        block = diag[start:start + _SWEEP_ROWS, None] - shifts
-        for i, row in enumerate(block, start):
-            if i:
-                row -= off2[i - 1] / d
-            if np.count_nonzero(row) < lanes:
-                # a zero pivot would turn the next row into inf or nan
-                row[row == 0.0] = _TINY
-            d = row
-        counts += np.count_nonzero(block < 0.0, axis=0)
+    d = np.ones(lanes)
+    with np.errstate(all="ignore"):
+        for start in range(0, diag.shape[0], _SWEEP_ROWS):
+            carry = d
+            for nudge in (False, True):
+                block = diag[start:start + _SWEEP_ROWS, None] - shifts
+                d = carry
+                for b2, row in zip(off2[start:start + _SWEEP_ROWS], block):
+                    row -= b2 / d
+                    if nudge and np.count_nonzero(row) < lanes:
+                        row[row == 0.0] = _TINY
+                    d = row
+                if np.count_nonzero(block) == block.size:
+                    break
+            counts += np.count_nonzero(block < 0.0, axis=0)
     return counts
 
 
 def _bisect_lowest(diag, off2, k, lo0, hi0, tol, maxit):
     """Bisection for the k lowest eigenvalues, _DEPTH rounds per Sturm sweep.
 
-    A sweep counts at every midpoint of each target's depth-_DEPTH bisection
-    tree; walking down it visits exactly the brackets plain bisection visits.
+    lo0 and hi0 bracket every target, or target j alone at index j.  A sweep
+    counts at every midpoint of each target's depth-_DEPTH bisection tree;
+    walking down it visits exactly the brackets plain bisection visits.
     """
     lo = np.full(k, lo0)
     hi = np.full(k, hi0)
@@ -155,120 +169,105 @@ def _bisect_lowest(diag, off2, k, lo0, hi0, tol, maxit):
     return 0.5 * (lo + hi)
 
 
-def _tridiag_solve_pivot(sub, diag, sup, rhs, out):
-    """Solve T x = rhs for tridiagonal T with partial pivoting.
+def _gershgorin(prob: SturmLiouvilleProblem) -> tuple[float, float, float]:
+    """Gershgorin bounds of the spectrum and the bisection stop tolerance."""
+    offsum = np.zeros_like(prob.diag)
+    offsum[:-1] += np.abs(prob.off)
+    offsum[1:] += np.abs(prob.off)
+    lo = float(np.min(prob.diag - offsum))
+    hi = float(np.max(prob.diag + offsum))
+    # bisection resolves eigenvalues down to a few ulps of the matrix scale
+    return lo, hi, max(hi - lo, 1.0) * 4e-15 + 1e-13
 
-    sub[i] couples row i+1 to column i; sup[i] couples row i to column i+1.
-    Pivoting introduces a second superdiagonal, carried in u2.  The work is
-    done on Python floats, which are IEEE doubles like the arrays.
+
+def _eigenvalues_only(prob: SturmLiouvilleProblem, k: int, hints=None) -> np.ndarray:
+    """The k lowest eigenvalues; refuses k outside 1 .. n_points // 10.
+
+    hints, estimates E of the eigenvalues, give target j the bracket E_j -/+
+    _WARM_WIDTH * (E_j - lo), which does not vanish at E_j = 0.  One sweep
+    keeps each bracket with count(lower) <= j < count(upper); a failed one
+    doubles, and after _WARM_TRIES tries Gershgorin's bracket stays.
     """
-    n = diag.shape[0]
-    sub = sub.tolist()
-    d = diag.tolist()
-    u1 = sup.tolist()[:n - 1] + [0.0]
-    u2 = [0.0] * n
-    b = rhs.tolist()
-    for i in range(n - 1):
-        low = sub[i]
-        if abs(low) > abs(d[i]):
-            # swap rows i and i+1
-            d[i], low = low, d[i]
-            u1[i], d[i + 1] = d[i + 1], u1[i]
-            u2[i], u1[i + 1] = u1[i + 1], u2[i]
-            b[i], b[i + 1] = b[i + 1], b[i]
-        if d[i] == 0.0:
-            d[i] = _TINY
-        m = low / d[i]
-        d[i + 1] -= m * u1[i]
-        u1[i + 1] -= m * u2[i]
-        b[i + 1] -= m * b[i]
-    if d[n - 1] == 0.0:
-        d[n - 1] = _TINY
-    # back substitution overwrites b with the solution
-    b[n - 1] = b[n - 1] / d[n - 1]
-    if n > 1:
-        b[n - 2] = (b[n - 2] - u1[n - 2] * b[n - 1]) / d[n - 2]
-    for i in range(n - 3, -1, -1):
-        b[i] = (b[i] - u1[i] * b[i + 1] - u2[i] * b[i + 2]) / d[i]
-    out[:] = b
-    return out
-
-
-def _inverse_iteration(sub, diag, sup, lam, iters):
-    """Eigenvector of tridiag(sub, diag, sup) at an isolated eigenvalue lam."""
-    n = diag.shape[0]
-    v = np.empty(n)
-    state = 88172645463325252
-    for i in range(n):
-        # xorshift64 gives a deterministic, sign-mixed start vector
-        state ^= (state << 13) & 0xFFFFFFFFFFFFFFFF
-        state ^= state >> 7
-        state ^= (state << 17) & 0xFFFFFFFFFFFFFFFF
-        v[i] = state % 2000003 / 1000001.5 - 1.0
-    shifted = diag - lam
-    work = np.empty(n)
-    for _ in range(iters):
-        _tridiag_solve_pivot(sub, shifted, sup, v, work)
-        nrm = 0.0
-        for w in work.tolist():
-            nrm += w * w
-        v = work / math.sqrt(nrm)
-    return v
-
-
-def _eigenvalues_only(prob: SturmLiouvilleProblem, k: int) -> np.ndarray:
-    """The k lowest eigenvalues; refuses k outside 1 .. n_points // 10."""
     if k < 1 or k > prob.grid.n_points // 10:
         raise ConfigurationError(
             f"requested {k} eigenpairs; must be between 1 and n_points/10"
         )
-    diag = prob.diag
     off2 = prob.off * prob.off
-    offsum = np.zeros_like(diag)
-    offsum[:-1] += np.abs(prob.off)
-    offsum[1:] += np.abs(prob.off)
-    lo = float(np.min(diag - offsum))
-    hi = float(np.max(diag + offsum))
-    span = max(hi - lo, 1.0)
-    # bisection resolves eigenvalues down to a few ulps of the matrix scale
-    tol = span * 4e-15 + 1e-13
-    return _bisect_lowest(diag, off2, k, lo, hi, tol, 120)
+    lo, hi, tol = _gershgorin(prob)
+    lower, upper = np.full(k, lo), np.full(k, hi)
+    if hints is not None:
+        targets = np.arange(k)
+        width = _WARM_WIDTH * (hints - lo)
+        pending = np.ones(k, bool)
+        for _ in range(_WARM_TRIES):
+            l, u = np.maximum(hints - width, lo), np.minimum(hints + width, hi)
+            counts = _sturm_counts(prob.diag, off2, np.concatenate([l, u]))
+            ok = pending & (counts[:k] <= targets) & (targets < counts[k:])
+            lower[ok], upper[ok] = l[ok], u[ok]
+            pending &= ~ok
+            if not pending.any():
+                break
+            width[pending] *= 2.0
+    return _bisect_lowest(prob.diag, off2, k, lower, upper, tol, 120)
 
 
-def lowest_eigenpairs(prob: SturmLiouvilleProblem, k: int) -> SpectrumReport:
-    """k lowest eigenpairs by Sturm bisection plus inverse iteration.
+def _pivots(shifted, off2):
+    """Top-down LDL^T pivots (off2 led by a 0.0), zero pivots nudged to _TINY."""
+    d = 1.0
+    return [(d := a - b2 / d or _TINY) for a, b2 in zip(shifted, off2)]
 
-    Eigenvectors are normalized by ``grids.normalize_state`` (4th-order
-    quadrature of psi^2).  A pair whose operator-application residual exceeds
-    _RESIDUAL_SCALE * |diag|_inf triggers a SolverError.
+
+def _twisted_vector(prob: SturmLiouvilleProblem, off2, lam: float):
+    """Fernando's twisted factorization of T - lam (Dhillon & Parlett, LAA 387, 2004).
+
+    The pivots D+ of LDL^T and D- of UDU^T meet at the twist r minimizing
+    |gamma_r| = |D+_r + D-_r - (a_r - lam)|; z grows outward from z_r = 1,
+    so that (T - lam) z = gamma_r e_r up to rounding.  Returns (z, gamma_r).
     """
-    eigs = _eigenvalues_only(prob, k)
+    shifted = prob.diag - lam
+    values = shifted.tolist()
+    dp = np.array(_pivots(values, [0.0] + off2))
+    dm = np.array(_pivots(values[::-1], [0.0] + off2[::-1])[::-1])
+    gamma = dp + dm - shifted
+    r = int(np.argmin(np.abs(gamma)))
+    z = np.ones(shifted.size)
+    z[:r] = np.cumprod((-prob.off[:r] / dp[:r])[::-1])[::-1]
+    z[r + 1:] = np.cumprod(-prob.off[r:] / dm[r + 1:])
+    return z, float(gamma[r])
+
+
+def lowest_eigenpairs(prob: SturmLiouvilleProblem, k: int, *, _hints=None) -> SpectrumReport:
+    """k lowest eigenpairs by Sturm bisection plus twisted factorization.
+
+    _hints (private) narrow the bisection's brackets, see _eigenvalues_only.
+    Each eigenvalue ends as its vector's Rayleigh quotient, kept inside its
+    final bisection bracket.  States are normalized by
+    ``grids.normalize_state``; a residual above _RESIDUAL_SCALE * |diag|_inf
+    raises SolverError.
+    """
+    eigs = _eigenvalues_only(prob, k, _hints)
+    half = 0.5 * _gershgorin(prob)[2]  # final brackets are at most 2 * half wide
     cap = _RESIDUAL_SCALE * float(np.max(np.abs(prob.diag)))
-    states = []
-    nodes = []
-    residuals = []
-    sub = prob.off
+    off2 = (prob.off * prob.off).tolist()
+    states, nodes, residuals = [], [], []
     for j in range(k):
-        v = _inverse_iteration(sub, prob.diag, sub, eigs[j], 3)
-        res = float(np.max(np.abs(prob.matrix_action(v) - eigs[j] * v)))
-        extra = 0
-        while res > cap and extra < 3:
-            v = _inverse_iteration(sub, prob.diag, sub, eigs[j], 2)
-            res = float(np.max(np.abs(prob.matrix_action(v) - eigs[j] * v)))
-            extra += 1
-        if res > cap:
-            raise SolverError(
-                f"inverse iteration residual {res:.3e} above cap {cap:.3e} at level {j}"
-            )
-        full = np.zeros(prob.grid.n_points)
-        full[1:-1] = v
-        sf = normalize_state(SampledFunction(prob.grid, full))
+        lam = float(eigs[j])
+        # one twist leaves the residual |gamma| / |z|, set by the error of lam;
+        # a second twist at the Rayleigh quotient lam + gamma / |z|^2 cuts it to
+        # the rounding of the pivots
+        for _ in range(2):
+            z, gamma = _twisted_vector(prob, off2, lam)
+            lam += gamma / float(z @ z)
+        eigs[j] = lam = min(max(lam, eigs[j] - half), eigs[j] + half)
+        v = z / math.sqrt(float(z @ z))
+        res = float(np.max(np.abs(prob.matrix_action(v) - lam * v)))
+        if not res <= cap:
+            raise SolverError(f"eigenvector residual {res:.3e} above cap {cap:.3e} at level {j}")
+        sf = normalize_state(SampledFunction(prob.grid, np.pad(v, 1)))
         states.append(sf)
         nodes.append(count_nodes(sf))
         residuals.append(res)
-    return SpectrumReport(
-        eigenvalues=eigs, eigenstates=states, node_counts=nodes, residuals=residuals
-    )
+    return SpectrumReport(eigs, states, nodes, residuals)
 
 
 def solve_spectrum(model: PdmModel, v: SampledFunction, k: int) -> SpectrumReport:
@@ -276,15 +275,15 @@ def solve_spectrum(model: PdmModel, v: SampledFunction, k: int) -> SpectrumRepor
 
     The eigenvalues alone are also found on the every-second-node subgrid
     (identical sampled potential values, exactly representable), which must
-    hold k levels too, and the two sets are combined as (4 E_h - E_2h)/3.
-    Eigenvectors, node counts and residuals come from the one full solve on
-    v's grid.
+    hold k levels too, and the two sets are combined as (4 E_h - E_2h)/3.  The
+    coarse set also seeds the fine bisection's brackets.  Eigenvectors, node
+    counts and residuals come from the one full solve on v's grid.
     """
     fine = discretize(model, v)
     # coarsened() refuses an even n_points; the coarse solve refuses a k the
     # subgrid cannot hold, both before the costly eigenvectors
     v_coarse = SampledFunction(v.grid.coarsened(), v.values[::2])
     coarse = _eigenvalues_only(discretize(model, v_coarse), k)
-    report = lowest_eigenpairs(fine, k)
+    report = lowest_eigenpairs(fine, k, _hints=coarse)
     report.eigenvalues = (4.0 * report.eigenvalues - coarse) / 3.0
     return report

@@ -10,7 +10,7 @@ import pytest
 import pdmfactor
 import pdmfactor.cli
 from pdmfactor.cli import main
-from pdmfactor.errors import SolverError
+from pdmfactor.errors import DegenerateStateError, SolverError
 from tests.conftest import read_csv
 
 
@@ -88,6 +88,28 @@ class TestConstruct:
         assert (tmp_path / "a" / "f_n.csv").read_bytes() == (
             tmp_path / "b" / "f_n.csv"
         ).read_bytes()
+
+    def test_huge_lambda_writes_a_complete_directory(self, tmp_path):
+        # psi_n / (lambda + F) is about 1e-308 here; its square used to
+        # underflow after the six profile CSVs were already written
+        out = tmp_path / "run"
+        code = run(["construct", "--model", "ex1", "--lambda", "1e308", "--out", str(out)])
+        assert code == 0
+        data = load_json(out / "result.json")
+        names = list(data["files"].values()) + list(data["states"].values())
+        assert "psi_tilde_zero_mode.csv" in names
+        assert sorted(p.name for p in out.iterdir()) == sorted(names + ["result.json"])
+
+    def test_failed_state_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise DegenerateStateError("state has vanishing norm")
+
+        monkeypatch.setattr(pdmfactor.cli, "map_eigenstate", refuse)
+        out = tmp_path / "run"
+        code = run(["construct", "--model", "ex1", "--lambda", "1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: state has vanishing norm\n"
+        assert not out.exists()
 
 
 class TestSpectrum:
@@ -193,12 +215,12 @@ class TestUsageErrors:
 class TestPackageErrors:
     def test_solver_error_exits_one_with_one_line(self, tmp_path, monkeypatch, capsys):
         def refuse(*args, **kwargs):
-            raise SolverError("inverse iteration residual above cap")
+            raise SolverError("eigenvector residual above cap")
 
         monkeypatch.setattr(pdmfactor.cli, "solve_spectrum", refuse)
         code = run(["spectrum", "--model", "ho", "--levels", "2", "--out", str(tmp_path)])
         assert code == 1
-        assert capsys.readouterr().err == "error: inverse iteration residual above cap\n"
+        assert capsys.readouterr().err == "error: eigenvector residual above cap\n"
 
     def test_coarse_grid_refuses_levels_the_fine_grid_holds(self, tmp_path, capsys):
         # 150 <= 2001 // 10 on the given grid, but 150 > 1001 // 10 on the
@@ -275,6 +297,21 @@ class TestPackageErrors:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("error: a=") and "overflow double precision" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, start", [
+        (["spectrum", "--model", "ex1", "--alpha", "1e300"], "error: alpha="),
+        (["construct", "--model", "ex2", "--beta=-1e300"], "error: seed energy"),
+    ])
+    def test_huge_parameters_exit_one(self, tmp_path, capsys, argv, start):
+        # the suite turns every RuntimeWarning into an error, so an exit code
+        # also shows that none was raised on the way to the refusal
+        out = tmp_path / "run"
+        code = run(argv + ["--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(start) and "overflow" in err
         assert not out.exists()
 
 

@@ -6,15 +6,34 @@ from pdmfactor.errors import ConfigurationError, DomainError, SolverError
 from pdmfactor.grids import Grid, SampledFunction
 from pdmfactor.models import catalog, model_box, model_constant_mass_ho, model_ex1, model_ex2
 from pdmfactor.spectra import (
+    _SWEEP_ROWS,
     _TINY,
+    SturmLiouvilleProblem,
     _bisect_lowest,
-    _inverse_iteration,
-    _tridiag_solve_pivot,
+    _eigenvalues_only,
+    _gershgorin,
+    _sturm_counts,
     count_nodes,
     discretize,
     lowest_eigenpairs,
     solve_spectrum,
 )
+
+
+def plain_sturm_counts(diag, off2, shifts):
+    """Reference Sturm counts, one row at a time, each zero pivot nudged to
+    _TINY; also returns the number of zero pivots met."""
+    counts = np.zeros(shifts.size, np.int64)
+    zeros = 0
+    d = np.ones(shifts.size)
+    # a nudged pivot may overflow the next one to -inf, which still counts
+    with np.errstate(over="ignore"):
+        for i in range(diag.shape[0]):
+            d = diag[i] - shifts - (off2[i - 1] / d if i else 0.0)
+            zeros += np.count_nonzero(d == 0.0)
+            d[d == 0.0] = _TINY
+            counts += d < 0.0
+    return counts, zeros
 
 
 def plain_bisect(diag, off2, k, lo0, hi0, tol, maxit):
@@ -27,14 +46,7 @@ def plain_bisect(diag, off2, k, lo0, hi0, tol, maxit):
         if np.max(hi - lo) <= tol:
             break
         mid = 0.5 * (lo + hi)
-        d = diag[0] - mid
-        d[d == 0.0] = _TINY
-        counts = (d < 0.0).astype(np.int64)
-        for i in range(1, diag.shape[0]):
-            d = diag[i] - mid - off2[i - 1] / d
-            d[d == 0.0] = _TINY
-            counts += d < 0.0
-        above = counts > targets
+        above = plain_sturm_counts(diag, off2, mid)[0] > targets
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
         rounds += 1
@@ -43,6 +55,10 @@ def plain_bisect(diag, off2, k, lo0, hi0, tol, maxit):
 
 def random_tridiagonal(rng, n):
     return rng.uniform(-5.0, 5.0, n), rng.uniform(-3.0, 3.0, n - 1) ** 2
+
+
+def dense_eigh(prob):
+    return np.linalg.eigh(np.diag(prob.diag) + np.diag(prob.off, 1) + np.diag(prob.off, -1))
 
 
 class TestDiscretize:
@@ -137,24 +153,29 @@ class TestLowestEigenpairs:
 class TestSolveSpectrum:
     @pytest.mark.parametrize("name", ["ex1", "ex2", "ho", "box"])
     def test_matches_two_full_solves(self, name, monkeypatch):
-        # reference: the full solve on both grids, eigenvectors and all
+        # reference: the cold full solve on the grid, eigenvalues on the subgrid
         model = catalog(name)
         v = model.potential_samples()
         coarse_v = SampledFunction(v.grid.coarsened(), v.values[::2])
         fine = lowest_eigenpairs(discretize(model, v), 4)
-        coarse = lowest_eigenpairs(discretize(model, coarse_v), 4)
+        coarse = _eigenvalues_only(discretize(model, coarse_v), 4)
         calls = []
 
-        def counted(prob, k):
+        def counted(prob, k, **hints):
             calls.append(prob.grid)
-            return lowest_eigenpairs(prob, k)
+            return lowest_eigenpairs(prob, k, **hints)
 
         monkeypatch.setattr(pdmfactor.spectra, "lowest_eigenpairs", counted)
         rep = solve_spectrum(model, v, 4)
         assert calls == [v.grid]
-        assert np.array_equal(rep.eigenvalues, (4.0 * fine.eigenvalues - coarse.eigenvalues) / 3.0)
+        # the coarse eigenvalues seed the fine bisection's brackets, so the fine
+        # eigenvalues agree with the cold solve's within the stop tolerance
+        tol = _gershgorin(discretize(model, v))[2]
+        ref = (4.0 * fine.eigenvalues - coarse) / 3.0
+        assert np.max(np.abs(rep.eigenvalues - ref)) <= 4.0 / 3.0 * tol
         assert rep.node_counts == fine.node_counts
-        assert np.array_equal(rep.residuals, fine.residuals)
+        for state, cold in zip(rep.eigenstates, fine.eigenstates):
+            assert np.max(np.abs(state.values - cold.values)) < 1e-8 * np.max(np.abs(cold.values))
 
 
 class TestAgainstDenseOracle:
@@ -220,44 +241,114 @@ class TestMultisection:
         assert np.all(np.isfinite(eigs))
 
 
-class TestPivotedSolve:
-    def test_matches_dense_solve(self, rng):
-        n = 300
-        diag = rng.uniform(2.0, 4.0, n)
-        off = rng.uniform(-1.0, 1.0, n - 1)
-        rhs = rng.standard_normal(n)
-        out = np.empty(n)
-        _tridiag_solve_pivot(off, diag, off, rhs, out)
-        T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        ref = np.linalg.solve(T, rhs)
-        assert np.max(np.abs(out - ref)) < 1e-9
+class TestBlockSweep:
+    """One zero-pivot check per block gives the row-by-row counts bit for bit."""
 
-    def test_row_swaps_match_dense_solve(self, rng):
-        n = 200
-        # |sub| > |diag| on every row, so at least the first step swaps rows
-        diag = rng.uniform(-0.5, 0.5, n)
-        sub = rng.uniform(1.0, 2.0, n - 1) * rng.choice([-1.0, 1.0], n - 1)
-        sup = rng.uniform(-1.0, 1.0, n - 1)
-        rhs = rng.standard_normal(n)
-        out = np.empty(n)
-        _tridiag_solve_pivot(sub, diag, sup, rhs, out)
-        T = np.diag(diag) + np.diag(sup, 1) + np.diag(sub, -1)
-        ref = np.linalg.solve(T, rhs)
-        assert np.max(np.abs(out - ref)) < 1e-9 * np.max(np.abs(ref))
+    def test_box_matches_row_by_row(self, monkeypatch):
+        # the box's constant stencil meets exact zero pivots at bisection shifts
+        box = model_box()
+        prob = discretize(box, box.potential_samples())
+        sweeps = []
+
+        def recorded(diag, off2, shifts):
+            counts = _sturm_counts(diag, off2, shifts)
+            sweeps.append((shifts, counts))
+            return counts
+
+        monkeypatch.setattr(pdmfactor.spectra, "_sturm_counts", recorded)
+        _eigenvalues_only(prob, 5)
+        zero_pivots = 0
+        for shifts, counts in sweeps:
+            ref, zeros = plain_sturm_counts(prob.diag, prob.off * prob.off, shifts)
+            assert np.array_equal(counts, ref)
+            zero_pivots += zeros
+        assert zero_pivots > 0
+
+    def test_zero_pivot_in_last_row_of_a_block(self, rng):
+        diag, off2 = random_tridiagonal(rng, 3 * _SWEEP_ROWS)
+        last = _SWEEP_ROWS - 1
+        # row `last` decouples from the rows above, so its pivot is exactly
+        # diag[last] - shift; with off2[last] = 0 too, an un-nudged zero pivot
+        # would make the next block's first row 0 / 0
+        diag[last] = 1.5
+        off2[[last - 1, last]] = 0.0
+        shifts = np.array([-7.0, 1.5, 0.25, 1.5, 9.0])
+        counts = _sturm_counts(diag, off2, shifts)
+        ref, zeros = plain_sturm_counts(diag, off2, shifts)
+        assert zeros == 2
+        assert np.array_equal(counts, ref)
 
 
-class TestInverseIteration:
-    def test_start_vector_is_the_uint64_xorshift(self):
-        n = 500
-        ref = np.empty(n)
-        state = np.uint64(88172645463325252)
-        for i in range(n):
-            state ^= state << np.uint64(13)
-            state ^= state >> np.uint64(7)
-            state ^= state << np.uint64(17)
-            ref[i] = (np.float64(state % np.uint64(2000003)) / 1000001.5) - 1.0
-        off = np.zeros(n - 1)
-        assert np.array_equal(_inverse_iteration(off, np.ones(n), off, 0.0, 0), ref)
+class TestTwistedVectors:
+    """Eigenvectors from the twisted factorization against dense numpy.linalg.eigh."""
+
+    def test_random_tridiagonals(self, rng):
+        for _ in range(5):
+            n = 200
+            off = rng.uniform(0.5, 3.0, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+            prob = SturmLiouvilleProblem(Grid(0.0, 1.0, n + 2), rng.uniform(-5.0, 5.0, n), off)
+            rep = lowest_eigenpairs(prob, 5)
+            _, vecs = dense_eigh(prob)
+            for j, state in enumerate(rep.eigenstates):
+                v = state.values[1:-1]
+                assert abs(v @ vecs[:, j]) / np.linalg.norm(v) >= 1.0 - 1e-10
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ho", "box"])
+    def test_models_at_small_n(self, name):
+        model = catalog(name)
+        g = model.recommended_grid
+        prob = discretize(model, model.potential_samples(Grid(g.x_min, g.x_max, 401)))
+        rep = lowest_eigenpairs(prob, 4)
+        _, vecs = dense_eigh(prob)
+        for j, state in enumerate(rep.eigenstates):
+            v = state.values[1:-1]
+            assert abs(v @ vecs[:, j]) / np.linalg.norm(v) >= 1.0 - 1e-10
+
+
+class TestWarmBrackets:
+    """A wrong hint costs Sturm sweeps, never a wrong eigenvalue."""
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ho", "box"])
+    def test_hints_many_spacings_off(self, name):
+        model = catalog(name)
+        prob = discretize(model, model.potential_samples())
+        tol = _gershgorin(prob)[2]
+        cold = _eigenvalues_only(prob, 4)
+        spacing = cold[1] - cold[0]
+        for hints in (cold + 10.0 * spacing, cold - 3.0 * spacing, cold[::-1].copy()):
+            warm = _eigenvalues_only(prob, 4, hints)
+            assert np.max(np.abs(warm - cold)) <= tol
+
+    def test_zero_level_of_ho(self):
+        # the deformed oscillator's ground level is 0; its bracket must not
+        # shrink to a point there
+        ho = model_constant_mass_ho()
+        prob = discretize(ho, ho.potential_samples())
+        tol = _gershgorin(prob)[2]
+        cold = _eigenvalues_only(prob, 3)
+        for hints in (np.array([0.0, 2.0, 4.0]), np.zeros(3)):
+            warm = _eigenvalues_only(prob, 3, hints)
+            assert np.max(np.abs(warm - cold)) <= tol
+            rep = lowest_eigenpairs(prob, 3, _hints=hints)
+            assert np.max(np.abs(rep.eigenvalues - cold)) <= tol
+
+    def test_good_hints_save_sweeps(self, ex1, monkeypatch):
+        prob = discretize(ex1, ex1.potential_samples())
+        cold = _eigenvalues_only(prob, 4)
+        sweeps = []
+
+        def counted(diag, off2, shifts):
+            sweeps.append(shifts.size)
+            return _sturm_counts(diag, off2, shifts)
+
+        monkeypatch.setattr(pdmfactor.spectra, "_sturm_counts", counted)
+        _eigenvalues_only(prob, 4)
+        n_cold = len(sweeps)
+        sweeps.clear()
+        _eigenvalues_only(prob, 4, cold * (1.0 + 1e-3))
+        # one verifying sweep of 2k shifts, then fewer bisection sweeps
+        assert sweeps[0] == 8
+        assert len(sweeps) < n_cold
 
 
 class TestCountNodes:

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from pdmfactor.errors import ConfigurationError, DomainError
 from pdmfactor.factor import bernoulli_f, factorize
-from pdmfactor.grids import cumulative_integral, normalize_state
+from pdmfactor.grids import Grid, SampledFunction, cumulative_integral, normalize_state
 from pdmfactor.models import catalog
 from pdmfactor.verify import (
     check_isospectral,
@@ -198,3 +199,16 @@ class TestConstantMassLimit:
 
     def test_riccati(self, fac_ho):
         assert riccati_residual(fac_ho) <= 1e-6
+
+
+class TestRiccatiResidual:
+    def test_w_band_is_excluded(self, ex1):
+        # W_n's log-derivative is finite inside its guard band, but on this
+        # coarse ex1 grid the largest defect sits there; W_n's flags are the
+        # only thing that keeps the band out of the maximum
+        grid = Grid(-100.0, 100.0, 2001)
+        fac = factorize(ex1, 1, lam=-1.27598, grid=grid)
+        unflagged = SampledFunction(grid, np.zeros(grid.n_points))
+        no_band = dataclasses.replace(fac, W_n=dataclasses.replace(fac.W_n, values=unflagged))
+        assert fac.W_n.values.singular_mask.any()
+        assert riccati_residual(fac) < riccati_residual(no_band)
