@@ -133,6 +133,13 @@ class TestSpectrum:
         got = np.array(data["eigenvalues"])
         assert np.max(np.abs(got - np.array([-2.0, 0.0, 2.0, 4.0]))) <= 1e-3
 
+    def test_ex2_wider_window(self, tmp_path):
+        code = run(["spectrum", "--model", "ex2", "--grid-min", "-20", "--grid-max", "20",
+                    "--grid-points", "4001", "--levels", "3", "--out", str(tmp_path)])
+        assert code == 0
+        got = np.array(load_json(tmp_path / "spectrum.json")["eigenvalues"])
+        assert np.max(np.abs(got - np.array([6.0, 13.0, 22.0]))) <= 1e-2
+
     def test_box_sanity(self, tmp_path):
         code = run(["spectrum", "--model", "box", "--levels", "2", "--out", str(tmp_path)])
         assert code == 0
@@ -229,6 +236,30 @@ class TestPackageErrors:
                     "--out", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: requested 150 eigenpairs")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("levels, points, minimum", [(1, 11, 19), (1, 15, 19), (2, 37, 39)])
+    def test_small_grid_refusal_names_the_given_grid(self, tmp_path, capsys, levels, points,
+                                                     minimum):
+        # the message names the user's N, not the hidden every-second-node subgrid
+        code = run(["spectrum", "--model", "ho", "--levels", str(levels),
+                    "--grid-points", str(points), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: requested {levels} eigenpairs on {points} grid points; that needs"
+            f" an odd number of grid points >= {minimum}\n"
+        )
+        assert not any(tmp_path.iterdir())
+
+    def test_spectrum_that_does_not_increase_exits_one(self, tmp_path, capsys):
+        # on [-40, 40] ex2's matrix spans about 1e21, so its eigenvalue
+        # tolerance swamps the lowest levels: refused, not reported
+        code = run(["spectrum", "--model", "ex2", "--grid-min", "-40", "--grid-max", "40",
+                    "--grid-points", "4001", "--levels", "3", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: eigenvalues do not strictly increase: ")
+        assert err.count("\n") == 1
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag, value", [("--lambda", "nan"), ("--beta", "inf"),

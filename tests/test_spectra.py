@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pdmfactor.spectra
 from pdmfactor.errors import ConfigurationError, DomainError, SolverError
 from pdmfactor.grids import Grid, SampledFunction
 from pdmfactor.models import catalog, model_box, model_constant_mass_ho, model_ex1, model_ex2
 from pdmfactor.spectra import (
-    _SWEEP_ROWS,
     _TINY,
     SturmLiouvilleProblem,
-    _bisect_lowest,
+    _count,
     _eigenvalues_only,
     _gershgorin,
-    _sturm_counts,
+    _pivots,
+    _twisted_vector,
     count_nodes,
     discretize,
     lowest_eigenpairs,
@@ -36,25 +38,20 @@ def plain_sturm_counts(diag, off2, shifts):
     return counts, zeros
 
 
-def plain_bisect(diag, off2, k, lo0, hi0, tol, maxit):
-    """Reference bisection, one Sturm sweep per round; also returns the rounds."""
-    lo = np.full(k, lo0)
-    hi = np.full(k, hi0)
-    targets = np.arange(k)
-    rounds = 0
-    for _ in range(maxit):
-        if np.max(hi - lo) <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        above = plain_sturm_counts(diag, off2, mid)[0] > targets
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-        rounds += 1
-    return 0.5 * (lo + hi), rounds
-
-
 def random_tridiagonal(rng, n):
     return rng.uniform(-5.0, 5.0, n), rng.uniform(-3.0, 3.0, n - 1) ** 2
+
+
+def tridiagonal_problem(diag, off):
+    """A SturmLiouvilleProblem holding the given matrix on an arbitrary grid."""
+    return SturmLiouvilleProblem(Grid(0.0, 1.0, len(diag) + 2), np.asarray(diag), np.asarray(off))
+
+
+def certified(prob, j, lam):
+    """The certificate count(lam - tol/2) <= j < count(lam + tol/2)."""
+    half = 0.5 * _gershgorin(prob)[2]
+    diag, off2 = prob.diag.tolist(), [0.0] + (prob.off * prob.off).tolist()
+    return _count(diag, off2, lam - half) <= j < _count(diag, off2, lam + half)
 
 
 def dense_eigh(prob):
@@ -185,7 +182,7 @@ class TestAgainstDenseOracle:
             n = 200
             diag = rng.uniform(1.0, 10.0, n)
             off = rng.uniform(-3.0, -0.5, n - 1)
-            eigs = _bisect_lowest(diag, off**2, 4, -50.0, 50.0, 1e-13, 120)
+            eigs = _eigenvalues_only(tridiagonal_problem(diag, off), 4)
             ref = scipy_linalg.eigh_tridiagonal(
                 diag, off, select="i", select_range=(0, 3), eigvals_only=True
             )
@@ -202,81 +199,136 @@ class TestAgainstDenseOracle:
         assert np.max(np.abs(rep.eigenvalues - ref)) < 5e-7
 
 
-class TestMultisection:
-    """_bisect_lowest walks a bisection tree; it must match plain bisection bit for bit."""
+class TestSturmCount:
+    """The scalar count is the negatives among _pivots, row by row."""
 
-    @pytest.mark.parametrize("k", [1, 3, 5])
-    def test_matches_plain_bisection(self, rng, k):
-        diag, off2 = random_tridiagonal(rng, 150)
-        ref, _ = plain_bisect(diag, off2, k, -30.0, 30.0, 1e-13, 120)
-        assert np.array_equal(_bisect_lowest(diag, off2, k, -30.0, 30.0, 1e-13, 120), ref)
-
-    def test_tol_reached_inside_a_sweep(self, rng):
-        diag, off2 = random_tridiagonal(rng, 120)
-        tol = 64.0 * 2.0**-21  # the bracket width after exactly 21 rounds
-        ref, rounds = plain_bisect(diag, off2, 4, -32.0, 32.0, tol, 120)
-        assert rounds == 21
-        assert np.array_equal(_bisect_lowest(diag, off2, 4, -32.0, 32.0, tol, 120), ref)
-
-    @pytest.mark.parametrize("maxit", [1, 7, 50, 120])
-    def test_maxit_caps_the_rounds(self, rng, maxit):
-        diag, off2 = random_tridiagonal(rng, 100)
-        # tol = 0 is never met, so maxit alone stops both
-        ref, rounds = plain_bisect(diag, off2, 2, -30.0, 30.0, 0.0, maxit)
-        assert rounds == maxit
-        assert np.array_equal(_bisect_lowest(diag, off2, 2, -30.0, 30.0, 0.0, maxit), ref)
-
-    def test_zero_pivot_is_nudged(self, rng):
-        diag, off2 = random_tridiagonal(rng, 60)
-        # 1x1 blocks whose entry is a shift: the first, 0.5 * (lo + hi) = 2, or
-        # the level-1 shift 0.5 * (-14 + 2).  Their pivots are exactly zero and
-        # the next coupling is zero too, so without the nudge 0 / 0 poisons the
-        # rest of the sweep.
-        diag[[0, 20, 40]] = 2.0
-        diag[30] = -6.0
-        off2[[0, 19, 20, 29, 30, 39, 40]] = 0.0
-        ref, _ = plain_bisect(diag, off2, 5, -14.0, 18.0, 1e-12, 120)
-        eigs = _bisect_lowest(diag, off2, 5, -14.0, 18.0, 1e-12, 120)
-        assert np.array_equal(eigs, ref)
-        assert np.all(np.isfinite(eigs))
-
-
-class TestBlockSweep:
-    """One zero-pivot check per block gives the row-by-row counts bit for bit."""
+    def test_random_tridiagonals_match_row_by_row(self, rng):
+        for _ in range(5):
+            diag, off2 = random_tridiagonal(rng, 150)
+            shifts = rng.uniform(-12.0, 12.0, 40)
+            ref, _ = plain_sturm_counts(diag, off2, shifts)
+            lead = [0.0] + off2.tolist()
+            assert [_count(diag.tolist(), lead, x) for x in shifts.tolist()] == ref.tolist()
 
     def test_box_matches_row_by_row(self, monkeypatch):
-        # the box's constant stencil meets exact zero pivots at bisection shifts
+        # the box's constant stencil meets exact zero pivots, first at the
+        # midpoint of its Gershgorin bracket
         box = model_box()
         prob = discretize(box, box.potential_samples())
-        sweeps = []
+        counts = []
 
-        def recorded(diag, off2, shifts):
-            counts = _sturm_counts(diag, off2, shifts)
-            sweeps.append((shifts, counts))
-            return counts
+        def recorded(diag, off2, x):
+            counts.append((x, _count(diag, off2, x)))
+            return counts[-1][1]
 
-        monkeypatch.setattr(pdmfactor.spectra, "_sturm_counts", recorded)
+        monkeypatch.setattr(pdmfactor.spectra, "_count", recorded)
         _eigenvalues_only(prob, 5)
-        zero_pivots = 0
-        for shifts, counts in sweeps:
-            ref, zeros = plain_sturm_counts(prob.diag, prob.off * prob.off, shifts)
-            assert np.array_equal(counts, ref)
-            zero_pivots += zeros
-        assert zero_pivots > 0
+        shifts = np.array([x for x, _ in counts])
+        ref, zeros = plain_sturm_counts(prob.diag, prob.off * prob.off, shifts)
+        assert [c for _, c in counts] == ref.tolist()
+        assert zeros > 0
 
-    def test_zero_pivot_in_last_row_of_a_block(self, rng):
-        diag, off2 = random_tridiagonal(rng, 3 * _SWEEP_ROWS)
-        last = _SWEEP_ROWS - 1
-        # row `last` decouples from the rows above, so its pivot is exactly
-        # diag[last] - shift; with off2[last] = 0 too, an un-nudged zero pivot
-        # would make the next block's first row 0 / 0
-        diag[last] = 1.5
-        off2[[last - 1, last]] = 0.0
-        shifts = np.array([-7.0, 1.5, 0.25, 1.5, 9.0])
-        counts = _sturm_counts(diag, off2, shifts)
-        ref, zeros = plain_sturm_counts(diag, off2, shifts)
-        assert zeros == 2
-        assert np.array_equal(counts, ref)
+    def test_count_is_the_negative_pivots(self, rng):
+        box = model_box()
+        diag, off2 = random_tridiagonal(rng, 150)
+        # the box meets an exact zero pivot in the first row at the midpoint of
+        # its Gershgorin bracket
+        for prob in (discretize(box, box.potential_samples()),
+                     tridiagonal_problem(diag, np.sqrt(off2))):
+            diag, off2 = prob.diag.tolist(), (prob.off * prob.off).tolist()
+            lo, hi, _ = _gershgorin(prob)
+            for x in [0.5 * (lo + hi), *rng.uniform(lo, lo + 0.1 * (hi - lo), 20).tolist()]:
+                pivots = _pivots((prob.diag - x).tolist(), [0.0] + off2)
+                negatives = sum(d < 0.0 for d in pivots)
+                assert _count(diag, [0.0] + off2, x) == negatives
+                assert _twisted_vector(prob, off2, x)[2] == negatives
+
+
+class TestCertifiedIteration:
+    """Each eigenvalue is certified by two Sturm counts, whatever its steps did."""
+
+    @given(
+        st.integers(min_value=30, max_value=120),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_tridiagonals_match_scipy(self, n, seed, scale):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(seed)
+        diag = scale * rng.uniform(-5.0, 5.0, n)
+        off = scale * rng.uniform(0.5, 3.0, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+        prob = tridiagonal_problem(diag, off)
+        k = len(diag) // 10
+        eigs = _eigenvalues_only(prob, k)
+        ref = scipy_linalg.eigh_tridiagonal(
+            diag, off, select="i", select_range=(0, k - 1), eigvals_only=True
+        )
+        assert np.max(np.abs(eigs - ref)) <= _gershgorin(prob)[2]
+        assert all(certified(prob, j, lam) for j, lam in enumerate(eigs))
+
+    def test_decoupled_blocks_with_a_triple_eigenvalue(self, rng):
+        # three 1x1 blocks hold -20, a zero coupling on each side, so -20 is
+        # the Gershgorin lower bound and a triple lowest level; no bracket
+        # isolates it, and brackets at most tol wide certify it
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        diag, off2 = random_tridiagonal(rng, 60)
+        diag[[0, 20, 40]] = -20.0
+        off2[[0, 19, 20, 39, 40]] = 0.0
+        off = np.sqrt(off2)
+        prob = tridiagonal_problem(diag, off)
+        ref = scipy_linalg.eigh_tridiagonal(diag, off, select="i", select_range=(0, 5),
+                                            eigvals_only=True)
+        assert np.array_equal(ref[:3], [-20.0] * 3)
+        eigs = _eigenvalues_only(prob, 6)
+        assert np.max(np.abs(eigs - ref)) <= _gershgorin(prob)[2]
+        assert all(certified(prob, j, lam) for j, lam in enumerate(eigs))
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ho", "box"])
+    @pytest.mark.parametrize("factor", [-1.0, 0.0, 0.5, 1e6])
+    def test_sabotaged_rayleigh_step_falls_back_to_bisection(self, name, factor, monkeypatch):
+        model = catalog(name)
+        g = model.recommended_grid
+        prob = discretize(model, model.potential_samples(Grid(g.x_min, g.x_max, 401)))
+        cold = _eigenvalues_only(prob, 4)
+
+        def sabotaged(prob, off2, lam):
+            z, gamma, count = _twisted_vector(prob, off2, lam)
+            return z, factor * gamma, count
+
+        monkeypatch.setattr(pdmfactor.spectra, "_twisted_vector", sabotaged)
+        for hints in (None, cold + 0.1 * (cold[1] - cold[0])):
+            eigs = _eigenvalues_only(prob, 4, hints)
+            assert np.max(np.abs(eigs - cold)) <= _gershgorin(prob)[2]
+            assert all(certified(prob, j, lam) for j, lam in enumerate(eigs))
+
+    def test_never_certified_raises(self, ho, monkeypatch):
+        prob = discretize(ho, ho.potential_samples(Grid(-8.0, 8.0, 201)))
+        # with tol = 0 no bracket is narrow enough and count(lam) <= 0 <
+        # count(lam) never holds, so the step bound ends the search
+        gershgorin = _gershgorin
+        monkeypatch.setattr(pdmfactor.spectra, "_gershgorin",
+                            lambda prob: (*gershgorin(prob)[:2], 0.0))
+        with pytest.raises(SolverError, match="eigenvalue 0 not certified"):
+            _eigenvalues_only(prob, 1)
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ho", "box"])
+    def test_good_hints_bound_the_pivot_passes(self, name, monkeypatch):
+        # a pass is one pivot recurrence over the matrix: a count takes one, a
+        # twist two; with the coarse eigenvalues as hints, a level takes two
+        # verifying counts, two certifying counts, a few twists and a final twist
+        model = catalog(name)
+        v = model.potential_samples()
+        coarse = _eigenvalues_only(
+            discretize(model, SampledFunction(v.grid.coarsened(), v.values[::2])), 5
+        )
+        passes = []
+        monkeypatch.setattr(pdmfactor.spectra, "_count",
+                            lambda *a: passes.append(1) or _count(*a))
+        monkeypatch.setattr(pdmfactor.spectra, "_twisted_vector",
+                            lambda *a: passes.append(2) or _twisted_vector(*a))
+        lowest_eigenpairs(discretize(model, v), 5, _hints=coarse)
+        assert sum(passes) <= 16 * 5
 
 
 class TestTwistedVectors:
@@ -331,24 +383,6 @@ class TestWarmBrackets:
             assert np.max(np.abs(warm - cold)) <= tol
             rep = lowest_eigenpairs(prob, 3, _hints=hints)
             assert np.max(np.abs(rep.eigenvalues - cold)) <= tol
-
-    def test_good_hints_save_sweeps(self, ex1, monkeypatch):
-        prob = discretize(ex1, ex1.potential_samples())
-        cold = _eigenvalues_only(prob, 4)
-        sweeps = []
-
-        def counted(diag, off2, shifts):
-            sweeps.append(shifts.size)
-            return _sturm_counts(diag, off2, shifts)
-
-        monkeypatch.setattr(pdmfactor.spectra, "_sturm_counts", counted)
-        _eigenvalues_only(prob, 4)
-        n_cold = len(sweeps)
-        sweeps.clear()
-        _eigenvalues_only(prob, 4, cold * (1.0 + 1e-3))
-        # one verifying sweep of 2k shifts, then fewer bisection sweeps
-        assert sweeps[0] == 8
-        assert len(sweeps) < n_cold
 
 
 class TestCountNodes:
