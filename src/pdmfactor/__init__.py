@@ -22,7 +22,6 @@ from .factor import (
     map_eigenstate,
     partner_minus,
     partner_plus,
-    spectrum_map,
     superpotential,
     zero_mode,
 )
@@ -50,7 +49,6 @@ from .verify import (
     IsospectralityReport,
     ScanReport,
     check_isospectral,
-    constant_mass_limit_check,
     intertwining_residual,
     riccati_residual,
     scan_lambda,

@@ -36,7 +36,7 @@ from .errors import (
     NonNormalizableError,
     SolverError,
 )
-from .factor import factorize, map_eigenstate, zero_mode
+from .factor import LAMBDA_SHIFT, factorize, map_eigenstate, zero_mode
 from .grids import Grid, SampledFunction, write_csv
 from .models import catalog
 from .spectra import solve_spectrum
@@ -89,15 +89,8 @@ def _grid_from_args(args, model) -> Grid:
 
 
 def _run_factorization(args, model, grid):
-    kwargs = dict(beta=args.beta, grid=grid)
-    if args.beta == 0.0:
-        if args.lambda_ is None:
-            raise ConfigurationError("--lambda is required when --beta is 0")
-        kwargs["lam"] = args.lambda_
-        kwargs["convention"] = args.convention
-    elif args.lambda_ is not None:
-        raise ConfigurationError("--lambda applies only to --beta 0 runs")
-    return factorize(model, args.n, **kwargs)
+    return factorize(model, args.n, beta=args.beta, lam=args.lambda_,
+                     convention=args.convention, grid=grid)
 
 
 def _base_payload(args) -> dict:
@@ -298,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--lambda", dest="lambda_", type=_finite_float, default=None)
         p.add_argument(
             "--convention",
-            choices=["normalized", "paper-ex1"],
+            choices=list(LAMBDA_SHIFT),
             default="normalized",
             help="lambda parametrization of the beta = 0 route",
         )

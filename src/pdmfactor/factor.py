@@ -9,17 +9,17 @@ constraint
 
 and the nonsingular deformed partner V~_n- = V_n- - 2 f'/sqrt(m) + beta,
 together with the ladder operators, the eigenfunction map between the two
-Hamiltonians, and the zero mode.
+Hamiltonians, and the zero mode.  The ladder operators flag the W pole bands
+as NaN samples; nothing is interpolated across them.
 
-Two routes produce f_n:
+Both routes produce f_n = psi_n q / (sqrt(m) D) with D' = psi_n q:
 
-* beta = 0: the constraint reduces to a Bernoulli equation with solution
-  f = psi_n^2 / (sqrt(m) (lambda + F)), F the running integral of psi_n^2.
-* beta != 0: an auxiliary solution ("seed") at energy E_n - beta yields
-  f = (log chi)'/sqrt(m) with chi proportional to the mass-weighted
-  Wronskian of psi_n and the seed.  chi is built by integrating its exact
-  derivative identity chi' = beta psi_n seed, which stays accurate in tails
-  where the direct Wronskian cancels catastrophically.
+* beta = 0: the constraint reduces to a Bernoulli equation; q = psi_n and
+  D = lambda + F, F the running integral of psi_n^2.
+* beta != 0: an auxiliary solution ("seed") at energy E_n - beta gives
+  q = beta seed and D = chi, the mass-weighted Wronskian of psi_n and the
+  seed.  chi is built by integrating D' = beta psi_n seed, which stays
+  accurate in tails where the direct Wronskian cancels catastrophically.
 """
 
 from __future__ import annotations
@@ -63,15 +63,18 @@ __all__ = [
     "ladder_pair",
     "map_eigenstate",
     "zero_mode",
-    "spectrum_map",
     "factorize",
     "count_nodes",
-    "paper_ex1_lambda",
+    "LAMBDA_SHIFT",
+    "lambda_shift",
 ]
 
 DEFAULT_GUARD_BAND = 3
 _SEED_RESIDUAL_GATE = 1e-3
-_BRIDGE_SIDE_POINTS = 4
+# lambda conventions of the beta = 0 route: the normalized lambda is the
+# given one minus the shift (paper-ex1 uses the unnormalized first excited
+# state and an odd antiderivative; both fold into this one shift)
+LAMBDA_SHIFT = {"normalized": 0.0, "paper-ex1": 0.5}
 
 
 # ---------------------------------------------------------------------------
@@ -85,23 +88,11 @@ def _band_mask(n: int, crossings) -> np.ndarray:
     return mask
 
 
-def _bridge(values: np.ndarray, mask: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Fill each masked run by polynomial interpolation through
-    _BRIDGE_SIDE_POINTS nodes on each side.  The masked nodes must already
-    be NaN: a run too close to an edge to be bridged stays NaN, and a bridge
-    fitted through a NaN neighbour comes out NaN."""
-    v = values.copy()
-    for run in _mask_runs(mask):
-        lo, hi = run[0], run[-1]
-        a = lo - _BRIDGE_SIDE_POINTS
-        b = hi + _BRIDGE_SIDE_POINTS + 1
-        if a < 0 or b > len(v):
-            continue
-        use = np.r_[a:lo, hi + 1 : b]
-        x0 = x[lo]
-        coef = np.polyfit(x[use] - x0, v[use], 2 * _BRIDGE_SIDE_POINTS - 1)
-        v[run] = np.polyval(coef, x[run] - x0)
-    return v
+def lambda_shift(convention: str) -> float:
+    """The shift of LAMBDA_SHIFT, refusing an unknown convention."""
+    if convention not in LAMBDA_SHIFT:
+        raise ConfigurationError(f"unknown lambda convention {convention!r}")
+    return LAMBDA_SHIFT[convention]
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +193,11 @@ class DeformationFunction:
     values: SampledFunction
     beta: float
     route: str  # "bernoulli" | "auxiliary"
+    # f = psi_n q / (sqrt(m) D) with D' = psi_n q on both routes, D stored as
+    # den: bernoulli D = lambda + F, q = psi_n; auxiliary D = chi, q = beta seed
+    den: np.ndarray = field(repr=False)
+    q: np.ndarray = field(repr=False)
     lam: Optional[float] = None
-    cumulative_norm: Optional[SampledFunction] = field(default=None, repr=False)
-    chi: Optional[SampledFunction] = field(default=None, repr=False)
-    seed: Optional[SampledFunction] = field(default=None, repr=False)
 
     @property
     def is_singular(self) -> bool:
@@ -235,8 +227,9 @@ def bernoulli_f(psi_n: SampledFunction, model: PdmModel, lam: float) -> Deformat
         values=SampledFunction(psi_n.grid, f, _band_mask(psi_n.grid.n_points, crossings)),
         beta=0.0,
         route="bernoulli",
+        den=den,
+        q=psi_n.values,
         lam=lam,
-        cumulative_norm=F,
     )
 
 
@@ -308,8 +301,8 @@ def auxiliary_f(seed: SampledFunction, psi_n: SampledFunction, model: PdmModel,
         values=SampledFunction(psi_n.grid, f, _band_mask(psi_n.grid.n_points, crossings)),
         beta=beta,
         route="auxiliary",
-        chi=SampledFunction(psi_n.grid, chi),
-        seed=seed,
+        den=chi,
+        q=beta * seed.values,
     )
 
 
@@ -391,9 +384,8 @@ def apply_ladder(psi: SampledFunction, w: Superpotential,
                  which: str) -> SampledFunction:
     """Apply one of A_n+-, A~_n+- to a sampled state.
 
-    The W pole bands are NaN in the output and bridged by interpolation
-    when the limit is finite there (the input vanishes at the node);
-    otherwise they stay NaN.
+    The output is NaN exactly on W_n's guard bands, whose samples are
+    finite but unusable next to a pole.
     """
     if which not in _LADDER_KINDS:
         raise ConfigurationError(f"unknown ladder operator {which!r}")
@@ -406,37 +398,7 @@ def apply_ladder(psi: SampledFunction, w: Superpotential,
         raise InconsistentInputError("state and superpotential grids differ")
     dv = derivative(psi)
     u, _ = _ladder_values(which, w, f, model, psi.values, dv.values, None)
-    # the W band is finite but unusable; every other flag is already NaN, so
-    # no bridge is ever fitted through a flagged value
-    out = SampledFunction(psi.grid, u, w.values.singular_mask)
-    # a pole band is bridgeable when the input also changes sign there, so
-    # that the product W * psi has a finite limit at the node
-    bridgeable = np.zeros_like(out.singular_mask)
-    for run in _mask_runs(out.singular_mask):
-        at_node = any(
-            run[0] - 1 <= _nearest_index(psi.grid, pos) <= run[-1] + 1
-            for pos in w.node_positions
-        )
-        lo = max(0, run[0] - 1)
-        hi = min(len(u) - 1, run[-1] + 1)
-        seg = psi.values[lo : hi + 1]
-        input_vanishes = np.any(np.sign(seg[1:]) != np.sign(seg[:-1])) or np.any(seg == 0.0)
-        if at_node and input_vanishes:
-            bridgeable[run] = True
-    if not np.any(bridgeable):
-        return out
-    return SampledFunction(psi.grid, _bridge(out.values, bridgeable, psi.x))
-
-
-def _mask_runs(mask: np.ndarray):
-    idx = np.where(mask)[0]
-    if idx.size == 0:
-        return []
-    return np.split(idx, np.where(np.diff(idx) > 1)[0] + 1)
-
-
-def _nearest_index(grid: Grid, pos: float) -> int:
-    return int(round((pos - grid.x_min) / grid.h))
+    return SampledFunction(psi.grid, u, w.values.singular_mask)
 
 
 def ladder_pair(psi: SampledFunction, w: Superpotential,
@@ -446,8 +408,8 @@ def ladder_pair(psi: SampledFunction, w: Superpotential,
 
     The intermediate state has genuine poles at the nodes of the defining
     state, so its derivative is carried algebraically instead of being
-    re-differenced across the pole.  Only the exact node points end up
-    NaN; they are bridged by interpolation.
+    re-differenced across the pole.  The result is NaN only where psi_n is
+    exactly zero on the grid.
     """
     for kind in (first, second):
         if kind not in _LADDER_KINDS:
@@ -455,15 +417,12 @@ def ladder_pair(psi: SampledFunction, w: Superpotential,
     dv = derivative(psi)
     ddv = derivative(dv)
     u, du = _ladder_values(first, w, f, model, psi.values, dv.values, ddv.values)
-    if du is None:  # pragma: no cover - ddv is always supplied above
-        raise RuntimeError("first ladder stage must produce a derivative")
     out, _ = _ladder_values(second, w, f, model, u, du, None)
-    out = SampledFunction(psi.grid, out)
-    return SampledFunction(psi.grid, _bridge(out.values, out.singular_mask, psi.x))
+    return SampledFunction(psi.grid, out)
 
 
 # ---------------------------------------------------------------------------
-# Eigenfunction map, zero mode, spectrum map
+# Eigenfunction map and zero mode
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -490,10 +449,11 @@ def map_eigenstate(psi_k: SampledFunction, fac: FactorizationResult) -> SampledF
     """Image of a bound state under A~_n- A_n+, unit-normalized.
 
     Evaluated in the pole-free reduced form
-        (E_k - E_n) psi_k + f * Wr(psi_n, psi_k) / (sqrt(m) psi_n),
-    in which the 1/psi_n factor cancels against the node zeros of f for both
-    deformation routes.  The level k is read off the node count.  For k = n
-    the composite vanishes identically and the zero mode is returned instead.
+        (E_k - E_n) psi_k + q * Wr(psi_n, psi_k) / (m D),
+    in which f = psi_n q / (sqrt(m) D) has cancelled the 1/psi_n factor of
+    the composite for both deformation routes.  The level k is read off the
+    node count.  For k = n the composite vanishes identically and the zero
+    mode is returned instead.
     """
     k = count_nodes(psi_k)
     n = fac.n
@@ -507,14 +467,7 @@ def map_eigenstate(psi_k: SampledFunction, fac: FactorizationResult) -> SampledF
     e_n = fac.model.energy(n)
     dpsi_k = derivative(psi_k)
     wr = fac.psi_n.values * dpsi_k.values - fac.W_n.state_d1 * psi_k.values
-    if fac.f_n.route == "bernoulli":
-        den = fac.f_n.lam + fac.f_n.cumulative_norm.values
-        composite = (e_k - e_n) * psi_k.values + fac.psi_n.values * wr / (m * den)
-    else:
-        beta = fac.f_n.beta
-        composite = (e_k - e_n) * psi_k.values + beta * fac.f_n.seed.values * wr / (
-            m * fac.f_n.chi.values
-        )
+    composite = (e_k - e_n) * psi_k.values + fac.f_n.q * wr / (m * fac.f_n.den)
     raw = SampledFunction(psi_k.grid, composite)
     norm2 = definite_integral(raw.with_values(raw.values**2))
     if norm2 < 1e-20:
@@ -525,17 +478,14 @@ def map_eigenstate(psi_k: SampledFunction, fac: FactorizationResult) -> SampledF
 def zero_mode(fac: FactorizationResult) -> SampledFunction:
     """The state annihilated by A~_n+, at energy zero of the deformed problem.
 
-    Bernoulli route: psi_n/(lambda + F).  Auxiliary route: psi_n/chi.  The
-    result is unit-normalized; a state that grows toward a truncation edge is
+    psi_n/D on both routes (D = lambda + F or chi).  The result is
+    unit-normalized; a state that grows toward a truncation edge is
     reported as non-normalizable instead of silently returned.
     """
     if fac.f_n.is_singular:
         raise DomainError("deformation function is singular; no zero mode exists")
-    if fac.f_n.route == "bernoulli":
-        raw = fac.psi_n.values / (fac.f_n.lam + fac.f_n.cumulative_norm.values)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            raw = fac.psi_n.values / fac.f_n.chi.values
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = fac.psi_n.values / fac.f_n.den
     amax = np.max(np.abs(raw))
     if max(abs(raw[0]), abs(raw[-1])) > 1e-2 * amax:
         raise NonNormalizableError(
@@ -545,20 +495,6 @@ def zero_mode(fac: FactorizationResult) -> SampledFunction:
     return normalize_state(SampledFunction(fac.grid, raw / amax))
 
 
-def spectrum_map(e_k_list, e_n: float, beta: float) -> list[float]:
-    """Levels of the deformed problem: E_k - E_n + beta."""
-    return [float(e) - float(e_n) + float(beta) for e in e_k_list]
-
-
-def paper_ex1_lambda(lam: float) -> float:
-    """Convert the figure-reproduction lambda convention to the normalized one.
-
-    The alternative convention uses the unnormalized first excited state and
-    an odd antiderivative; both choices fold into a single shift of lambda.
-    """
-    return lam - 0.5
-
-
 # ---------------------------------------------------------------------------
 # Pipeline driver
 # ---------------------------------------------------------------------------
@@ -566,9 +502,20 @@ def paper_ex1_lambda(lam: float) -> float:
 def factorize(model: PdmModel, n: int, *, beta: float = 0.0,
               lam: Optional[float] = None, convention: str = "normalized",
               grid: Optional[Grid] = None) -> FactorizationResult:
-    """Run the whole construction for one model, level and shift."""
-    if convention not in ("normalized", "paper-ex1"):
-        raise ConfigurationError(f"unknown lambda convention {convention!r}")
+    """Run the whole construction for one model, level and shift.
+
+    lam (in the given convention) is required when beta is 0 and refused
+    otherwise; the messages name the CLI flags.
+    """
+    shift = lambda_shift(convention)
+    if beta == 0.0 and lam is None:
+        raise ConfigurationError("--lambda is required when --beta is 0")
+    if beta != 0.0 and lam is not None:
+        raise ConfigurationError("--lambda applies only to --beta 0 runs")
+    if beta != 0.0 and model.seed_solution is None:
+        raise ConfigurationError(
+            f"model {model.name!r} provides no auxiliary solutions for --beta != 0"
+        )
     g = grid or model.recommended_grid
     psi_n = normalize_state(model.eigenstate_samples(n, g))
     w = superpotential(psi_n, model, n)
@@ -577,19 +524,9 @@ def factorize(model: PdmModel, n: int, *, beta: float = 0.0,
     v_minus = partner_minus(v0, e_n)
     v_plus = partner_plus(w, model, v_minus)
     if beta == 0.0:
-        if lam is None:
-            raise ConfigurationError("the beta = 0 route requires lambda")
-        lam_eff = paper_ex1_lambda(lam) if convention == "paper-ex1" else lam
-        f = bernoulli_f(psi_n, model, lam_eff)
+        f = bernoulli_f(psi_n, model, lam - shift)
     else:
-        if lam is not None:
-            raise ConfigurationError("lambda applies only to the beta = 0 route")
-        if model.seed_solution is None:
-            raise ConfigurationError(
-                f"model {model.name!r} provides no auxiliary solutions for beta != 0"
-            )
-        seed = model.seed_solution(n, beta, g)
-        f = auxiliary_f(seed, psi_n, model, w, beta)
+        f = auxiliary_f(model.seed_solution(n, beta, g), psi_n, model, w, beta)
     v_tilde = deformed_partner(v_minus, f, model, beta)
     return FactorizationResult(
         model=model,

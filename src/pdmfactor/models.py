@@ -167,6 +167,10 @@ def model_ex1(p: Ex1Params = Ex1Params()) -> PdmModel:
     )
 
 
+def _ex2_energy(p: Ex2Params, n: int) -> float:
+    return n * n + n * (p.a + p.b) + p.c * (p.a + p.b - p.c + 1.0) / 2.0
+
+
 def model_ex2(p: Ex2Params = Ex2Params()) -> PdmModel:
     """Model with m(x) = sech^2(x/2)/4 and E_n = n^2 + n(a+b) + c(a+b-c+1)/2.
 
@@ -190,7 +194,7 @@ def model_ex2(p: Ex2Params = Ex2Params()) -> PdmModel:
         return ((a + b - c) ** 2 - 1.0) / 4.0 * np.exp(x) + c * (c - 2.0) / 4.0 * np.exp(-x)
 
     def energy(n: int) -> float:
-        return n * n + n * (a + b) + c * (a + b - c + 1.0) / 2.0
+        return _ex2_energy(p, n)
 
     def eigenstate(n: int):
         def psi(x):
@@ -305,7 +309,7 @@ def _seed_closed_form(p: Ex2Params, n: int, beta: float, x: np.ndarray) -> np.nd
     As x -> -infinity the solution decays like exp(c x / 2).
     """
     a, b, c = p.a, p.b, p.c
-    e = _seed_energy(p, n, beta)
+    e = _ex2_energy(p, n) - beta
     p2 = (a + b) ** 2 - 2.0 * c * (a + b - c + 1.0) + 4.0 * e
     if p2 < 0.0:
         raise DomainError(
@@ -316,10 +320,6 @@ def _seed_closed_form(p: Ex2Params, n: int, beta: float, x: np.ndarray) -> np.nd
     w = 1.0 / (1.0 + np.exp(-x))
     pref = np.exp(0.5 * c * x) / (1.0 + np.exp(x)) ** (0.5 * (a + b + 1.0))
     return pref * gauss_2f1(params, w)
-
-
-def _seed_energy(p: Ex2Params, n: int, beta: float) -> float:
-    return n * n + n * (p.a + p.b) + p.c * (p.a + p.b - p.c + 1.0) / 2.0 - beta
 
 
 def _integrate_linear2(y0, dy0, hs, c1, c2, nsub, n_nodes):
@@ -376,7 +376,7 @@ def seed_solution_ex2(p: Ex2Params, n: int, beta: float, grid: Grid) -> SampledF
     """
     model = model_ex2(p)
     x = grid.points()
-    e = _seed_energy(p, n, beta)
+    e = _ex2_energy(p, n) - beta
     values = np.empty(grid.n_points)
     icut = int(np.searchsorted(x, _SEED_SERIES_CUT))
     icut = min(max(icut, 3), grid.n_points - 1)
@@ -421,11 +421,9 @@ def seed_solution_ex2(p: Ex2Params, n: int, beta: float, grid: Grid) -> SampledF
 def catalog(name: str, **params) -> PdmModel:
     """Look up a model by CLI identifier."""
     if name == "ex1":
-        return model_ex1(Ex1Params(alpha=params.get("alpha", 1.0)))
+        return model_ex1(Ex1Params(**params))
     if name == "ex2":
-        return model_ex2(
-            Ex2Params(a=params.get("a", 1.0), b=params.get("b", 5.0), c=params.get("c", 4.0))
-        )
+        return model_ex2(Ex2Params(**params))
     if name == "ho":
         return model_constant_mass_ho()
     if name == "box":

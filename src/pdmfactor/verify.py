@@ -19,12 +19,11 @@ from .factor import (
     DEFAULT_GUARD_BAND,
     FactorizationResult,
     bernoulli_f,
-    factorize,
     ladder_pair,
-    paper_ex1_lambda,
+    lambda_shift,
 )
-from .grids import SampledFunction, derivative, normalize_state
-from .models import PdmModel, model_constant_mass_ho, weighted_defect
+from .grids import SampledFunction, cumulative_integral, derivative, normalize_state
+from .models import PdmModel, weighted_defect
 from .spectra import solve_spectrum
 
 __all__ = [
@@ -34,10 +33,7 @@ __all__ = [
     "scan_lambda",
     "intertwining_residual",
     "riccati_residual",
-    "constant_mass_limit_check",
 ]
-
-_CONVENTIONS = ("normalized", "paper-ex1")
 
 
 @dataclass
@@ -125,14 +121,12 @@ def scan_lambda(model: PdmModel, n: int, lambdas, convention: str = "normalized"
     independent; they can be distributed freely as long as results are
     merged in lambda order.
     """
-    if convention not in _CONVENTIONS:
-        raise ConfigurationError(f"unknown lambda convention {convention!r}")
+    shift = lambda_shift(convention)
     lambdas = [float(v) for v in lambdas]
     if len(lambdas) == 0:
         raise ConfigurationError("empty lambda range")
     g = grid or model.recommended_grid
     psi_n = normalize_state(model.eigenstate_samples(n, g))
-    shift = -paper_ex1_lambda(0.0) if convention == "paper-ex1" else 0.0
     # a plain loop keeps the previous result alive while the next one is
     # built, so the allocator reuses its blocks instead of releasing and
     # regrowing the heap top on every call (otherwise about 60 page faults
@@ -141,7 +135,7 @@ def scan_lambda(model: PdmModel, n: int, lambdas, convention: str = "normalized"
     for lam in lambdas:
         deformation = bernoulli_f(psi_n, model, lam - shift)
         flags.append(deformation.is_singular)
-    F = deformation.cumulative_norm.values
+    F = cumulative_integral(psi_n.with_values(psi_n.values**2)).values
     # adding the shift (0.0 or 0.5) also turns the edge -F[0] = -0.0 into +0.0
     lower, upper = -np.max(F) + shift, -np.min(F) + shift
     # stepping up into the window, or down out of it, crosses its lower edge
@@ -207,10 +201,3 @@ def riccati_residual(fac: FactorizationResult) -> float:
     ok[-4:] = False
     ok &= np.isfinite(res)
     return float(np.max(np.abs(res[ok])))
-
-
-def constant_mass_limit_check(k_levels: int = 4, tol: float = 1e-4) -> IsospectralityReport:
-    """Full pipeline on the constant-mass oscillator (n = 1, lambda = 1)."""
-    fac = factorize(model_constant_mass_ho(), 1, beta=0.0, lam=1.0)
-    return check_isospectral(fac, k_levels, tol)
-

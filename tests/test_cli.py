@@ -218,6 +218,31 @@ class TestUsageErrors:
             run([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", [["construct"], ["verify"],
+                                         ["spectrum", "--which", "deformed"]])
+    @pytest.mark.parametrize("flags, message", [
+        (["--model", "ho"], "--lambda is required when --beta is 0"),
+        (["--model", "ex2", "--beta", "1", "--lambda", "1"],
+         "--lambda applies only to --beta 0 runs"),
+    ])
+    def test_lambda_flag_refusals(self, tmp_path, capsys, command, flags, message):
+        # factorize holds the one check; the CLI passes the flags straight on
+        out = tmp_path / "run"
+        code = run(command + flags + ["--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_auxiliary_route_echoes_the_convention(self, tmp_path):
+        # the convention shifts only lambda, but result.json reports the flag
+        out = tmp_path / "run"
+        code = run(["construct", "--model", "ex2", "--beta", "1", "--convention",
+                    "paper-ex1", "--out", str(out)])
+        assert code == 0
+        meta = load_json(out / "result.json")
+        assert (meta["route"], meta["lambda"], meta["convention"]) == (
+            "auxiliary", None, "paper-ex1")
+
 
 class TestPackageErrors:
     def test_solver_error_exits_one_with_one_line(self, tmp_path, monkeypatch, capsys):

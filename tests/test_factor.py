@@ -20,7 +20,6 @@ from pdmfactor.factor import (
     map_eigenstate,
     partner_minus,
     partner_plus,
-    spectrum_map,
     superpotential,
     zero_mode,
     DeformationFunction,
@@ -185,9 +184,8 @@ class TestAuxiliary:
         assert not fac_ex2_n2.f_n.is_singular
 
     def test_chi_recorded(self, fac_ex2_n1):
-        chi = fac_ex2_n1.f_n.chi
-        assert chi is not None
-        assert not np.any(np.sign(chi.values[1:]) != np.sign(chi.values[:-1]))
+        chi = fac_ex2_n1.f_n.den
+        assert not np.any(np.sign(chi[1:]) != np.sign(chi[:-1]))
 
     def test_bad_seed_rejected(self, ex2, fac_ex2_n1):
         grid = fac_ex2_n1.grid
@@ -203,6 +201,8 @@ class TestDeformedPartner:
             values=SampledFunction(v.grid, np.zeros(v.grid.n_points)),
             beta=0.7,
             route="bernoulli",
+            den=np.ones(v.grid.n_points),
+            q=np.zeros(v.grid.n_points),
             lam=1.0,
         )
         vt = deformed_partner(v, f0, ho, 0.7)
@@ -270,6 +270,17 @@ class TestLadder:
         assert out.is_singular
         # the whole guard band, whose W values are finite, stays flagged
         assert np.array_equal(out.singular_mask, fac_ex1.W_n.values.singular_mask)
+
+    @pytest.mark.parametrize("name", ["ho", "ex1"])
+    def test_flags_exactly_the_guard_band(self, name):
+        # A_1+ annihilates psi_1; the output is NaN on W_1's guard band and
+        # nowhere else, because the band is flagged, not interpolated
+        model = catalog(name)
+        fac = factorize(model, 1, lam=1.0)
+        out = apply_ladder(fac.psi_n, fac.W_n, None, model, "A_plus")
+        band = fac.W_n.values.singular_mask
+        assert np.count_nonzero(band) == 7
+        assert np.array_equal(out.singular_mask, band)
 
 
 class TestFactorizationIdentities:
@@ -352,7 +363,7 @@ class TestZeroMode:
         # for the (normalized-convention) lambda = 1 run the closed-form norm
         # constant is sqrt(lambda (lambda + 1)) = sqrt(2)
         fac = factorize(ex1, 1, lam=1.0)
-        raw = fac.psi_n.values / (1.0 + fac.f_n.cumulative_norm.values)
+        raw = fac.psi_n.values / fac.f_n.den
         const = 1.0 / np.sqrt(
             definite_integral(SampledFunction(fac.grid, raw**2))
         )
@@ -372,20 +383,6 @@ class TestZeroMode:
     def test_auxiliary_route_non_normalizable(self, fac_ex2_n1):
         with pytest.raises(NonNormalizableError):
             zero_mode(fac_ex2_n1)
-
-
-class TestSpectrumMap:
-    def test_ex1_level_one(self):
-        levels = [2 * k + 1 for k in range(5)]
-        assert spectrum_map(levels, 3.0, 0.0) == [2 * k - 2 for k in range(5)]
-
-    def test_ex2_level_one(self):
-        levels = [k * k + 6 * k + 6 for k in range(4)]
-        assert spectrum_map(levels, 13.0, 1.0) == [k * k + 6 * k - 6 for k in range(4)]
-
-    def test_ex2_level_two(self):
-        levels = [k * k + 6 * k + 6 for k in range(4)]
-        assert spectrum_map(levels, 22.0, 1.0) == [k * k + 6 * k - 15 for k in range(4)]
 
 
 class TestFactorizeDriver:
@@ -429,8 +426,7 @@ class TestMaskRule:
     def test_flag_is_nan_in_every_result(self, name, kwargs, singular):
         fac = factorize(catalog(name), 1, **kwargs)
         found = list(_sampled_functions(fac))
-        # W_n, psi_n and its state copy, V_n-, V_n+, V~_n-, f_n and its
-        # route's running integral or chi and seed
+        # W_n, psi_n and its state copy, V_n-, V_n+, V~_n- and f_n
         assert len(found) >= 7
         for sf in found:
             assert np.array_equal(sf.singular_mask, np.isnan(sf.values))

@@ -1,0 +1,54 @@
+"""Package hygiene: exported names resolve and no module imports what it
+does not use."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import pdmfactor
+
+SRC = Path(pdmfactor.__file__).resolve().parent
+# __init__.py only re-exports; its imports are checked to resolve instead
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+
+
+def _imported_names(tree):
+    """The local name each import statement binds, mapped to its line."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_resolves(name):
+    module = importlib.import_module(f"pdmfactor.{name}")
+    missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
+    assert missing == []
+
+
+def test_package_imports_resolve():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    missing = [n for n in _imported_names(tree) if not hasattr(pdmfactor, n)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        # names listed in __all__ are re-exports, a use of their import
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {e.value for e in node.value.elts}
+    unused = {n: line for n, line in _imported_names(tree).items() if n not in used}
+    assert unused == {}

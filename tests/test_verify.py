@@ -8,12 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdmfactor.errors import ConfigurationError, DomainError
-from pdmfactor.factor import bernoulli_f, factorize
+from pdmfactor.factor import bernoulli_f, factorize, ladder_pair
 from pdmfactor.grids import Grid, SampledFunction, cumulative_integral, normalize_state
 from pdmfactor.models import catalog
 from pdmfactor.verify import (
     check_isospectral,
-    constant_mass_limit_check,
     intertwining_residual,
     riccati_residual,
     scan_lambda,
@@ -185,16 +184,27 @@ class TestIntertwining:
         )
         assert abs(a - b) <= 1e-10 + 0.05 * max(a, b)
 
+    @pytest.mark.parametrize("name, node", [("ho", 800), ("ex1", 4000)])
+    def test_composite_is_nan_only_at_the_node(self, name, node):
+        # A~_1- A_1+ psi_0 is finite through W_1's band; only the sample
+        # where psi_1 is exactly zero (x = 0) is NaN
+        model = catalog(name)
+        fac = factorize(model, 1, lam=1.0)
+        psi0 = model.eigenstate_samples(0, fac.grid)
+        K = ladder_pair(psi0, fac.W_n, fac.f_n, model, "A_plus", "Atilde_minus")
+        assert fac.grid.points()[node] == 0.0
+        assert np.flatnonzero(K.singular_mask).tolist() == [node]
+
 
 class TestConstantMassLimit:
-    def test_shifted_ladder(self):
-        rep = constant_mass_limit_check()
+    def test_shifted_ladder(self, fac_ho):
+        rep = check_isospectral(fac_ho, 4, 1e-4)
         assert rep.passed
         deformed = [b for _, b, _ in rep.pairs]
         assert np.max(np.abs(np.array(deformed) - np.array([-2.0, 0.0, 2.0, 4.0]))) <= 1e-4
 
-    def test_node_preservation(self):
-        rep = constant_mass_limit_check()
+    def test_node_preservation(self, fac_ho):
+        rep = check_isospectral(fac_ho, 4, 1e-4)
         assert rep.node_match
 
     def test_riccati(self, fac_ho):
