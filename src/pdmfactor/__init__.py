@@ -11,12 +11,14 @@ from .errors import (
     SolverError,
 )
 from .factor import (
+    BernoulliTerms,
     DeformationFunction,
     FactorizationResult,
     Superpotential,
     apply_ladder,
     auxiliary_f,
     bernoulli_f,
+    bernoulli_terms,
     deformed_partner,
     factorize,
     map_eigenstate,

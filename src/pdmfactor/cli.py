@@ -93,6 +93,13 @@ def _run_factorization(args, model, grid):
                      convention=args.convention, grid=grid)
 
 
+def _deformation_inputs(args) -> dict:
+    """The deformation flags as given, for the reports of verify and of a
+    deformed spectrum."""
+    return {"n": args.n, "beta": args.beta, "lambda": args.lambda_,
+            "convention": args.convention}
+
+
 def _base_payload(args) -> dict:
     return {
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -181,6 +188,8 @@ def cmd_spectrum(args) -> int:
     out = Path(args.out)
     payload = _base_payload(args)
     payload.update({"which": args.which, "levels": args.levels})
+    if args.which == "deformed":
+        payload.update(_deformation_inputs(args))
     payload.update(report.to_json_dict())
     _atomic_write(out / "spectrum.json", _json_dump(payload))
     for j, state in enumerate(report.eigenstates):
@@ -195,7 +204,7 @@ def cmd_verify(args) -> int:
     grid = _grid_from_args(args, model)
     out = Path(args.out)
     payload = _base_payload(args)
-    payload.update({"n": args.n, "beta": args.beta, "lambda": args.lambda_})
+    payload.update(_deformation_inputs(args))
     fac = _run_factorization(args, model, grid)
     if fac.f_n.is_singular:
         payload["singular"] = True

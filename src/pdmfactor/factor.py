@@ -15,7 +15,9 @@ as NaN samples; nothing is interpolated across them.
 Both routes produce f_n = psi_n q / (sqrt(m) D) with D' = psi_n q:
 
 * beta = 0: the constraint reduces to a Bernoulli equation; q = psi_n and
-  D = lambda + F, F the running integral of psi_n^2.
+  D = lambda + F, F the running integral of psi_n^2.  ``bernoulli_terms``
+  builds the lambda-independent part (q, q^2, F, sqrt(m)) once per state,
+  and ``bernoulli_f`` builds the deformation for one lambda from it.
 * beta != 0: an auxiliary solution ("seed") at energy E_n - beta gives
   q = beta seed and D = chi, the mass-weighted Wronskian of psi_n and the
   seed.  chi is built by integrating D' = beta psi_n seed, which stays
@@ -56,6 +58,8 @@ __all__ = [
     "superpotential",
     "partner_minus",
     "partner_plus",
+    "BernoulliTerms",
+    "bernoulli_terms",
     "bernoulli_f",
     "auxiliary_f",
     "deformed_partner",
@@ -204,31 +208,51 @@ class DeformationFunction:
         return self.values.is_singular
 
 
-def bernoulli_f(psi_n: SampledFunction, model: PdmModel, lam: float) -> DeformationFunction:
+@dataclass(frozen=True)
+class BernoulliTerms:
+    """The lambda-independent part of the beta = 0 deformation of one state:
+    q = psi_n, q2 = psi_n^2, its running integral F and sqrt(m)."""
+
+    grid: Grid
+    q: np.ndarray = field(repr=False)
+    q2: np.ndarray = field(repr=False)
+    F: np.ndarray = field(repr=False)
+    sqm: np.ndarray = field(repr=False)
+
+
+def bernoulli_terms(psi_n: SampledFunction, model: PdmModel) -> BernoulliTerms:
+    """Build the lambda-independent terms once per state.
+
+    F runs from 0 at the left edge, so its last value is the norm^2 of
+    psi_n, which must be 1.
+    """
+    q2 = psi_n.values**2
+    F = cumulative_integral(psi_n.with_values(q2)).values
+    if abs(F[-1] - 1.0) > 1e-6:
+        raise InconsistentInputError(
+            f"state must be unit-normalized on the grid (got norm^2 = {float(F[-1])})"
+        )
+    sqm = np.sqrt(model.mass(psi_n.x))
+    return BernoulliTerms(grid=psi_n.grid, q=psi_n.values, q2=q2, F=F, sqm=sqm)
+
+
+def bernoulli_f(terms: BernoulliTerms, lam: float) -> DeformationFunction:
     """beta = 0 deformation: f = psi_n^2 / (sqrt(m) (lambda + F)).
 
-    F runs from 0 at the left edge, so with a normalized state the
-    denominator crosses zero exactly when lambda lies in [-1, 0].  Crossings
-    are flagged, with a guard band, as NaN samples; nothing is raised.
+    With a normalized state the denominator crosses zero exactly when lambda
+    lies in [-1, 0].  Crossings are flagged, with a guard band, as NaN
+    samples; nothing is raised.
     """
-    norm2 = definite_integral(psi_n.with_values(psi_n.values**2))
-    if abs(norm2 - 1.0) > 1e-6:
-        raise InconsistentInputError(
-            f"state must be unit-normalized on the grid (got norm^2 = {norm2})"
-        )
-    x = psi_n.x
-    F = cumulative_integral(psi_n.with_values(psi_n.values**2))
-    den = lam + F.values
-    sqm = np.sqrt(model.mass(x))
+    den = lam + terms.F
     with np.errstate(divide="ignore", invalid="ignore"):
-        f = psi_n.values**2 / (sqm * den)
+        f = terms.q2 / (terms.sqm * den)
     crossings = _crossings(den, 0.0)  # denominator crossings are genuine
     return DeformationFunction(
-        values=SampledFunction(psi_n.grid, f, _band_mask(psi_n.grid.n_points, crossings)),
+        values=SampledFunction(terms.grid, f, _band_mask(terms.grid.n_points, crossings)),
         beta=0.0,
         route="bernoulli",
         den=den,
-        q=psi_n.values,
+        q=terms.q,
         lam=lam,
     )
 
@@ -524,7 +548,7 @@ def factorize(model: PdmModel, n: int, *, beta: float = 0.0,
     v_minus = partner_minus(v0, e_n)
     v_plus = partner_plus(w, model, v_minus)
     if beta == 0.0:
-        f = bernoulli_f(psi_n, model, lam - shift)
+        f = bernoulli_f(bernoulli_terms(psi_n, model), lam - shift)
     else:
         f = auxiliary_f(model.seed_solution(n, beta, g), psi_n, model, w, beta)
     v_tilde = deformed_partner(v_minus, f, model, beta)

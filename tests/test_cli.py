@@ -133,6 +133,22 @@ class TestSpectrum:
         got = np.array(data["eigenvalues"])
         assert np.max(np.abs(got - np.array([-2.0, 0.0, 2.0, 4.0]))) <= 1e-3
 
+    def test_deformed_report_names_its_deformation(self, tmp_path):
+        base = ["spectrum", "--model", "ho", "--levels", "2"]
+        assert run(base + ["--which", "deformed", "--lambda", "1", "--convention",
+                           "paper-ex1", "--out", str(tmp_path / "b")]) == 0
+        data = load_json(tmp_path / "b" / "spectrum.json")
+        assert (data["n"], data["beta"], data["lambda"], data["convention"]) == (
+            1, 0.0, 1.0, "paper-ex1")
+        assert run(["spectrum", "--model", "ex2", "--levels", "2", "--which", "deformed",
+                    "--beta", "1", "--out", str(tmp_path / "a")]) == 0
+        data = load_json(tmp_path / "a" / "spectrum.json")
+        assert (data["n"], data["beta"], data["lambda"], data["convention"]) == (
+            1, 1.0, None, "normalized")
+        assert run(base + ["--out", str(tmp_path / "o")]) == 0
+        data = load_json(tmp_path / "o" / "spectrum.json")
+        assert not {"n", "beta", "lambda", "convention"} & set(data)
+
     def test_ex2_wider_window(self, tmp_path):
         code = run(["spectrum", "--model", "ex2", "--grid-min", "-20", "--grid-max", "20",
                     "--grid-points", "4001", "--levels", "3", "--out", str(tmp_path)])
@@ -168,6 +184,18 @@ class TestVerify:
         assert "singular" in capsys.readouterr().err
         data = load_json(tmp_path / "verify.json")
         assert data["singular"] is True
+
+    @pytest.mark.parametrize("lam,singular", [("1", False), ("0", True)])
+    def test_report_records_the_convention(self, tmp_path, lam, singular):
+        # the same --lambda verifies different deformations per convention
+        for convention in ("normalized", "paper-ex1"):
+            out = tmp_path / convention
+            run(["verify", "--model", "ho", "--levels", "2", "--lambda", lam,
+                 "--convention", convention, "--out", str(out)])
+            data = load_json(out / "verify.json")
+            assert data["convention"] == convention
+            assert data["lambda"] == float(lam)
+        assert data["singular"] is singular
 
     def test_constant_mass_suite_passes(self, tmp_path):
         code = run(

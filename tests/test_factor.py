@@ -13,6 +13,7 @@ from pdmfactor.factor import (
     apply_ladder,
     auxiliary_f,
     bernoulli_f,
+    bernoulli_terms,
     count_nodes,
     deformed_partner,
     factorize,
@@ -22,9 +23,17 @@ from pdmfactor.factor import (
     partner_plus,
     superpotential,
     zero_mode,
+    DEFAULT_GUARD_BAND,
     DeformationFunction,
 )
-from pdmfactor.grids import Grid, SampledFunction, definite_integral, derivative, normalize_state
+from pdmfactor.grids import (
+    Grid,
+    SampledFunction,
+    cumulative_integral,
+    definite_integral,
+    derivative,
+    normalize_state,
+)
 from pdmfactor.models import Ex2Params, catalog, model_ex1, seed_solution_ex2
 from scipy.special import erf
 
@@ -145,21 +154,32 @@ class TestPartnerPotentials:
         assert np.max(np.abs(vp.values[ok] - (vm.values[ok] + 2.0 * dw.values[ok]))) < 1e-6
 
 
+def _guard_band(den):
+    """Nodes within the guard band of a sign change of den (zeros skipped)."""
+    band = np.zeros(den.size, dtype=bool)
+    nz = np.flatnonzero(den != 0.0)
+    signs = np.sign(den[nz])
+    for j in np.flatnonzero(signs[1:] != signs[:-1]):
+        lo, hi = nz[j], nz[j + 1]
+        band[max(0, lo - DEFAULT_GUARD_BAND + 1) : hi + DEFAULT_GUARD_BAND] = True
+    return band
+
+
 class TestBernoulli:
     def test_large_lambda_kills_f(self, ex1):
         psi1 = normalize_state(ex1.eigenstate_samples(1))
-        f = bernoulli_f(psi1, ex1, 1e6)
+        f = bernoulli_f(bernoulli_terms(psi1, ex1), 1e6)
         scale = np.max(psi1.values**2 / np.sqrt(ex1.mass(psi1.x)))
         assert np.max(np.abs(f.values.values)) <= 2e-6 * scale
 
     def test_unit_lambda_unmasked(self, ex1):
         psi1 = normalize_state(ex1.eigenstate_samples(1))
-        f = bernoulli_f(psi1, ex1, 1.0)
+        f = bernoulli_f(bernoulli_terms(psi1, ex1), 1.0)
         assert not f.is_singular
 
     def test_negative_lambda_masked(self, ex1):
         psi1 = normalize_state(ex1.eigenstate_samples(1))
-        f = bernoulli_f(psi1, ex1, -0.5)
+        f = bernoulli_f(bernoulli_terms(psi1, ex1), -0.5)
         assert f.is_singular
 
     def test_riccati_residual(self, fac_ex1_fine):
@@ -170,7 +190,37 @@ class TestBernoulli:
     def test_requires_normalized_state(self, ex1):
         psi1 = normalize_state(ex1.eigenstate_samples(1))
         with pytest.raises(InconsistentInputError):
-            bernoulli_f(psi1.with_values(2.0 * psi1.values), ex1, 1.0)
+            bernoulli_terms(psi1.with_values(2.0 * psi1.values), ex1)
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ho", "box"])
+    @pytest.mark.parametrize("lam", [-0.5, -0.0, 5e-324, 1.0, 1e6])
+    def test_split_matches_the_formula(self, name, lam):
+        # the per-lambda piece on prebuilt terms gives, bit for bit,
+        # den = lambda + F and f = psi^2/(sqrt(m) den), NaN on the band and
+        # wherever f is not finite (the package's one mask rule)
+        model = catalog(name)
+        psi = normalize_state(model.eigenstate_samples(1))
+        f = bernoulli_f(bernoulli_terms(psi, model), lam)
+        F = cumulative_integral(psi.with_values(psi.values**2)).values
+        den = lam + F
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ref = psi.values**2 / (np.sqrt(model.mass(psi.x)) * den)
+        ref[_guard_band(den) | ~np.isfinite(ref)] = np.nan
+        assert np.array_equal(f.den, den)
+        assert np.array_equal(f.values.values, ref, equal_nan=True)
+        assert np.array_equal(f.q, psi.values)
+        assert f.lam == lam
+
+    @pytest.mark.parametrize("convention,lam", [("normalized", 1.0), ("paper-ex1", 0.7)])
+    def test_factorize_uses_the_split(self, ex1, convention, lam):
+        fac = factorize(ex1, 1, lam=lam, convention=convention)
+        shift = 0.5 if convention == "paper-ex1" else 0.0
+        f = bernoulli_f(bernoulli_terms(fac.psi_n, ex1), lam - shift)
+        assert np.array_equal(fac.f_n.values.values, f.values.values, equal_nan=True)
+        assert np.array_equal(fac.f_n.values.singular_mask, f.values.singular_mask)
+        assert np.array_equal(fac.f_n.den, f.den)
+        assert np.array_equal(fac.f_n.q, f.q)
+        assert fac.f_n.lam == f.lam
 
 
 class TestAuxiliary:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdmfactor.errors import ConfigurationError, DomainError
-from pdmfactor.factor import bernoulli_f, factorize, ladder_pair
+from pdmfactor.factor import bernoulli_f, bernoulli_terms, factorize, ladder_pair
 from pdmfactor.grids import Grid, SampledFunction, cumulative_integral, normalize_state
 from pdmfactor.models import catalog
 from pdmfactor.verify import (
@@ -109,6 +109,29 @@ class TestScanLambda:
         with pytest.raises(ConfigurationError):
             scan_lambda(ex1, 1, [])
 
+    def test_terms_built_once_per_scan(self, ex1, monkeypatch):
+        # the lambda-independent terms are hoisted out of the loop; the
+        # per-lambda construction runs once per lambda through the names
+        # that pdmfactor.verify looks up
+        import pdmfactor.verify as verify
+
+        calls = {"bernoulli_terms": 0, "bernoulli_f": 0}
+
+        def counting(name):
+            fn = getattr(verify, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(verify, name, counting(name))
+        rep = scan_lambda(ex1, 1, np.linspace(-2.0, 1.0, 31))
+        assert calls == {"bernoulli_terms": 1, "bernoulli_f": 31}
+        assert len(rep.singular_flags) == 31
+
     def test_iterations_thread_safe(self, ex1):
         # each lambda is an independent pure computation; running them in
         # parallel must reproduce the serial flags
@@ -145,7 +168,7 @@ class TestWindowRule:
     @settings(max_examples=200, deadline=None)
     def test_window_implies_singular(self, name, n, lam):
         model, psi, F = _state_and_running_norm(name, n)
-        singular = bernoulli_f(psi, model, lam).is_singular
+        singular = bernoulli_f(bernoulli_terms(psi, model), lam).is_singular
         if -np.max(F) <= lam <= -np.min(F):
             assert singular
         elif singular:
@@ -157,7 +180,7 @@ class TestWindowRule:
         # lambda = 5e-324 lies just above the window, yet f overflows at x_min
         _, psi, F = _state_and_running_norm("ex1", 1)
         assert 5e-324 > -np.min(F)
-        assert bernoulli_f(psi, ex1, 5e-324).is_singular
+        assert bernoulli_f(bernoulli_terms(psi, ex1), 5e-324).is_singular
 
 
 class TestIntertwining:
