@@ -85,7 +85,24 @@ def _grid_from_args(args, model) -> Grid:
     x_min = base.x_min if args.grid_min is None else args.grid_min
     x_max = base.x_max if args.grid_max is None else args.grid_max
     n = base.n_points if args.grid_points is None else args.grid_points
-    return Grid(x_min, x_max, n)
+    grid = Grid(x_min, x_max, n)
+    # a window so wide that the model's samples overflow is a usage error,
+    # refused before any stage computes on it
+    x = grid.points()
+    try:
+        with np.errstate(all="ignore", over="raise"):
+            mass, potential = model.mass(x), model.potential(x)
+            model.mass_d1(x), model.mass_d2(x)
+        overflows = not np.all((mass > 0.0) & (mass < np.inf) & np.isfinite(potential))
+    except FloatingPointError:
+        overflows = True
+    if overflows:
+        raise ConfigurationError(
+            f"model {args.model} overflows on the grid [{x_min}, {x_max}]: its mass, the"
+            " mass's first two derivatives and its potential must be finite, and its mass"
+            " positive, at every node"
+        )
+    return grid
 
 
 def _run_factorization(args, model, grid):

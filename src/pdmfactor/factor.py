@@ -121,12 +121,12 @@ class Superpotential:
 
     def log_deriv(self) -> np.ndarray:
         """psi_n'/psi_n; infinite at the exact nodes."""
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return self.state_d1 / self.state.values
 
     def log_deriv_slope(self) -> np.ndarray:
         """(psi_n'/psi_n)' = psi_n''/psi_n - (psi_n'/psi_n)^2."""
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             r = self.state_d1 / self.state.values
             return self.state_d2 / self.state.values - r * r
 
@@ -142,7 +142,7 @@ def superpotential(psi_n: SampledFunction, model: PdmModel, n: int) -> Superpote
             f"state has {len(crossings)} sign changes but level {n} was requested"
         )
     sqm = np.sqrt(model.mass(x))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         w = -dpsi.values / (sqm * v)
     positions = [
         float(x[lo] + (x[hi] - x[lo]) * v[lo] / (v[lo] - v[hi])) for lo, hi in crossings
@@ -244,7 +244,7 @@ def bernoulli_f(terms: BernoulliTerms, lam: float) -> DeformationFunction:
     samples; nothing is raised.
     """
     den = lam + terms.F
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         f = terms.q2 / (terms.sqm * den)
     crossings = _crossings(den, 0.0)  # denominator crossings are genuine
     return DeformationFunction(
@@ -303,9 +303,12 @@ def auxiliary_f(seed: SampledFunction, psi_n: SampledFunction, model: PdmModel,
         i0 = int(np.argmax(np.abs(prod)))
         chi = wronskian[i0] + beta * (F.values - F.values[i0])
 
-    # the direct Wronskian must agree where it is well conditioned
+    # the direct Wronskian must agree where it is well conditioned; a chi
+    # that underflows to zero or to a subnormal (a subnormal beta) gives an
+    # infinite mismatch
     i_ref = int(np.argmax(np.abs(chi)))
-    rel = abs(wronskian[i_ref] - chi[i_ref]) / np.max(np.abs(chi))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rel = abs(wronskian[i_ref] - chi[i_ref]) / np.max(np.abs(chi))
     if not np.isfinite(rel) or rel > 1e-4:
         raise InconsistentInputError(
             f"seed is not a solution at E_n - beta (wronskian mismatch {rel:.2e})"
@@ -338,6 +341,11 @@ def _check_pdmse_residual(psi: SampledFunction, model: PdmModel, energy: float) 
     the truncation wings, where the mass vanishes, and reject exact
     solutions there.
     """
+    if psi.grid.n_points <= 8:
+        raise ConfigurationError(
+            "the residual check of an auxiliary solution needs more than 8 grid points,"
+            f" got {psi.grid.n_points}"
+        )
     res = weighted_defect(model, model.potential_samples(psi.grid), psi, energy)
     scale = np.max(np.abs(psi.values))
     worst = float(np.max(np.abs(res[4:-4])) / scale)
@@ -354,7 +362,7 @@ def deformed_partner(v_n_minus: SampledFunction, f: DeformationFunction,
     """V~_n- = V_n- - 2 f'/sqrt(m) + beta; NaN samples propagate from f."""
     df = derivative(f.values)
     sqm = np.sqrt(model.mass(v_n_minus.x))
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         vals = v_n_minus.values - 2.0 * df.values / sqm + beta
     return SampledFunction(v_n_minus.grid, vals)
 
@@ -491,9 +499,18 @@ def map_eigenstate(psi_k: SampledFunction, fac: FactorizationResult) -> SampledF
     e_n = fac.model.energy(n)
     dpsi_k = derivative(psi_k)
     wr = fac.psi_n.values * dpsi_k.values - fac.W_n.state_d1 * psi_k.values
-    composite = (e_k - e_n) * psi_k.values + fac.f_n.q * wr / (m * fac.f_n.den)
+    # lambda at the edge of the singular window leaves D tiny at a truncation
+    # edge, where the state can exceed the double range
+    with np.errstate(over="ignore"):
+        composite = (e_k - e_n) * psi_k.values + fac.f_n.q * wr / (m * fac.f_n.den)
+        square = composite**2
+    if np.any(np.isinf(square)):
+        raise DomainError(
+            f"mapped state {k} overflows double precision: D = lambda + F comes within"
+            f" {np.min(np.abs(fac.f_n.den)):.1e} of zero"
+        )
     raw = SampledFunction(psi_k.grid, composite)
-    norm2 = definite_integral(raw.with_values(raw.values**2))
+    norm2 = definite_integral(raw.with_values(square))
     if norm2 < 1e-20:
         raise DegenerateStateError("mapped state is numerically zero for k != n")
     return normalize_state(raw)
@@ -508,10 +525,11 @@ def zero_mode(fac: FactorizationResult) -> SampledFunction:
     """
     if fac.f_n.is_singular:
         raise DomainError("deformation function is singular; no zero mode exists")
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         raw = fac.psi_n.values / fac.f_n.den
     amax = np.max(np.abs(raw))
-    if max(abs(raw[0]), abs(raw[-1])) > 1e-2 * amax:
+    # D is monotone and has no zero, so an overflow sits at an edge
+    if not np.isfinite(amax) or max(abs(raw[0]), abs(raw[-1])) > 1e-2 * amax:
         raise NonNormalizableError(
             "zero mode grows toward the truncation boundary; its norm diverges"
         )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,9 @@ __all__ = [
     "normalize_state",
     "write_csv",
 ]
+
+# rows per block of CSV text
+_CSV_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -44,12 +48,19 @@ class Grid:
     def __post_init__(self):
         if not self.x_min < self.x_max:
             raise ConfigurationError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
-        if not math.isfinite(self.x_max - self.x_min):
+        if self.n_points < 8:
+            raise ConfigurationError(f"n_points must be >= 8, got {self.n_points}")
+        # the last node, x_min + (n - 1) h, can round past the double range
+        # even when the width itself is finite
+        if not math.isfinite(self.x_min + self.h * (self.n_points - 1)):
             raise ConfigurationError(
                 f"grid width x_max - x_min overflows, got [{self.x_min}, {self.x_max}]"
             )
-        if self.n_points < 8:
-            raise ConfigurationError(f"n_points must be >= 8, got {self.n_points}")
+        # the stencils divide by h and h^2, which must stay finite
+        if not self.h > 1e-150:
+            raise ConfigurationError(
+                f"grid spacing {self.h:g} on [{self.x_min}, {self.x_max}] is below 1e-150"
+            )
 
     @property
     def h(self) -> float:
@@ -68,6 +79,20 @@ class Grid:
         if self.n_points % 2 == 0:
             raise ConfigurationError("coarsening requires an odd number of points")
         return Grid(self.x_min, self.x_max, (self.n_points + 1) // 2)
+
+    @cached_property
+    def _csv_templates(self) -> list[str]:
+        """One ``x,%.17g,0`` row template per ``_CSV_ROWS`` block of nodes.
+
+        Built on first use and kept for the life of this Grid, so every file
+        written on it formats the x column once.  x is finite, so its text
+        holds no ``%``.
+        """
+        x = self.points()
+        return [
+            "".join(["%.17g,%%.17g,0\r\n" % xi for xi in x[s:s + _CSV_ROWS].tolist()])
+            for s in range(0, self.n_points, _CSV_ROWS)
+        ]
 
 
 @dataclass
@@ -137,18 +162,20 @@ def derivative(f: SampledFunction) -> SampledFunction:
 
     A NaN sample poisons every node whose stencil touches it; the central
     stencil skips its own node, so a singular node is kept singular by hand.
+    A stencil that overflows gives a singular node too.
     """
     n = f.grid.n_points
     if n < 5:
         raise ConfigurationError("derivative needs at least 5 nodes")
-    h = f.grid.h
+    h12 = 12.0 * f.grid.h
     y = f.values
     dy = np.empty(n)
-    dy[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * h)
-    dy[0] = (-25.0 * y[0] + 48.0 * y[1] - 36.0 * y[2] + 16.0 * y[3] - 3.0 * y[4]) / (12.0 * h)
-    dy[1] = (-3.0 * y[0] - 10.0 * y[1] + 18.0 * y[2] - 6.0 * y[3] + y[4]) / (12.0 * h)
-    dy[-2] = (3.0 * y[-1] + 10.0 * y[-2] - 18.0 * y[-3] + 6.0 * y[-4] - y[-5]) / (12.0 * h)
-    dy[-1] = (25.0 * y[-1] - 48.0 * y[-2] + 36.0 * y[-3] - 16.0 * y[-4] + 3.0 * y[-5]) / (12.0 * h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dy[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / h12
+        dy[0] = (-25.0 * y[0] + 48.0 * y[1] - 36.0 * y[2] + 16.0 * y[3] - 3.0 * y[4]) / h12
+        dy[1] = (-3.0 * y[0] - 10.0 * y[1] + 18.0 * y[2] - 6.0 * y[3] + y[4]) / h12
+        dy[-2] = (3.0 * y[-1] + 10.0 * y[-2] - 18.0 * y[-3] + 6.0 * y[-4] - y[-5]) / h12
+        dy[-1] = (25.0 * y[-1] - 48.0 * y[-2] + 36.0 * y[-3] - 16.0 * y[-4] + 3.0 * y[-5]) / h12
     return SampledFunction(f.grid, dy, f.singular_mask)
 
 
@@ -201,23 +228,21 @@ def normalize_state(psi: SampledFunction) -> SampledFunction:
     return psi.with_values(values)
 
 
-_CSV_ROWS = 4096
-
-
 def write_csv(f: SampledFunction, path) -> None:
     """Serialize as ``x,value,singular`` rows at full precision.
 
-    Fields are ``%.17g`` (the same bytes as ``f"{v:.17g}"``, nan and inf
-    included), the flag is 0 or 1, and rows end in CRLF, as ``csv.writer``
-    writes them.  Rows are formatted in blocks of ``_CSV_ROWS`` so that the
-    text of the whole file is never held at once.
+    Fields are ``%.17g`` (the same bytes as ``f"{v:.17g}"``), the flag is 0
+    or 1, and rows end in CRLF, as ``csv.writer`` writes them.  The x column
+    is formatted once per Grid into one row template per block of
+    ``_CSV_ROWS`` nodes, and each block of values fills its template with one
+    ``%`` operation, so the text of the whole file is never held at once.
+    The flag needs no array of its own: a singular sample is NaN, which
+    ``%.17g`` prints as ``nan`` whatever its sign, and that row's flag is
+    set to 1 in the block's text.
     """
-    x, v = f.x, f.values
-    flag = f.singular_mask.view(np.uint8)
+    v = f.values
     with open(path, "w", newline="") as fh:
         fh.write("x,value,singular\r\n")
-        for s in range(0, f.grid.n_points, _CSV_ROWS):
-            e = s + _CSV_ROWS
-            rows = zip(x[s:e].tolist(), v[s:e].tolist(), flag[s:e].tolist())
-            fh.write("".join(map("%.17g,%.17g,%d\r\n".__mod__, rows)))
-
+        for s, template in zip(range(0, f.grid.n_points, _CSV_ROWS), f.grid._csv_templates):
+            block = template % tuple(v[s:s + _CSV_ROWS].tolist())
+            fh.write(block.replace(",nan,0\r", ",nan,1\r"))

@@ -55,7 +55,16 @@ class PdmModel:
 
     def eigenstate_samples(self, k: int, grid: Grid | None = None) -> SampledFunction:
         g = grid or self.recommended_grid
-        return SampledFunction(g, self.eigenstate(k)(g.points()))
+        # parameters far beyond the paper's (ex2's b = 1e50) overflow the
+        # closed form on any grid
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = self.eigenstate(k)(g.points())
+        if not np.all(np.isfinite(values)):
+            raise DomainError(
+                f"closed-form state {k} of {self.name} overflows on the grid"
+                f" [{g.x_min}, {g.x_max}]"
+            )
+        return SampledFunction(g, values)
 
     def potential_samples(self, grid: Grid | None = None) -> SampledFunction:
         g = grid or self.recommended_grid

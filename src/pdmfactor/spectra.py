@@ -79,8 +79,16 @@ def discretize(model: PdmModel, v: SampledFunction) -> SturmLiouvilleProblem:
     if np.any(~np.isfinite(im)) or np.any(im <= 0.0):
         raise DomainError("inverse mass must be positive and finite at all midpoints")
     h2 = g.h * g.h
-    diag = (im[:-1] + im[1:]) / h2 + v.values[1:-1]
-    off = -im[1:-1] / h2
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = (im[:-1] + im[1:]) / h2 + v.values[1:-1]
+        off = -im[1:-1] / h2
+        # the Sturm counts square off
+        representable = np.all(np.isfinite(diag)) and np.all(np.isfinite(off * off))
+    if not representable:
+        raise DomainError(
+            f"the matrix on the {g.n_points}-point grid [{g.x_min}, {g.x_max}] exceeds the"
+            " double range: 1/(m h^2) squared or the diagonal overflows"
+        )
     return SturmLiouvilleProblem(grid=g, diag=diag, off=off)
 
 
@@ -150,8 +158,11 @@ def _twisted_vector(prob: SturmLiouvilleProblem, off2, lam: float):
     gamma = dp + dm - shifted
     r = int(np.argmin(np.abs(gamma)))
     z = np.ones(shifted.size)
-    z[:r] = np.cumprod((-prob.off[:r] / dp[:r])[::-1])[::-1]
-    z[r + 1:] = np.cumprod(-prob.off[r:] / dm[r + 1:])
+    # far from every eigenvalue z can exceed the double range; lowest_eigenpairs
+    # refuses a z @ z that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        z[:r] = np.cumprod((-prob.off[:r] / dp[:r])[::-1])[::-1]
+        z[r + 1:] = np.cumprod(-prob.off[r:] / dm[r + 1:])
     return z, float(gamma[r]), int(np.count_nonzero(dp < 0.0))
 
 
@@ -233,15 +244,25 @@ def lowest_eigenpairs(prob: SturmLiouvilleProblem, k: int, *, _hints=None) -> Sp
     residual above _RESIDUAL_SCALE * |diag|_inf raises SolverError.
     """
     eigs = _eigenvalues_only(prob, k, _hints)
-    half = 0.5 * _gershgorin(prob)[2]
+    lo, hi, tol = _gershgorin(prob)
+    half = 0.5 * tol
     cap = _RESIDUAL_SCALE * float(np.max(np.abs(prob.diag)))
     off2 = (prob.off * prob.off).tolist()
     states, nodes, residuals = [], [], []
     for j in range(k):
         z, gamma, _ = _twisted_vector(prob, off2, float(eigs[j]))
-        lam = float(eigs[j]) + gamma / float(z @ z)
+        # a matrix whose whole spectrum lies far inside tol leaves the twist
+        # unresolved
+        with np.errstate(over="ignore"):
+            zz = float(z @ z)
+        if not math.isfinite(zz):
+            raise SolverError(
+                f"eigenvector {j} overflows: the matrix spans {hi - lo:.1e}, against an"
+                f" eigenvalue tolerance of {tol:.1e}"
+            )
+        lam = float(eigs[j]) + gamma / zz
         eigs[j] = lam = min(max(lam, eigs[j] - half), eigs[j] + half)
-        v = z / math.sqrt(float(z @ z))
+        v = z / math.sqrt(zz)
         res = float(np.max(np.abs(prob.matrix_action(v) - lam * v)))
         if not res <= cap:
             raise SolverError(f"eigenvector residual {res:.3e} above cap {cap:.3e} at level {j}")
@@ -263,14 +284,16 @@ def solve_spectrum(model: PdmModel, v: SampledFunction, k: int) -> SpectrumRepor
     that does not strictly increase raises SolverError.
     """
     n = v.grid.n_points
-    # the subgrid's (n + 1) / 2 points hold k levels from n = 20 k - 1 on
-    if n < 20 * k - 1:
+    if k < 1:
+        raise ConfigurationError(f"requested {k} eigenpairs; need at least 1")
+    # the subgrid's (n + 1) / 2 points hold k levels from n = 20 k - 1 on,
+    # and only an odd n has an every-second-node subgrid
+    if n < 20 * k - 1 or n % 2 == 0:
         raise ConfigurationError(
             f"requested {k} eigenpairs on {n} grid points; that needs an odd number"
             f" of grid points >= {20 * k - 1}"
         )
     fine = discretize(model, v)
-    # coarsened() refuses an even n_points, before the costly fine solve
     v_coarse = SampledFunction(v.grid.coarsened(), v.values[::2])
     coarse = _eigenvalues_only(discretize(model, v_coarse), k)
     report = lowest_eigenpairs(fine, k, _hints=coarse)

@@ -189,7 +189,7 @@ def riccati_residual(fac: FactorizationResult) -> float:
     mp = model.mass_d1(x)
     sqm = np.sqrt(m)
     df = derivative(f)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         w_vals = -fac.W_n.log_deriv() / sqm
         res = df.values / sqm + (2.0 * w_vals + mp / (2.0 * m * sqm)) * f.values + (
             f.values**2
@@ -199,4 +199,9 @@ def riccati_residual(fac: FactorizationResult) -> float:
     ok[:4] = False
     ok[-4:] = False
     ok &= np.isfinite(res)
+    if not np.any(ok):
+        raise ConfigurationError(
+            f"no node of the {f.grid.n_points}-point grid lies clear of the edges and of"
+            " the node bands of W_n; the Riccati residual needs more grid points"
+        )
     return float(np.max(np.abs(res[ok])))

@@ -2,13 +2,17 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pdmfactor
 import pdmfactor.cli
+import pdmfactor.spectra
 from pdmfactor.cli import main
 from pdmfactor.errors import DegenerateStateError, SolverError
 from tests.conftest import read_csv
@@ -206,6 +210,16 @@ class TestVerify:
 
 
 class TestScan:
+    def test_subnormal_lambda_inside_the_window(self, tmp_path):
+        # D = lambda + F is -2.2e-309 at x_min, so f overflows there: a
+        # singular sample, not a RuntimeWarning
+        code = run(["scan", "--model", "ho", "--n", "4", "--grid-min", "2",
+                    "--grid-points", "215", "--lambda-min=-2.225073858507203e-309",
+                    "--lambda-max", "2", "--out", str(tmp_path)])
+        assert code == 0
+        flags = load_json(tmp_path / "scan.json")["singular_flags"]
+        assert flags[0] is True and not any(flags[1:])
+
     def test_figure_convention(self, tmp_path):
         code = run(
             ["scan", "--model", "ex1", "--n", "1", "--lambda-min", "0",
@@ -304,6 +318,101 @@ class TestPackageErrors:
         )
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--model", "ho"],
+        ["verify", "--model", "ex1", "--lambda", "1"],
+    ])
+    def test_even_grid_is_refused_up_front(self, tmp_path, capsys, monkeypatch, argv):
+        # an even N has no every-second-node subgrid: refused, with the given
+        # N named, before the fine grid is discretized
+        discretized = []
+        monkeypatch.setattr(pdmfactor.spectra, "discretize", lambda *a: discretized.append(a))
+        out = tmp_path / "run"
+        code = run(argv + ["--grid-points", "2000", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: requested ") and "on 2000 grid points" in err
+        assert "odd number of grid points" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert discretized == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "--model", "ex1", "--grid-points", "8", "--grid-min=-100",
+          "--grid-max=1e300"],
+         "error: model ex1 overflows on the grid [-100.0, 1e+300]: its mass, the mass's first"
+         " two derivatives and its potential must be finite, and its mass positive, at"
+         " every node\n"),
+        # the mass is 1e-156 at x_min, but (1 + x^2)^2 in m' overflows
+        (["construct", "--model", "ex1", "--lambda", "1", "--grid-min=-1e78"],
+         "error: model ex1 overflows on the grid [-1e+78, 250.0]: its mass, the mass's first"
+         " two derivatives and its potential must be finite, and its mass positive, at"
+         " every node\n"),
+        (["construct", "--model", "ho", "--lambda", "1", "--grid-min=-1e300", "--grid-max=5"],
+         "error: model ho overflows on the grid [-1e+300, 5.0]: its mass, the mass's first"
+         " two derivatives and its potential must be finite, and its mass positive, at"
+         " every node\n"),
+        (["spectrum", "--model", "ho", "--grid-min=0", "--grid-max=5e-324"],
+         "error: grid spacing 0 on [0.0, 5e-324] is below 1e-150\n"),
+        # beta * F underflows, so chi is zero everywhere
+        (["construct", "--model", "ex2", "--grid-points", "160", "--n", "0", "--beta=5e-324"],
+         "error: seed is not a solution at E_n - beta (wronskian mismatch inf)\n"),
+        # ... or leaves it subnormal, so the mismatch ratio overflows
+        (["construct", "--model", "ex2", "--grid-max=0", "--n", "0", "--a=0", "--b", "2",
+          "--c", "1.2", "--beta=5e-324"],
+         "error: seed is not a solution at E_n - beta (wronskian mismatch inf)\n"),
+        (["construct", "--model", "ex2", "--grid-points", "8", "--n", "0", "--beta", "2"],
+         "error: the residual check of an auxiliary solution needs more than 8 grid"
+         " points, got 8\n"),
+        (["verify", "--model", "box", "--grid-points", "29", "--n", "3", "--lambda", "1",
+          "--levels", "1"],
+         "error: no node of the 29-point grid lies clear of the edges and of the node"
+         " bands of W_n; the Riccati residual needs more grid points\n"),
+    ], ids=["ex1-wide", "ex1-wide-derivative", "ho-wide", "zero-spacing", "subnormal-beta",
+            "subnormal-chi", "seed-on-8-points", "riccati-without-nodes"])
+    def test_unrepresentable_inputs_exit_two(self, tmp_path, capsys, argv, message):
+        # refused without a RuntimeWarning, which the suite turns into an error
+        out = tmp_path / "run"
+        code = run(argv + ["--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--model", "box", "--lambda", "1"],
+        ["verify", "--model", "box", "--lambda", "1", "--levels", "2"],
+    ])
+    def test_state_that_nearly_vanishes_at_an_edge(self, tmp_path, argv):
+        # at x = 5e-324 the box state is subnormal and psi'/psi overflows to
+        # inf: a singular sample, flagged like the exact node at x = 0
+        code = run(argv + ["--grid-min=5e-324", "--grid-points", "401",
+                           "--out", str(tmp_path / "run")])
+        assert code == 0
+
+    def test_deformed_partner_that_overflows_at_an_edge(self, tmp_path, capsys):
+        # D = lambda + F is 2.2e-308 at x_min, so 2 f' exceeds the double
+        # range there: V~ is singular at that node and has no spectrum
+        code = run(["verify", "--model", "ex2", "--grid-min=1e-150", "--grid-points", "243",
+                    "--n", "0", "--lambda=2.2250738585072014e-308", "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: cannot discretize a singular-flagged potential\n"
+
+    def test_lambda_at_the_window_edge(self, tmp_path, capsys):
+        # lambda = 5e-324 is just outside [-1, 0], so D = lambda + F is
+        # 5e-324 at x_min: the mapped states exceed the double range there
+        out = tmp_path / "run"
+        code = run(["construct", "--model", "ho", "--lambda=5e-324", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: mapped state 0 overflows double precision: D = lambda + F comes within"
+            " 4.9e-324 of zero\n"
+        )
+        assert not out.exists()
+        code = run(["verify", "--model", "ho", "--lambda=5e-324", "--levels", "2",
+                    "--out", str(out)])
+        assert code == 1
+        assert load_json(out / "verify.json")["passed"] is False
+
     def test_spectrum_that_does_not_increase_exits_one(self, tmp_path, capsys):
         # on [-40, 40] ex2's matrix spans about 1e21, so its eigenvalue
         # tolerance swamps the lowest levels: refused, not reported
@@ -397,6 +506,60 @@ class TestPackageErrors:
         assert len(err.splitlines()) == 1
         assert err.startswith(start) and "overflow" in err
         assert not out.exists()
+
+
+# number-flag texts: a non-number, signed zero, the smallest subnormal and
+# values whose products overflow, among ordinary values
+NUMBERS = st.one_of(
+    st.sampled_from(["nan", "abc", "-0.0", "5e-324", "1e300", "-1e300"]),
+    st.sampled_from(["0", "1", "-1", "0.5", "2", "5", "-10", "10"]),
+    st.floats(-20.0, 20.0).map(repr),
+)
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+@st.composite
+def cli_argv(draw):
+    """A construct/spectrum/verify/scan command line over every model and
+    convention; --grid-points stays at most 401, so no draw is large."""
+    command = draw(st.sampled_from(["construct", "spectrum", "verify", "scan"]))
+    model = draw(st.sampled_from(["ex1", "ex2", "ho", "box"]))
+    convention = draw(st.sampled_from(["normalized", "paper-ex1"]))
+    flags = {"--grid-min": NUMBERS, "--grid-max": NUMBERS, "--n": _ints(-1, 8)}
+    flags.update({"ex1": {"--alpha": NUMBERS},
+                  "ex2": {"--a": NUMBERS, "--b": NUMBERS, "--c": NUMBERS}}.get(model, {}))
+    if command == "scan":
+        flags["--steps"] = _ints(-1, 40)
+    else:
+        flags.update({"--beta": NUMBERS, "--lambda": NUMBERS})
+    if command in ("spectrum", "verify"):
+        flags["--levels"] = _ints(-1, 8)
+    if command == "spectrum":
+        flags["--which"] = st.sampled_from(["original", "deformed"])
+    # "--flag=value", so that a value starting with "-" is not read as a flag
+    argv = [command, f"--model={model}", f"--convention={convention}",
+            f"--grid-points={draw(_ints(-3, 401))}"]
+    if command == "scan":
+        argv += [f"--lambda-min={draw(NUMBERS)}", f"--lambda-max={draw(NUMBERS)}"]
+    argv += [f"{name}={draw(values)}" for name, values in flags.items() if draw(st.booleans())]
+    return argv
+
+
+class TestFuzz:
+    @given(argv=cli_argv())
+    @settings(max_examples=200, deadline=None)
+    def test_any_command_line_exits_cleanly(self, argv):
+        # a result, a check failure or a usage error; never an exception (the
+        # suite also turns every RuntimeWarning into one)
+        with tempfile.TemporaryDirectory() as out:
+            try:
+                code = main(argv + ["--out", out])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2)
 
 
 class TestImports:

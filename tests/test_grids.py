@@ -47,6 +47,9 @@ class TestGrid:
             Grid(-1e308, 1e308, 100)
         with pytest.raises(ConfigurationError, match="overflows"):
             Grid(-math.inf, 0.0, 100)
+        # the width is finite, but x_min + 7 h rounds past the double range
+        with pytest.raises(ConfigurationError, match="overflows"):
+            Grid(-1.7976931348623157e308, 14.0, 8)
 
     def test_coarsened_shares_endpoints(self):
         g = Grid(-2.0, 3.0, 101)
@@ -128,6 +131,14 @@ class TestDerivative:
         d = derivative(SampledFunction(g, np.ones(64), mask))
         assert d.singular_mask[28:33].all()
         assert not d.singular_mask[27] and not d.singular_mask[33]
+
+    def test_overflowing_stencil_is_singular(self):
+        # 12 h < 1, so every stencil that reaches y[0] = 1e308 overflows
+        g = Grid(0.0, 1.0, 64)
+        values = np.zeros(64)
+        values[0] = 1e308
+        d = derivative(SampledFunction(g, values))
+        assert np.flatnonzero(d.singular_mask).tolist() == [0, 1, 2]
 
     def test_too_small_grid(self):
         g = Grid(0.0, 1.0, 8)
@@ -250,3 +261,60 @@ class TestCsv:
             write_csv(f, tmp_path / "new.csv")
             reference_write_csv(f, tmp_path / "ref.csv")
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @staticmethod
+    def assert_reference_bytes(f, tmp_path):
+        write_csv(f, tmp_path / "new.csv")
+        reference_write_csv(f, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_many_functions_on_one_grid(self, tmp_path):
+        # the x text of one Grid serves every file written on it, and an
+        # equal but distinct Grid writes the same bytes
+        g = Grid(-7.25, 3.0, 4096 + 5)
+        x = g.points()
+        for vals in (np.sin(x), 1e200 * np.exp(-x * x), -x / 3.0, np.where(x > 0.0, np.nan, x)):
+            self.assert_reference_bytes(SampledFunction(g, vals), tmp_path)
+        twin = Grid(-7.25, 3.0, 4096 + 5)
+        assert twin == g and twin is not g
+        self.assert_reference_bytes(SampledFunction(twin, np.cos(x)), tmp_path)
+
+    def test_singular_rows_at_the_block_edges(self, tmp_path):
+        # NaN of either sign at the first and last row of the file and of a
+        # block, and a finite node flagged only through singular_mask
+        n = 2 * 4096 + 3
+        g = Grid(-1.0, 1.0, n)
+        vals = np.cos(g.points())
+        vals[[0, 4095, n - 1]] = np.nan
+        vals[4096] = -np.nan
+        mask = np.zeros(n, bool)
+        mask[5000] = True
+        f = SampledFunction(g, vals, mask)
+        self.assert_reference_bytes(f, tmp_path)
+        back = read_csv(tmp_path / "new.csv")
+        assert np.flatnonzero(back.singular_mask).tolist() == [0, 4095, 4096, 5000, n - 1]
+
+    @pytest.mark.parametrize("x_min, x_max, first", [(-3e-7, -1e-7, "-2.9999999999999999e-07"),
+                                                     (-1e20, 1e21, "-1e+20")])
+    def test_x_text_with_exponent_and_sign(self, tmp_path, x_min, x_max, first):
+        g = Grid(x_min, x_max, 4096 + 1)
+        self.assert_reference_bytes(SampledFunction(g, np.linspace(-1.0, 1.0, 4096 + 1)), tmp_path)
+        assert (tmp_path / "new.csv").read_text().splitlines()[1].startswith(first + ",")
+
+    def test_x_text_built_once_per_grid(self, tmp_path, monkeypatch):
+        # write_csv takes x from the Grid's templates alone, and builds them
+        # on the first write
+        builds = []
+        points = Grid.points
+        monkeypatch.setattr(Grid, "points", lambda self: builds.append(self) or points(self))
+        g = Grid(0.0, 1.0, 3 * 4096)
+        funcs = [SampledFunction(g, np.full(g.n_points, c)) for c in (1.0, 2.0, np.nan)]
+        write_csv(funcs[0], tmp_path / "a.csv")
+        templates = g._csv_templates
+        for k, f in enumerate(funcs[1:]):
+            write_csv(f, tmp_path / f"{k}.csv")
+        assert builds == [g]
+        assert g._csv_templates is templates and len(templates) == 3
+        write_csv(SampledFunction(Grid(0.0, 1.0, 3 * 4096), funcs[0].values), tmp_path / "b.csv")
+        assert len(builds) == 2
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

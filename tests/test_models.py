@@ -92,6 +92,11 @@ class TestEx2:
             psi = ex2.eigenstate_samples(n)
             assert pdmse_residual(ex2, psi, ex2.energy(n)) <= 1e-5
 
+    def test_state_that_overflows_is_refused(self):
+        # (1 + e^x)^((a + b + 1)/2) overflows for x > 1e-49 with b = 5.7e51
+        with pytest.raises(DomainError, match="state 4 of ex2 overflows on the grid"):
+            model_ex2(Ex2Params(a=-1.1, b=5.7e51)).eigenstate_samples(4)
+
     def test_mass_positive(self, ex2):
         assert np.all(ex2.mass(ex2.recommended_grid.points()) > 0.0)
 

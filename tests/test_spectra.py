@@ -81,6 +81,14 @@ class TestDiscretize:
         with pytest.raises(DomainError):
             discretize(ho, v)
 
+    @pytest.mark.parametrize("x_min, x_max", [(-700.0, 700.0), (0.0, 1.8e-136)])
+    def test_matrix_beyond_the_double_range_rejected(self, ex2, x_min, x_max):
+        # the mass falls to 1e-304 at the wings, or h^2 is 5e-276: off^2
+        # would overflow in the Sturm counts
+        v = ex2.potential_samples(Grid(x_min, x_max, 79))
+        with pytest.raises(DomainError, match="exceeds the double range"):
+            discretize(ex2, v)
+
     def test_symmetry(self, ex2):
         # one off-diagonal array serves as both sub- and superdiagonal
         prob = discretize(ex2, ex2.potential_samples())
@@ -104,6 +112,14 @@ class TestLowestEigenpairs:
     def test_ex2_recommended_grid(self, ex2):
         rep = solve_spectrum(ex2, ex2.potential_samples(), 3)
         assert np.max(np.abs(rep.eigenvalues - np.array([6.0, 13.0, 22.0]))) <= 1e-2
+
+    def test_matrix_far_inside_the_tolerance_is_refused(self):
+        # on [0, 1e100] the box matrix spans 6.4e-195 against tol 1e-13, so
+        # the twist sits far from every eigenvalue and z overflows
+        box = model_box()
+        prob = discretize(box, box.potential_samples(Grid(0.0, 1e100, 401)))
+        with pytest.raises(SolverError, match="eigenvector 0 overflows"):
+            lowest_eigenpairs(prob, 1)
 
     def test_too_many_levels(self, ho):
         g = Grid(-8.0, 8.0, 101)
