@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from datetime import datetime, timezone
@@ -295,8 +296,23 @@ def _level(text: str) -> int:
     return value
 
 
+# argparse's own pattern takes only "-2" and "-2.0" for a value, not "-2e0"
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads every negative float literal, "-2e0" and
+    "-inf" included, as a flag's value; its subparsers are _Parsers too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pdmfactor",
         description=(
             "Construct nonsingular isospectral partners of position-dependent-mass "

@@ -85,7 +85,10 @@ LAMBDA_SHIFT = {"normalized": 0.0, "paper-ex1": 0.5}
 # Small shared helpers
 # ---------------------------------------------------------------------------
 
-def _band_mask(n: int, crossings) -> np.ndarray:
+def _band_mask(n: int, crossings) -> Optional[np.ndarray]:
+    """Guard bands around the crossings; None when there are none."""
+    if not crossings:
+        return None
     mask = np.zeros(n, dtype=bool)
     for lo, hi in crossings:
         mask[max(0, lo - DEFAULT_GUARD_BAND + 1) : min(n, hi + DEFAULT_GUARD_BAND)] = True

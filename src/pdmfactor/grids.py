@@ -121,7 +121,8 @@ class SampledFunction:
             if band.shape != (self.grid.n_points,):
                 raise ConfigurationError("singular_mask length does not match grid")
             mask |= band
-        self.values[mask] = np.nan
+        if mask.any():
+            self.values[mask] = np.nan
         self.singular_mask = mask
         self.values.flags.writeable = False
         self.singular_mask.flags.writeable = False
@@ -132,7 +133,7 @@ class SampledFunction:
 
     @property
     def is_singular(self) -> bool:
-        return bool(np.any(self.singular_mask))
+        return bool(self.singular_mask.any())
 
     def with_values(self, values) -> "SampledFunction":
         return SampledFunction(self.grid, values)
@@ -149,12 +150,17 @@ def _crossings(values: np.ndarray, floor: float) -> list[tuple[int, int]]:
     tails) and are skipped; a crossing is reported between the surrounding
     determinate values.
     """
-    idx = np.where(np.abs(values) > floor)[0]
-    if idx.size < 2:
+    if values.size < 2:
         return []
-    signs = np.sign(values[idx])
-    where = np.where(signs[1:] != signs[:-1])[0]
-    return [(int(idx[j]), int(idx[j + 1])) for j in where]
+    if np.abs(values).min() > floor:
+        # every entry is determinate (a NaN fails the test), so a sign
+        # change is a change of ``values < 0`` between neighbours
+        neg = values < 0.0
+        return [(j, j + 1) for j in (neg[1:] != neg[:-1]).nonzero()[0].tolist()]
+    idx = (np.abs(values) > floor).nonzero()[0]
+    neg = values[idx] < 0.0
+    where = (neg[1:] != neg[:-1]).nonzero()[0]
+    return list(zip(idx[where].tolist(), idx[where + 1].tolist()))
 
 
 def derivative(f: SampledFunction) -> SampledFunction:

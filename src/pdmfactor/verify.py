@@ -131,9 +131,6 @@ def scan_lambda(model: PdmModel, n: int, lambdas, convention: str = "normalized"
     g = grid or model.recommended_grid
     psi_n = normalize_state(model.eigenstate_samples(n, g))
     terms = bernoulli_terms(psi_n, model)
-    # each result is freed before the next one is built; with the terms
-    # hoisted, keeping the previous result alive instead doubled the minor
-    # page faults of a 20 s perfbench scan run (92 k against 48 k)
     flags = [bernoulli_f(terms, lam - shift).is_singular for lam in lambdas]
     # adding the shift (0.0 or 0.5) also turns the edge -F[0] = -0.0 into +0.0
     lower, upper = -np.max(terms.F) + shift, -np.min(terms.F) + shift

@@ -434,6 +434,27 @@ class TestPackageErrors:
         assert not any(tmp_path.iterdir())
 
 
+    @pytest.mark.parametrize("argv, dest, value", [
+        (["construct", "--model", "ho", "--n", "1", "--lambda", "-2e0"], "lambda_", -2.0),
+        (["spectrum", "--model", "ho", "--grid-min", "-8E0", "--levels", "2"], "grid_min", -8.0),
+        (["scan", "--model", "ho", "--lambda-min", "-1e-300", "--lambda-max", "1",
+          "--steps", "5"], "lambda_min", -1e-300),
+    ])
+    def test_negative_number_with_exponent_is_a_value(self, tmp_path, argv, dest, value):
+        argv = argv + ["--grid-points", "401", "--out", str(tmp_path)]
+        assert getattr(pdmfactor.cli.build_parser().parse_args(argv), dest) == value
+        assert run(argv) == 0
+
+    @pytest.mark.parametrize("flag, value", [("--lambda", "-inf"), ("--grid-min", "-Infinity"),
+                                             ("--beta", "-nan"), ("--lambda", "nan")])
+    def test_non_finite_float_value_after_a_space_exits_two(self, tmp_path, capsys, flag,
+                                                            value):
+        with pytest.raises(SystemExit) as exc:
+            run(["construct", "--model", "ex1", "--n", "1", flag, value, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"expected a finite number, got {value!r}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv", [
         ["construct", "--model", "ho", "--n", "-1", "--lambda", "1"],
         ["verify", "--model", "ex1", "--n", "-1", "--lambda", "1"],

@@ -10,6 +10,7 @@ from pdmfactor.errors import ConfigurationError, DomainError
 from pdmfactor.grids import (
     Grid,
     SampledFunction,
+    _crossings,
     cumulative_integral,
     definite_integral,
     derivative,
@@ -78,6 +79,18 @@ class TestMaskRule:
         assert np.array_equal(np.isnan(f.values), mask)
         assert np.all(f.values[~mask] == 1.0)
 
+    def test_clean_array_is_kept_bit_for_bit(self):
+        g = Grid(0.0, 1.0, 8)
+        vals = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.5, 1e-300, 3.0])
+        before = vals.tobytes()
+        f = SampledFunction(g, vals)
+        assert f.values.tobytes() == before
+        assert f.singular_mask.shape == (8,) and not f.singular_mask.any()
+        assert not f.is_singular
+        # the caller's array is left alone
+        assert f.values is not vals and vals.flags.writeable
+        assert vals.tobytes() == before
+
     def test_mask_shape_checked(self):
         with pytest.raises(ConfigurationError):
             SampledFunction(Grid(0.0, 1.0, 8), np.ones(8), np.zeros(7, bool))
@@ -97,6 +110,66 @@ class TestMaskRule:
         if node > 58:
             reach[-2:] = True
         assert np.array_equal(d.singular_mask, reach)
+
+
+def reference_crossings(values, floor):
+    """The sign rule as an index gather and np.sign over the determinate entries."""
+    idx = np.where(np.abs(values) > floor)[0]
+    if idx.size < 2:
+        return []
+    signs = np.sign(values[idx])
+    where = np.where(signs[1:] != signs[:-1])[0]
+    return [(int(idx[j]), int(idx[j + 1])) for j in where]
+
+
+@st.composite
+def sign_rule_inputs(draw):
+    """Arrays of 0-3, 4-60 or up to 3000 entries holding NaN, signed zeros,
+    infinities and values at, just above and just below the floor."""
+    floor = draw(st.sampled_from([0.0, 5e-324, 1e-9, 1.0]) | st.floats(0.0, 1e3))
+    edges = [floor, np.nextafter(floor, np.inf), np.nextafter(floor, 0.0)]
+    specials = [np.nan, 0.0, np.inf] + edges
+    specials += [-v for v in specials]
+    element = st.sampled_from(specials) | st.floats(-10.0, 10.0) | st.floats()
+    size = draw(st.sampled_from(["small", "medium", "large"]))
+    if size != "large":
+        lo, hi = (0, 3) if size == "small" else (4, 60)
+        return np.array(draw(st.lists(element, min_size=lo, max_size=hi)), dtype=float), floor
+    n = draw(st.integers(4, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=n) * draw(st.sampled_from([2.0 * floor, 1.0, 1e3]))
+    hits = rng.random(n) < draw(st.sampled_from([0.0, 1e-3, 0.05, 0.5]))
+    values[hits] = rng.choice(specials, size=int(hits.sum()))
+    return values, floor
+
+
+class TestCrossings:
+    """``_crossings`` is the package's one sign-change rule."""
+
+    @given(sign_rule_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference(self, case):
+        values, floor = case
+        before = values.tobytes()
+        got = _crossings(values, floor)
+        assert got == reference_crossings(values, floor)
+        assert all(type(i) is int for pair in got for i in pair)
+        assert values.tobytes() == before
+
+    def test_all_determinate(self):
+        values = np.array([1.0, -2.0, -3.0, 4.0, np.inf, -np.inf, 5e-324])
+        assert _crossings(values, 0.0) == [(0, 1), (2, 3), (4, 5), (5, 6)]
+        assert _crossings(values, 0.0) == reference_crossings(values, 0.0)
+
+    def test_mixed(self):
+        # zeros, NaN and values at or below the floor are skipped
+        values = np.array([1.0, 0.0, -0.0, np.nan, -1.0, 1e-12, -1e-9, 2.0, 2.0])
+        assert _crossings(values, 1e-9) == [(0, 4), (4, 7)]
+        assert _crossings(values, 1e-9) == reference_crossings(values, 1e-9)
+
+    @pytest.mark.parametrize("values", [[], [-1.0], [np.nan, np.nan], [0.0, -0.0]])
+    def test_fewer_than_two_determinate_entries(self, values):
+        assert _crossings(np.array(values), 0.0) == []
 
 
 class TestDerivative:

@@ -1,0 +1,38 @@
+"""Smoke tests of tools/compare_outputs.py on the small benchmark decks."""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "compare_outputs.py"
+
+
+def compare(tree_a, tree_b, workload):
+    return subprocess.run(
+        [sys.executable, str(TOOL), str(tree_a), str(tree_b), "--workload", workload, "--tiny"],
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+@pytest.mark.parametrize("workload", ["solve", "construct", "scan"])
+def test_tree_matches_itself(workload):
+    out = compare(ROOT, ROOT, workload)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.splitlines()[-1].endswith("ops identical")
+
+
+def test_changed_stdout_is_reported(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "pdmfactor" / "cli.py"
+    text = cli.read_text()
+    assert 'print(f"scanned ' in text
+    cli.write_text(text.replace('print(f"scanned ', 'print(f"Scanned '))
+    out = compare(ROOT, tmp_path, "scan")
+    assert out.returncode == 1
+    assert "stdout differ" in out.stdout
+    assert "scan.json" not in out.stdout

@@ -1,0 +1,108 @@
+"""Compare what two pdmfactor source trees produce on one benchmark deck.
+
+    python3 tools/compare_outputs.py TREE_A TREE_B --workload scan --seed 1
+    python3 tools/compare_outputs.py TREE_A TREE_B --workload solve --tiny
+
+Each tree is a checkout with a ``src/pdmfactor`` package.  The deck is the
+seeded op list of ``perfbench/workloads.py`` in the checkout that holds this
+script (``--tiny`` takes the small self-test deck instead), so both trees run
+the same argv lists.  Every op runs ``pdmfactor.cli.main`` of each tree in a
+fresh interpreter, in its own empty working directory, with ``--out out``.
+The two runs must agree on the exit code, on stdout, on stderr and on every
+output file byte for byte; in JSON files the value of the ``timestamp`` key
+is ignored.  Each difference is printed, and the exit code is 1 when there
+is any, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_RUN_OP = (
+    "import sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "from pdmfactor.cli import main\n"
+    "sys.exit(main(sys.argv[2:]))\n"
+)
+_TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_op(tree: Path, argv: list[str], workdir: Path) -> dict:
+    """Exit code, stdout, stderr and output files of one op on one tree."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_OP, str(tree / "src"), *argv, "--out", "out"],
+        cwd=workdir, capture_output=True, timeout=600,
+    )
+    files = {}
+    out = workdir / "out"
+    if out.is_dir():
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            data = path.read_bytes()
+            if path.suffix == ".json":
+                data = _TIMESTAMP.sub(b'"timestamp": null', data)
+            files[path.relative_to(out).as_posix()] = data
+    return {"exit code": proc.returncode, "stdout": proc.stdout,
+            "stderr": proc.stderr, "files": files}
+
+
+def differences(a: dict, b: dict) -> list[str]:
+    """What differs between the results of one op on the two trees."""
+    found = [key for key in ("exit code", "stdout", "stderr") if a[key] != b[key]]
+    for name in sorted(a["files"].keys() | b["files"].keys()):
+        if name not in a["files"] or name not in b["files"]:
+            found.append(f"{name} (written by one tree only)")
+        elif a["files"][name] != b["files"][name]:
+            found.append(name)
+    return found
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("tree_a", type=Path)
+    p.add_argument("tree_b", type=Path)
+    workloads = _load_workloads()
+    p.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
+    deck = p.add_mutually_exclusive_group(required=True)
+    deck.add_argument("--seed", type=int, help="seed of the benchmark deck")
+    deck.add_argument("--tiny", action="store_true", help="the small self-test deck")
+    args = p.parse_args(argv)
+    trees = [t.resolve() for t in (args.tree_a, args.tree_b)]
+    for tree in trees:
+        if not (tree / "src" / "pdmfactor").is_dir():
+            p.error(f"{tree} has no src/pdmfactor")
+
+    ops = (workloads.tiny_deck(args.workload) if args.tiny
+           else workloads.make_deck(args.workload, args.seed))
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
+        for i, op in enumerate(ops):
+            results = []
+            for t, tree in enumerate(trees):
+                workdir = Path(tmp) / f"op{i}_{t}"
+                workdir.mkdir()
+                results.append(run_op(tree, op["argv"], workdir))
+            diff = differences(*results)
+            if diff:
+                failed += 1
+                print(f"op {i} ({' '.join(op['argv'])}): {', '.join(diff)} differ")
+    print(f"{args.workload}: {len(ops) - failed} of {len(ops)} ops identical")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
