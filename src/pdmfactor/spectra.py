@@ -13,9 +13,9 @@ untouched.
 
 The eigensolver runs one LDL^T pivot recurrence on Python floats.  Its Sturm
 counts bracket each eigenvalue, and Rayleigh-quotient iteration on Fernando's
-twisted factorization converges to it (the fine grid starts from verified
-brackets around the coarse eigenvalues); two more counts certify it, and one
-more twist gives an O(N) eigenvector per level.
+twisted factorization converges to it (on the fine grid from the coarse
+eigenvalue, each twist's own count narrowing the bracket); one more count
+certifies it, and one more twist gives an O(N) eigenvector per level.
 """
 
 from __future__ import annotations
@@ -41,11 +41,6 @@ __all__ = [
 _TINY = 1e-300
 # a pair whose residual exceeds _RESIDUAL_SCALE * |diag|_inf is refused
 _RESIDUAL_SCALE = 1e-6
-# the fine solve starts _WARM_WIDTH * (E - lo) around each coarse eigenvalue
-# E (the gap was at most 0.0044 * (E - lo) on perfbench's solve decks); a failed
-# bracket doubles at most _WARM_TRIES times
-_WARM_WIDTH = 2e-2
-_WARM_TRIES = 4
 # a level takes at most _MAX_STEPS counts and twists: 48 bisections shrink any
 # Gershgorin bracket to tol, and the Rayleigh-quotient steps converge cubically
 _MAX_STEPS = 120
@@ -112,6 +107,8 @@ class SpectrumReport:
 def count_nodes(psi: SampledFunction) -> int:
     """Strict sign changes among finite values above the noise floor."""
     v = psi.values[~psi.singular_mask]
+    if v.size == 0:
+        raise DomainError("the state has no finite sample to count nodes on")
     return len(_crossings(v, NOISE_FLOOR * np.max(np.abs(v))))
 
 
@@ -170,15 +167,15 @@ def _eigenvalues_only(prob: SturmLiouvilleProblem, k: int, hints=None) -> np.nda
     """The k lowest eigenvalues, each within tol / 2 of the matrix's; refuses
     k outside 1 .. n_points // 10.
 
-    Every Sturm count of the matrix is kept as a (shift, count) pair, and
-    target j's bracket is the tightest the pairs give.  hints, estimates E of
-    the eigenvalues, first add the pairs at E_j -/+ _WARM_WIDTH * (E_j - lo),
-    which do not meet at E_j = 0; a bracket that does not hold target j
-    doubles, at most _WARM_TRIES times.  Bisection isolates target j, then
-    Rayleigh-quotient iteration on the twisted factorization converges from
-    the hint (else the midpoint); a step leaving the bracket bisects instead.
-    A converged value lam is returned only when count(lam - tol / 2) <= j <
-    count(lam + tol / 2), or a bracket at most tol wide certifies its midpoint.
+    Every Sturm count of the matrix, the twists' included, is kept as a
+    (shift, count) pair, and target j's bracket is the tightest the pairs
+    give.  Rayleigh-quotient iteration on the twisted factorization starts at
+    hints[j] when it lies inside that bracket.  Without a hint, after a step
+    that leaves the bracket or after a failed certificate, bisection isolates
+    target j and the iteration restarts from the midpoint.  A converged value
+    lam is returned only when count(lam - tol / 2) <= j < count(lam + tol / 2),
+    one side of which the last twist's count settles, or a bracket at most
+    tol wide certifies its midpoint.
     """
     if k < 1 or k > prob.grid.n_points // 10:
         raise ConfigurationError(
@@ -198,14 +195,7 @@ def _eigenvalues_only(prob: SturmLiouvilleProblem, k: int, hints=None) -> np.nda
 
     eigs = np.empty(k)
     for j in range(k):
-        sigma = math.nan  # no hint: the iteration starts at a midpoint
-        if hints is not None:
-            sigma = float(hints[j])
-            width = _WARM_WIDTH * (sigma - lo)
-            for _ in range(_WARM_TRIES):
-                if count(max(sigma - width, lo)) <= j < count(min(sigma + width, hi)):
-                    break
-                width *= 2.0
+        sigma = math.nan if hints is None else float(hints[j])
         for _ in range(_MAX_STEPS):
             # the tightest bracket with count(l) <= j < count(u) the pairs give
             l, cl = max(p for p in pairs if p[1] <= j)
@@ -214,21 +204,23 @@ def _eigenvalues_only(prob: SturmLiouvilleProblem, k: int, hints=None) -> np.nda
             if u - l <= tol:
                 eigs[j] = mid
                 break
-            if cl < j or cu > j + 1:
-                count(mid)
-                continue
-            if not l < sigma < u:
+            if not l < sigma < u:  # NaN, or a hint or step outside the bracket
+                if cl < j or cu > j + 1:
+                    count(mid)
+                    continue
                 sigma = mid
             z, gamma, c = _twisted_vector(prob, off2, sigma)
             pairs.append((sigma, c))
             step = gamma / float(z @ z)
             sigma += step
-            # cubic convergence leaves sigma far closer than |step| to the eigenvalue
+            # cubic convergence leaves sigma far closer than |step| to the
+            # eigenvalue, and the twist's shift within tol / 4 of sigma, so its
+            # count c settles one side of the certificate
             if abs(step) <= 0.25 * tol:
-                if count(sigma - half) <= j < count(sigma + half):
+                if count(sigma + half) > j if c <= j else count(sigma - half) <= j:
                     eigs[j] = sigma
                     break
-                sigma = mid
+                sigma = math.nan
         else:
             raise SolverError(f"eigenvalue {j} not certified in {_MAX_STEPS} steps")
     return eigs
@@ -237,7 +229,7 @@ def _eigenvalues_only(prob: SturmLiouvilleProblem, k: int, hints=None) -> np.nda
 def lowest_eigenpairs(prob: SturmLiouvilleProblem, k: int, *, _hints=None) -> SpectrumReport:
     """k lowest eigenpairs by certified Rayleigh-quotient iteration plus a twist.
 
-    _hints (private) seed the brackets and the iteration, see _eigenvalues_only.
+    _hints (private) start the iteration, see _eigenvalues_only.
     One final twist at each certified eigenvalue gives the vector, and its
     Rayleigh quotient, kept within tol / 2 of the certified value, is the
     eigenvalue.  States are normalized by ``grids.normalize_state``; a

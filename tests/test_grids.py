@@ -318,7 +318,8 @@ class TestCsv:
         g = Grid(0.0, 1.0, 8)
         path = tmp_path / "f.csv"
         write_csv(sample(lambda x: x, g), path)
-        assert open(path).readline().strip() == "x,value,singular"
+        with open(path) as f:
+            assert f.readline().strip() == "x,value,singular"
 
     @pytest.mark.parametrize("n", [8, 4096, 4097, 2 * 4096 + 3])
     def test_bytes_match_the_csv_module(self, tmp_path, n):

@@ -1,5 +1,5 @@
-"""Package hygiene: exported names resolve and no module imports what it
-does not use."""
+"""Package hygiene: exported names resolve, no module imports what it does
+not use, and every private module-level name is used."""
 
 import ast
 import importlib
@@ -52,3 +52,48 @@ def test_no_unused_imports(name):
             used |= {e.value for e in node.value.elts}
     unused = {n: line for n, line in _imported_names(tree).items() if n not in used}
     assert unused == {}
+
+
+def _private_definitions(tree):
+    """Each private module-level name (_CONSTANT or _helper) mapped to the
+    statement that defines it."""
+    defs = {}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, ast.Assign):
+            names = [n.id for t in stmt.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defs[name] = stmt
+    return defs
+
+
+def _references(node, skip):
+    """Names read under node (as names, attributes or imports), outside skip."""
+    if node is skip:
+        return set()
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        found = {node.id}
+    elif isinstance(node, ast.Attribute):
+        found = {node.attr}
+    elif isinstance(node, ast.ImportFrom):
+        found = {alias.name for alias in node.names}
+    else:
+        found = set()
+    for child in ast.iter_child_nodes(node):
+        found |= _references(child, skip)
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SRC.glob("*.py")))
+def test_private_names_are_used(name):
+    # a private name that only its own definition mentions is a leftover
+    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    unused = [
+        private for private, stmt in _private_definitions(trees[name]).items()
+        if not any(private in _references(tree, stmt) for tree in trees.values())
+    ]
+    assert unused == []

@@ -331,8 +331,8 @@ class TestCertifiedIteration:
     @pytest.mark.parametrize("name", ["ex1", "ex2", "ho", "box"])
     def test_good_hints_bound_the_pivot_passes(self, name, monkeypatch):
         # a pass is one pivot recurrence over the matrix: a count takes one, a
-        # twist two; with the coarse eigenvalues as hints, a level takes two
-        # verifying counts, two certifying counts, a few twists and a final twist
+        # twist two; with the coarse eigenvalues as hints, a level takes a few
+        # twists, whose counts bracket it, one certifying count and a final twist
         model = catalog(name)
         v = model.potential_samples()
         coarse = _eigenvalues_only(
@@ -344,7 +344,8 @@ class TestCertifiedIteration:
         monkeypatch.setattr(pdmfactor.spectra, "_twisted_vector",
                             lambda *a: passes.append(2) or _twisted_vector(*a))
         lowest_eigenpairs(discretize(model, v), 5, _hints=coarse)
-        assert sum(passes) <= 16 * 5
+        assert passes.count(1) == 5
+        assert sum(passes) <= 10 * 5
 
 
 class TestTwistedVectors:
@@ -374,7 +375,8 @@ class TestTwistedVectors:
 
 
 class TestWarmBrackets:
-    """A wrong hint costs Sturm sweeps, never a wrong eigenvalue."""
+    """A wrong hint costs at most one Rayleigh-quotient run, never a wrong
+    eigenvalue: the level then bisects and iterates as without hints."""
 
     @pytest.mark.parametrize("name", ["ex1", "ex2", "ho", "box"])
     def test_hints_many_spacings_off(self, name):
@@ -425,3 +427,8 @@ class TestCountNodes:
         v = np.sin(3.0 * np.pi * g.points())
         v[10] = np.inf
         assert count_nodes(SampledFunction(g, v)) == 5
+
+    def test_all_nan_state_is_refused(self):
+        state = SampledFunction(Grid(0.0, 1.0, 8), np.full(8, np.nan))
+        with pytest.raises(DomainError, match="no finite sample"):
+            count_nodes(state)
