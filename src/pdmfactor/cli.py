@@ -77,19 +77,18 @@ def _model_params_dict(args) -> dict:
     return {}
 
 
-def _model_from_args(args) -> object:
-    return catalog(args.model, **_model_params_dict(args))
-
-
 def _grid_from_args(args, model) -> Grid:
     base = model.recommended_grid
     x_min = base.x_min if args.grid_min is None else args.grid_min
     x_max = base.x_max if args.grid_max is None else args.grid_max
     n = base.n_points if args.grid_points is None else args.grid_points
     grid = Grid(x_min, x_max, n)
-    # a window so wide that the model's samples overflow is a usage error,
-    # refused before any stage computes on it
-    x = grid.points()
+    # a count too large to allocate, or a window so wide that the model's
+    # samples overflow, is a usage error, refused before any stage computes
+    try:
+        x = grid.points()
+    except (MemoryError, ValueError):
+        raise ConfigurationError(f"--grid-points {n} is too large to allocate") from None
     try:
         with np.errstate(all="ignore", over="raise"):
             mass, potential = model.mass(x), model.potential(x)
@@ -104,11 +103,6 @@ def _grid_from_args(args, model) -> Grid:
             " positive, at every node"
         )
     return grid
-
-
-def _run_factorization(args, model, grid):
-    return factorize(model, args.n, beta=args.beta, lam=args.lambda_,
-                     convention=args.convention, grid=grid)
 
 
 def _deformation_inputs(args) -> dict:
@@ -127,25 +121,20 @@ def _base_payload(args) -> dict:
 
 
 def cmd_construct(args) -> int:
-    model = _model_from_args(args)
+    model = catalog(args.model, **_model_params_dict(args))
     grid = _grid_from_args(args, model)
-    fac = _run_factorization(args, model, grid)
-    files = {
-        "W_n": "W_n.csv",
-        "f_n": "f_n.csv",
-        "V_n_minus": "V_n_minus.csv",
-        "V_n_plus": "V_n_plus.csv",
-        "V_tilde_minus": "V_tilde_minus.csv",
-        "mass": "mass.csv",
+    fac = factorize(model, args.n, beta=args.beta, lam=args.lambda_,
+                    convention=args.convention, grid=grid)
+    profiles = {
+        "W_n": fac.W_n.values,
+        "f_n": fac.f_n.values,
+        "V_n_minus": fac.V_n_minus,
+        "V_n_plus": fac.V_n_plus,
+        "V_tilde_minus": fac.V_tilde_minus,
+        "mass": SampledFunction(grid, model.mass(grid.points())),
     }
-    outputs = {
-        files["W_n"]: fac.W_n.values,
-        files["f_n"]: fac.f_n.values,
-        files["V_n_minus"]: fac.V_n_minus,
-        files["V_n_plus"]: fac.V_n_plus,
-        files["V_tilde_minus"]: fac.V_tilde_minus,
-        files["mass"]: SampledFunction(grid, model.mass(grid.points())),
-    }
+    files = {name: f"{name}.csv" for name in profiles}
+    outputs = {files[name]: profile for name, profile in profiles.items()}
     # every state is built before the first write, so a failure leaves no
     # half-written directory behind
     states = {}
@@ -192,12 +181,13 @@ def cmd_construct(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    model = _model_from_args(args)
+    model = catalog(args.model, **_model_params_dict(args))
     grid = _grid_from_args(args, model)
     if args.which == "original":
         potential = model.potential_samples(grid)
     else:
-        fac = _run_factorization(args, model, grid)
+        fac = factorize(model, args.n, beta=args.beta, lam=args.lambda_,
+                        convention=args.convention, grid=grid)
         if fac.f_n.is_singular:
             print("deformed potential is singular for these parameters", file=sys.stderr)
             return CHECK_FAILURE
@@ -218,12 +208,13 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    model = _model_from_args(args)
+    model = catalog(args.model, **_model_params_dict(args))
     grid = _grid_from_args(args, model)
     out = Path(args.out)
     payload = _base_payload(args)
     payload.update(_deformation_inputs(args))
-    fac = _run_factorization(args, model, grid)
+    fac = factorize(model, args.n, beta=args.beta, lam=args.lambda_,
+                    convention=args.convention, grid=grid)
     if fac.f_n.is_singular:
         payload["singular"] = True
         payload["passed"] = False
@@ -255,13 +246,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    model = _model_from_args(args)
+    model = catalog(args.model, **_model_params_dict(args))
     grid = _grid_from_args(args, model)
     if args.steps < 2 or not args.lambda_max > args.lambda_min:
         raise ConfigurationError("scan needs lambda-max > lambda-min and at least 2 steps")
     if not math.isfinite(args.lambda_max - args.lambda_min):
         raise ConfigurationError("lambda-max - lambda-min overflows")
-    lambdas = np.linspace(args.lambda_min, args.lambda_max, args.steps)
+    try:
+        lambdas = np.linspace(args.lambda_min, args.lambda_max, args.steps)
+    except (MemoryError, ValueError):
+        raise ConfigurationError(f"--steps {args.steps} is too large to allocate") from None
     report = scan_lambda(model, args.n, lambdas, convention=args.convention, grid=grid)
     out = Path(args.out)
     payload = _base_payload(args)

@@ -260,16 +260,6 @@ def bernoulli_f(terms: BernoulliTerms, lam: float) -> DeformationFunction:
     )
 
 
-def _edge_log_slope(prod: np.ndarray, h: float, left: bool) -> float:
-    """One-sided 4th-order slope of log|prod| at an edge; nan when unusable."""
-    seg = prod[:5] if left else prod[-5:][::-1]
-    if np.any(seg == 0.0) or np.any(np.sign(seg) != np.sign(seg[0])):
-        return float("nan")
-    lp = np.log(np.abs(seg))
-    slope = (-25 * lp[0] + 48 * lp[1] - 36 * lp[2] + 16 * lp[3] - 3 * lp[4]) / (12.0 * h)
-    return slope if left else -slope
-
-
 def auxiliary_f(seed: SampledFunction, psi_n: SampledFunction, model: PdmModel,
                 w_n: Superpotential, beta: float) -> DeformationFunction:
     """beta != 0 deformation from an auxiliary solution at energy E_n - beta.
@@ -283,7 +273,6 @@ def auxiliary_f(seed: SampledFunction, psi_n: SampledFunction, model: PdmModel,
     if seed.grid != psi_n.grid:
         raise InconsistentInputError("seed and state live on different grids")
     x = psi_n.x
-    h = psi_n.grid.h
     m = model.mass(x)
     sqm = np.sqrt(m)
 
@@ -293,13 +282,17 @@ def auxiliary_f(seed: SampledFunction, psi_n: SampledFunction, model: PdmModel,
     prod = psi_n.values * seed.values
     F = cumulative_integral(SampledFunction(psi_n.grid, prod))
 
-    mu_left = _edge_log_slope(prod, h, left=True)
-    mu_right = _edge_log_slope(prod, h, left=False)
+    # the edge slopes of log|prod|, usable where prod keeps one sign on the
+    # five nodes of the one-sided stencil (a non-finite slope is NaN)
+    with np.errstate(divide="ignore"):
+        dlog = derivative(SampledFunction(psi_n.grid, np.log(np.abs(prod)))).values
+    mu_left = dlog[0] if np.all(prod[:5] > 0.0) or np.all(prod[:5] < 0.0) else np.nan
+    mu_right = dlog[-1] if np.all(prod[-5:] > 0.0) or np.all(prod[-5:] < 0.0) else np.nan
     dseed = derivative(seed)
     wronskian = (psi_n.values * dseed.values - w_n.state_d1 * seed.values) / m
-    if np.isfinite(mu_left) and mu_left > 0.0:
+    if mu_left > 0.0:
         chi = beta * prod[0] / mu_left + beta * F.values
-    elif np.isfinite(mu_right) and mu_right < 0.0:
+    elif mu_right < 0.0:
         chi_end = -beta * prod[-1] / mu_right
         chi = chi_end - beta * (F.values[-1] - F.values)
     else:

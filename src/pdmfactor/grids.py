@@ -1,5 +1,7 @@
 """Uniform grids, sampled functions, numerical differentiation and quadrature.
 
+The grid owns its coordinate: only this module reads the node spacing ``Grid.h``.
+
 Everything downstream works on ``SampledFunction`` objects: real values on a
 uniform grid.  The package has one mask rule: a singular or otherwise
 unusable sample is a NaN sample.  ``SampledFunction`` stores NaN at every
@@ -73,6 +75,22 @@ class Grid:
 
     def midpoints(self) -> np.ndarray:
         return self.x_min + self.h * (np.arange(self.n_points - 1) + 0.5)
+
+    def nearest_node(self, x: float) -> int:
+        return int(round((x - self.x_min) / self.h))
+
+    def divergence_stencil(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal and off-diagonal of -d/dx(p d/dx) on the interior nodes,
+        from p at the midpoints, with Dirichlet edges."""
+        h2 = self.h * self.h
+        return (p[:-1] + p[1:]) / h2, -p[1:-1] / h2
+
+    def substep_lattice(self, start: int, nsub: int) -> tuple[np.ndarray, float]:
+        """Lattice at half the substep h / nsub from node start to the last
+        node, and the substep."""
+        hs = self.h / nsub
+        half = 0.5 * hs * np.arange(2 * nsub * (self.n_points - 1 - start) + 1)
+        return self.x_min + self.h * start + half, hs
 
     def coarsened(self) -> "Grid":
         """Every second node (same endpoints).  Requires odd n_points."""

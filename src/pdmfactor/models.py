@@ -234,14 +234,16 @@ def model_ex2(p: Ex2Params = Ex2Params()) -> PdmModel:
     )
 
 
+def _unit_mass(x):
+    return np.ones_like(np.asarray(x, dtype=float))
+
+
+def _zero(x):
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
 def model_constant_mass_ho() -> PdmModel:
     """Constant-mass harmonic oscillator, V = x^2 - 1, so that E_k = 2k."""
-
-    def mass(x):
-        return np.ones_like(np.asarray(x, dtype=float))
-
-    def zero(x):
-        return np.zeros_like(np.asarray(x, dtype=float))
 
     def potential(x):
         return x * x - 1.0
@@ -259,9 +261,9 @@ def model_constant_mass_ho() -> PdmModel:
 
     return PdmModel(
         name="ho",
-        mass=mass,
-        mass_d1=zero,
-        mass_d2=zero,
+        mass=_unit_mass,
+        mass_d1=_zero,
+        mass_d2=_zero,
         potential=potential,
         energy=energy,
         eigenstate=eigenstate,
@@ -272,12 +274,6 @@ def model_constant_mass_ho() -> PdmModel:
 
 def model_box() -> PdmModel:
     """Particle in a box on [0, 1]: the textbook sanity check for the solver."""
-
-    def mass(x):
-        return np.ones_like(np.asarray(x, dtype=float))
-
-    def zero(x):
-        return np.zeros_like(np.asarray(x, dtype=float))
 
     def energy(k: int) -> float:
         return ((k + 1) * math.pi) ** 2
@@ -290,10 +286,10 @@ def model_box() -> PdmModel:
 
     return PdmModel(
         name="box",
-        mass=mass,
-        mass_d1=zero,
-        mass_d2=zero,
-        potential=zero,
+        mass=_unit_mass,
+        mass_d1=_zero,
+        mass_d2=_zero,
+        potential=_zero,
         energy=energy,
         eigenstate=eigenstate,
         recommended_grid=Grid(0.0, 1.0, 2001),
@@ -407,10 +403,9 @@ def seed_solution_ex2(p: Ex2Params, n: int, beta: float, grid: Grid) -> SampledF
     if icut < grid.n_points - 1:
         dpsi0 = (stencil[0] - 8.0 * stencil[1] + 8.0 * stencil[2] - stencil[3]) / (12.0 * dd)
         nsub = _SEED_SUBSTEPS
-        hs = grid.h / nsub
         n_right = grid.n_points - icut
         # coefficient tables on the half-substep lattice of the marched region
-        xs = x0 + 0.5 * hs * np.arange(2 * nsub * (n_right - 1) + 1)
+        xs, hs = grid.substep_lattice(icut, nsub)
         m = model.mass(xs)
         c1 = m * (model.potential(xs) - e)
         c2 = model.mass_d1(xs) / m

@@ -73,10 +73,9 @@ def discretize(model: PdmModel, v: SampledFunction) -> SturmLiouvilleProblem:
     im = 1.0 / model.mass(g.midpoints())
     if np.any(~np.isfinite(im)) or np.any(im <= 0.0):
         raise DomainError("inverse mass must be positive and finite at all midpoints")
-    h2 = g.h * g.h
     with np.errstate(over="ignore", invalid="ignore"):
-        diag = (im[:-1] + im[1:]) / h2 + v.values[1:-1]
-        off = -im[1:-1] / h2
+        diag, off = g.divergence_stencil(im)
+        diag += v.values[1:-1]
         # the Sturm counts square off
         representable = np.all(np.isfinite(diag)) and np.all(np.isfinite(off * off))
     if not representable:

@@ -171,7 +171,7 @@ def intertwining_residual(fac: FactorizationResult, psi_k: SampledFunction,
     ok[-8:] = False
     reach = DEFAULT_GUARD_BAND + 6
     for pos in fac.W_n.node_positions:
-        i = int(round((pos - K.grid.x_min) / K.grid.h))
+        i = K.grid.nearest_node(pos)
         ok[max(0, i - reach) : i + reach + 1] = False
     ok &= np.isfinite(res)
     return float(np.max(res[ok]) / amax)

@@ -483,6 +483,23 @@ class TestPackageErrors:
         assert capsys.readouterr().err == "error: lambda-max - lambda-min overflows\n"
         assert not out.exists()
 
+    # numpy refuses arrays of 2**62 or more float64s before it allocates
+    # anything, so these counts never touch memory
+    @pytest.mark.parametrize("argv, message", [
+        (["scan", "--model", "ho", "--lambda-min", "0", "--lambda-max", "1",
+          "--steps", str(2**62)], f"--steps {2**62}"),
+        (["spectrum", "--model", "box", "--grid-points", str(2**62 + 1)],
+         f"--grid-points {2**62 + 1}"),
+        (["construct", "--model", "ho", "--grid-points", str(2**62 + 1)],
+         f"--grid-points {2**62 + 1}"),
+    ])
+    def test_count_too_large_to_allocate_exits_two(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "run"
+        code = run(argv + ["--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message} is too large to allocate\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--model", "ho"],
         ["construct", "--model", "ho", "--lambda", "1"],

@@ -58,6 +58,45 @@ class TestGrid:
         assert (c.x_min, c.x_max, c.n_points) == (-2.0, 3.0, 51)
         assert np.array_equal(c.points(), g.points()[::2])
 
+    def test_divergence_stencil_of_unit_coefficient(self):
+        g = Grid(-2.0, 3.0, 101)
+        diag, off = g.divergence_stencil(np.ones(g.n_points - 1))
+        assert diag.shape == (99,) and off.shape == (98,)
+        assert np.all(diag == 2.0 / (g.h * g.h))
+        assert np.all(off == -1.0 / (g.h * g.h))
+
+    @pytest.mark.parametrize("name", ["box", "ho"])
+    def test_discretize_is_the_stencil_plus_the_potential(self, name):
+        from pdmfactor.models import catalog
+        from pdmfactor.spectra import discretize
+
+        model = catalog(name)
+        g = Grid(model.recommended_grid.x_min, model.recommended_grid.x_max, 201)
+        v = model.potential_samples(g)
+        problem = discretize(model, v)
+        diag, off = g.divergence_stencil(np.ones(g.n_points - 1))
+        assert np.array_equal(problem.diag, diag + v.values[1:-1])
+        assert np.array_equal(problem.off, off)
+
+    @pytest.mark.parametrize("start, nsub", [(0, 1), (3, 4), (97, 2), (100, 4)])
+    def test_substep_lattice(self, start, nsub):
+        g = Grid(-2.0, 3.0, 101)
+        xs, hs = g.substep_lattice(start, nsub)
+        assert hs == g.h / nsub
+        assert xs.shape == (2 * nsub * (g.n_points - 1 - start) + 1,)
+        assert xs[0] == g.points()[start]
+        assert np.allclose(np.diff(xs), 0.5 * hs, rtol=1e-12, atol=0.0)
+        # every 2 nsub-th entry is a node
+        assert np.allclose(xs[:: 2 * nsub], g.points()[start:], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("x_min, x_max, n", [(-2.0, 3.0, 101), (-250.0, 250.0, 8001),
+                                                 (0.0, 1.0, 8), (1e6, 1e6 + 1e-3, 1001)])
+    def test_nearest_node_of_every_node_is_itself(self, x_min, x_max, n):
+        g = Grid(x_min, x_max, n)
+        assert [g.nearest_node(x) for x in g.points()] == list(range(n))
+        assert g.nearest_node(g.x_min + 0.4 * g.h) == 0
+        assert g.nearest_node(g.x_min + 1.6 * g.h) == 2
+
 
 class TestMaskRule:
     def test_inf_is_stored_as_flagged_nan(self):

@@ -1,5 +1,6 @@
 """Package hygiene: exported names resolve, no module imports what it does
-not use, and every private module-level name is used."""
+not use, every private module-level name is used, and only grids.py reads
+the node spacing."""
 
 import ast
 import importlib
@@ -97,3 +98,13 @@ def test_private_names_are_used(name):
         if not any(private in _references(tree, stmt) for tree in trees.values())
     ]
     assert unused == []
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "grids"))
+def test_only_grids_knows_the_spacing(name):
+    # the node spacing is the grid's decision: every other module asks the
+    # Grid or a grids.py function instead of reading grid.h
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    reads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "h"]
+    assert reads == []

@@ -11,9 +11,10 @@ ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "compare_outputs.py"
 
 
-def compare(tree_a, tree_b, workload):
+def compare(tree_a, tree_b, *workloads):
+    flags = [arg for workload in workloads for arg in ("--workload", workload)]
     return subprocess.run(
-        [sys.executable, str(TOOL), str(tree_a), str(tree_b), "--workload", workload, "--tiny"],
+        [sys.executable, str(TOOL), str(tree_a), str(tree_b), *flags, "--tiny"],
         capture_output=True, text=True, timeout=300,
     )
 
@@ -36,3 +37,17 @@ def test_changed_stdout_is_reported(tmp_path):
     assert out.returncode == 1
     assert "stdout differ" in out.stdout
     assert "scan.json" not in out.stdout
+
+
+def test_several_decks_in_one_run(tmp_path):
+    # one summary line per deck; a difference in one deck fails the run
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "pdmfactor" / "cli.py"
+    cli.write_text(cli.read_text().replace('print(f"scanned ', 'print(f"Scanned '))
+    out = compare(ROOT, tmp_path, "construct", "scan")
+    assert out.returncode == 1
+    lines = out.stdout.splitlines()
+    assert lines[0] == "construct tiny: 2 of 2 ops identical"
+    assert "stdout differ" in lines[1]
+    assert lines[2:] == ["scan tiny: 0 of 1 ops identical"]

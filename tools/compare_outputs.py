@@ -1,17 +1,21 @@
-"""Compare what two pdmfactor source trees produce on one benchmark deck.
+"""Compare what two pdmfactor source trees produce on benchmark decks.
 
     python3 tools/compare_outputs.py TREE_A TREE_B --workload scan --seed 1
     python3 tools/compare_outputs.py TREE_A TREE_B --workload solve --tiny
+    python3 tools/compare_outputs.py TREE_A TREE_B \
+        --workload solve --workload construct --workload scan --seed 1 --seed 7
 
-Each tree is a checkout with a ``src/pdmfactor`` package.  The deck is the
-seeded op list of ``perfbench/workloads.py`` in the checkout that holds this
-script (``--tiny`` takes the small self-test deck instead), so both trees run
-the same argv lists.  Every op runs ``pdmfactor.cli.main`` of each tree in a
+Each tree is a checkout with a ``src/pdmfactor`` package.  ``--workload``
+and ``--seed`` may each be given several times; every workload runs with
+every seed, one deck each.  A deck is the seeded op list of
+``perfbench/workloads.py`` in the checkout that holds this script
+(``--tiny`` takes the small self-test deck instead), so both trees run the
+same argv lists.  Every op runs ``pdmfactor.cli.main`` of each tree in a
 fresh interpreter, in its own empty working directory, with ``--out out``.
 The two runs must agree on the exit code, on stdout, on stderr and on every
 output file byte for byte; in JSON files the value of the ``timestamp`` key
-is ignored.  Each difference is printed, and the exit code is 1 when there
-is any, 0 otherwise.
+is ignored.  Each difference is printed, then one summary line per deck,
+and the exit code is 1 when there is any difference, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -71,14 +75,33 @@ def differences(a: dict, b: dict) -> list[str]:
     return found
 
 
+def compare_deck(trees: list[Path], ops: list[dict], tmp: Path) -> int:
+    """Run one deck on both trees; print each op that differs and return
+    how many do."""
+    failed = 0
+    for i, op in enumerate(ops):
+        results = []
+        for t, tree in enumerate(trees):
+            workdir = tmp / f"op{i}_{t}"
+            workdir.mkdir()
+            results.append(run_op(tree, op["argv"], workdir))
+        diff = differences(*results)
+        if diff:
+            failed += 1
+            print(f"op {i} ({' '.join(op['argv'])}): {', '.join(diff)} differ")
+    return failed
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("tree_a", type=Path)
     p.add_argument("tree_b", type=Path)
     workloads = _load_workloads()
-    p.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
+    p.add_argument("--workload", required=True, action="append",
+                   choices=workloads.WORKLOADS, help="a benchmark workload (repeatable)")
     deck = p.add_mutually_exclusive_group(required=True)
-    deck.add_argument("--seed", type=int, help="seed of the benchmark deck")
+    deck.add_argument("--seed", type=int, action="append",
+                      help="seed of the benchmark deck (repeatable)")
     deck.add_argument("--tiny", action="store_true", help="the small self-test deck")
     args = p.parse_args(argv)
     trees = [t.resolve() for t in (args.tree_a, args.tree_b)]
@@ -86,23 +109,17 @@ def main(argv=None) -> int:
         if not (tree / "src" / "pdmfactor").is_dir():
             p.error(f"{tree} has no src/pdmfactor")
 
-    ops = (workloads.tiny_deck(args.workload) if args.tiny
-           else workloads.make_deck(args.workload, args.seed))
-    failed = 0
-    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
-        for i, op in enumerate(ops):
-            results = []
-            for t, tree in enumerate(trees):
-                workdir = Path(tmp) / f"op{i}_{t}"
-                workdir.mkdir()
-                results.append(run_op(tree, op["argv"], workdir))
-            diff = differences(*results)
-            if diff:
-                failed += 1
-                print(f"op {i} ({' '.join(op['argv'])}): {', '.join(diff)} differ")
-    print(f"{args.workload}: {len(ops) - failed} of {len(ops)} ops identical")
-    return 1 if failed else 0
-
+    any_failed = False
+    for workload in args.workload:
+        for seed in [None] if args.tiny else args.seed:
+            ops = (workloads.tiny_deck(workload) if args.tiny
+                   else workloads.make_deck(workload, seed))
+            with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
+                failed = compare_deck(trees, ops, Path(tmp))
+            any_failed |= failed > 0
+            name = f"{workload} tiny" if args.tiny else f"{workload} seed {seed}"
+            print(f"{name}: {len(ops) - failed} of {len(ops)} ops identical")
+    return 1 if any_failed else 0
 
 if __name__ == "__main__":
     sys.exit(main())
