@@ -10,9 +10,10 @@ scan        sweep lambda and bracket the singularity boundary
 Exit codes: 0 success, 1 check failure, 2 usage error (nan or inf in a
 number flag is one, and so is a negative --n); a package error exits 1 or
 2, never with a traceback.
-All files are written atomically (temp file in the target directory, then
-rename), and all numeric output is full precision.  The only
-non-deterministic JSON field is the isolated "timestamp" key.
+Every command builds all its outputs before the first write, so a failed run
+leaves no partial directory, and writes each file atomically (temp file in
+the target directory, then rename).  Numeric output is full precision; the
+only non-deterministic JSON field is the isolated "timestamp" key.
 """
 
 from __future__ import annotations
@@ -48,14 +49,14 @@ CHECK_FAILURE = 1
 
 
 def _atomic_write(path: Path, content) -> None:
-    """Write text, or a SampledFunction as CSV, via a temp file and a rename."""
+    """Write a report dict as JSON, or a SampledFunction as CSV, via a temp file and a rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     os.close(fd)
     try:
-        if isinstance(content, str):
+        if isinstance(content, dict):
             with open(tmp, "w") as fh:
-                fh.write(content)
+                fh.write(json.dumps(content, indent=2, sort_keys=True))
         else:
             write_csv(content, tmp)
         os.replace(tmp, path)
@@ -63,10 +64,6 @@ def _atomic_write(path: Path, content) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _json_dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _model_params_dict(args) -> dict:
@@ -106,23 +103,12 @@ def _grid_from_args(args, model) -> Grid:
 
 
 def _deformation_inputs(args) -> dict:
-    """The deformation flags as given, for the reports of verify and of a
-    deformed spectrum."""
+    """The deformation flags as given, for verify's and a deformed spectrum's report."""
     return {"n": args.n, "beta": args.beta, "lambda": args.lambda_,
             "convention": args.convention}
 
 
-def _base_payload(args) -> dict:
-    return {
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "model": args.model,
-        "parameters": _model_params_dict(args),
-    }
-
-
-def cmd_construct(args) -> int:
-    model = catalog(args.model, **_model_params_dict(args))
-    grid = _grid_from_args(args, model)
+def cmd_construct(args, model, grid, payload):
     fac = factorize(model, args.n, beta=args.beta, lam=args.lambda_,
                     convention=args.convention, grid=grid)
     profiles = {
@@ -135,8 +121,6 @@ def cmd_construct(args) -> int:
     }
     files = {name: f"{name}.csv" for name in profiles}
     outputs = {files[name]: profile for name, profile in profiles.items()}
-    # every state is built before the first write, so a failure leaves no
-    # half-written directory behind
     states = {}
     if not fac.f_n.is_singular:
         try:
@@ -153,7 +137,6 @@ def cmd_construct(args) -> int:
             outputs[name] = map_eigenstate(psi_k, fac)
             states[f"psi_tilde_{k}"] = name
 
-    payload = _base_payload(args)
     payload.update(
         {
             "n": args.n,
@@ -168,63 +151,46 @@ def cmd_construct(args) -> int:
             "states": states,
         }
     )
-    out = Path(args.out)
-    for name, content in outputs.items():
-        _atomic_write(out / name, content)
-    _atomic_write(out / "result.json", _json_dump(payload))
+    outputs["result.json"] = payload
     status = "singular" if fac.f_n.is_singular else "nonsingular"
-    print(
+    line = (
         f"constructed {args.model} n={args.n} beta={args.beta} "
         f"lambda={fac.f_n.lam} route={fac.f_n.route}: {status}, shift={fac.spectrum_shift}"
     )
-    return 0
+    return 0, outputs, line, None
 
 
-def cmd_spectrum(args) -> int:
-    model = catalog(args.model, **_model_params_dict(args))
-    grid = _grid_from_args(args, model)
+def cmd_spectrum(args, model, grid, payload):
     if args.which == "original":
         potential = model.potential_samples(grid)
     else:
         fac = factorize(model, args.n, beta=args.beta, lam=args.lambda_,
                         convention=args.convention, grid=grid)
         if fac.f_n.is_singular:
-            print("deformed potential is singular for these parameters", file=sys.stderr)
-            return CHECK_FAILURE
+            return CHECK_FAILURE, {}, None, "deformed potential is singular for these parameters"
         potential = fac.V_tilde_minus
     report = solve_spectrum(model, potential, args.levels)
-    out = Path(args.out)
-    payload = _base_payload(args)
     payload.update({"which": args.which, "levels": args.levels})
     if args.which == "deformed":
         payload.update(_deformation_inputs(args))
     payload.update(report.to_json_dict())
-    _atomic_write(out / "spectrum.json", _json_dump(payload))
-    for j, state in enumerate(report.eigenstates):
-        _atomic_write(out / f"eigenstate_{j}.csv", state)
+    outputs = {f"eigenstate_{j}.csv": state for j, state in enumerate(report.eigenstates)}
+    outputs["spectrum.json"] = payload
     evals = ", ".join(f"{e:.10g}" for e in report.eigenvalues)
-    print(f"{args.which} spectrum ({args.levels} levels): {evals}")
-    return 0
+    return 0, outputs, f"{args.which} spectrum ({args.levels} levels): {evals}", None
 
 
-def cmd_verify(args) -> int:
-    model = catalog(args.model, **_model_params_dict(args))
-    grid = _grid_from_args(args, model)
-    out = Path(args.out)
-    payload = _base_payload(args)
+def cmd_verify(args, model, grid, payload):
     payload.update(_deformation_inputs(args))
+    outputs = {"verify.json": payload}
     fac = factorize(model, args.n, beta=args.beta, lam=args.lambda_,
                     convention=args.convention, grid=grid)
     if fac.f_n.is_singular:
-        payload["singular"] = True
-        payload["passed"] = False
-        _atomic_write(out / "verify.json", _json_dump(payload))
-        print(
+        payload.update(singular=True, passed=False)
+        return CHECK_FAILURE, outputs, None, (
             "FAIL: deformation function is singular for these parameters "
-            f"(lambda={fac.f_n.lam}, convention={fac.convention})",
-            file=sys.stderr,
+            f"(lambda={fac.f_n.lam}, convention={fac.convention})"
         )
-        return CHECK_FAILURE
     tol = model.spectrum_tolerance
     report = check_isospectral(fac, args.levels, tol)
     ric = riccati_residual(fac)
@@ -232,22 +198,18 @@ def cmd_verify(args) -> int:
     payload["isospectrality"] = report.to_json_dict()
     payload["riccati_residual"] = ric
     payload["passed"] = report.passed
-    _atomic_write(out / "verify.json", _json_dump(payload))
     deformed = ", ".join(f"{b:.6g}" for _, b, _ in report.pairs)
-    print(
+    line = (
         f"isospectrality: max_gap={report.max_gap:.3e} (tol {tol:g}), "
         f"nodes {'match' if report.node_match else 'MISMATCH'}; "
         f"riccati={ric:.3e}; deformed spectrum: {deformed}"
     )
     if not report.passed:
-        print("FAIL: isospectrality check failed", file=sys.stderr)
-        return CHECK_FAILURE
-    return 0
+        return CHECK_FAILURE, outputs, line, "FAIL: isospectrality check failed"
+    return 0, outputs, line, None
 
 
-def cmd_scan(args) -> int:
-    model = catalog(args.model, **_model_params_dict(args))
-    grid = _grid_from_args(args, model)
+def cmd_scan(args, model, grid, payload):
     if args.steps < 2 or not args.lambda_max > args.lambda_min:
         raise ConfigurationError("scan needs lambda-max > lambda-min and at least 2 steps")
     if not math.isfinite(args.lambda_max - args.lambda_min):
@@ -257,15 +219,12 @@ def cmd_scan(args) -> int:
     except (MemoryError, ValueError):
         raise ConfigurationError(f"--steps {args.steps} is too large to allocate") from None
     report = scan_lambda(model, args.n, lambdas, convention=args.convention, grid=grid)
-    out = Path(args.out)
-    payload = _base_payload(args)
     payload.update({"n": args.n, "convention": args.convention})
     payload.update(report.to_json_dict())
-    _atomic_write(out / "scan.json", _json_dump(payload))
     crit = "none" if report.critical_lambda is None else f"{report.critical_lambda:.6f}"
     n_sing = sum(report.singular_flags)
-    print(f"scanned {args.steps} values: {n_sing} singular, critical lambda = {crit}")
-    return 0
+    line = f"scanned {args.steps} values: {n_sing} singular, critical lambda = {crit}"
+    return 0, {"scan.json": payload}, line, None
 
 
 def _finite_float(text: str) -> float:
@@ -315,14 +274,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_level=True):
+    def add_command(name, func, summary, takes_beta_lambda=True):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("--model", required=True, choices=["ex1", "ex2", "ho", "box"])
         p.add_argument("--alpha", type=_finite_float, default=1.0, help="ex1 mass parameter")
         p.add_argument("--a", type=_finite_float, default=1.0, help="ex2 parameter a")
         p.add_argument("--b", type=_finite_float, default=5.0, help="ex2 parameter b")
         p.add_argument("--c", type=_finite_float, default=4.0, help="ex2 parameter c")
-        if needs_level:
-            p.add_argument("--n", type=_level, default=1, help="factorization level")
+        p.add_argument("--n", type=_level, default=1, help="factorization level")
+        if takes_beta_lambda:
             p.add_argument("--beta", type=_finite_float, default=0.0, help="spectral shift")
             p.add_argument("--lambda", dest="lambda_", type=_finite_float, default=None)
         p.add_argument(
@@ -335,38 +296,48 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid-max", type=_finite_float, default=None)
         p.add_argument("--grid-points", type=int, default=None)
         p.add_argument("--out", default=".", help="output directory")
+        return p
 
-    p = sub.add_parser("construct", help="build a factorization and export its profiles")
-    add_common(p)
-    p.set_defaults(func=cmd_construct)
+    add_command("construct", cmd_construct, "build a factorization and export its profiles")
 
-    p = sub.add_parser("spectrum", help="solve the original or deformed potential")
-    add_common(p)
+    p = add_command("spectrum", cmd_spectrum, "solve the original or deformed potential")
     p.add_argument("--which", choices=["original", "deformed"], default="original")
     p.add_argument("--levels", type=int, default=4)
-    p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("verify", help="check isospectrality and node structure")
-    add_common(p)
+    p = add_command("verify", cmd_verify, "check isospectrality and node structure")
     p.add_argument("--levels", type=int, default=5)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("scan", help="sweep lambda and bracket the singular window")
-    add_common(p, needs_level=False)
-    p.add_argument("--n", type=_level, default=1, help="factorization level")
+    p = add_command("scan", cmd_scan, "sweep lambda and bracket the singular window",
+                    takes_beta_lambda=False)
     p.add_argument("--lambda-min", type=_finite_float, required=True)
     p.add_argument("--lambda-max", type=_finite_float, required=True)
     p.add_argument("--steps", type=int, default=101)
-    p.set_defaults(func=cmd_scan)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        params = _model_params_dict(args)
+        model = catalog(args.model, **params)
+        grid = _grid_from_args(args, model)
+        payload = {
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "model": args.model,
+            "parameters": params,
+        }
+        # a command only computes and returns (exit code, {file name: report
+        # dict or SampledFunction}, stdout line, stderr line); every output is
+        # built before the first write, so a failure leaves no partial directory
+        code, outputs, stdout, stderr = args.func(args, model, grid, payload)
+        for name, content in outputs.items():
+            _atomic_write(Path(args.out) / name, content)
+        if stdout is not None:
+            print(stdout)
+        if stderr is not None:
+            print(stderr, file=sys.stderr)
+        return code
     except (ConfigurationError, InconsistentInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -266,8 +266,9 @@ def auxiliary_f(seed: SampledFunction, psi_n: SampledFunction, model: PdmModel,
 
     chi = (psi_n seed' - psi_n' seed)/m obeys chi' = beta psi_n seed exactly,
     so chi is reconstructed by quadrature of that identity, started from the
-    asymptotic value at a decaying edge (the direct Wronskian cancels to
-    noise there).  f = beta psi_n seed / (sqrt(m) chi) is then smooth through
+    asymptotic value at the left edge when psi_n seed decays there (the
+    direct Wronskian cancels to noise there), else from the direct Wronskian
+    at the peak of |psi_n seed|.  f = beta psi_n seed / (sqrt(m) chi) is then smooth through
     the nodes of psi_n; only genuine zero crossings of chi are flagged.
     """
     if seed.grid != psi_n.grid:
@@ -282,19 +283,15 @@ def auxiliary_f(seed: SampledFunction, psi_n: SampledFunction, model: PdmModel,
     prod = psi_n.values * seed.values
     F = cumulative_integral(SampledFunction(psi_n.grid, prod))
 
-    # the edge slopes of log|prod|, usable where prod keeps one sign on the
-    # five nodes of the one-sided stencil (a non-finite slope is NaN)
+    # the left-edge slope of log|prod|, usable where prod keeps one sign on
+    # the five nodes of the one-sided stencil (a non-finite slope is NaN)
     with np.errstate(divide="ignore"):
         dlog = derivative(SampledFunction(psi_n.grid, np.log(np.abs(prod)))).values
     mu_left = dlog[0] if np.all(prod[:5] > 0.0) or np.all(prod[:5] < 0.0) else np.nan
-    mu_right = dlog[-1] if np.all(prod[-5:] > 0.0) or np.all(prod[-5:] < 0.0) else np.nan
     dseed = derivative(seed)
     wronskian = (psi_n.values * dseed.values - w_n.state_d1 * seed.values) / m
     if mu_left > 0.0:
         chi = beta * prod[0] / mu_left + beta * F.values
-    elif mu_right < 0.0:
-        chi_end = -beta * prod[-1] / mu_right
-        chi = chi_end - beta * (F.values[-1] - F.values)
     else:
         i0 = int(np.argmax(np.abs(prod)))
         chi = wronskian[i0] + beta * (F.values - F.values[i0])

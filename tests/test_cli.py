@@ -153,6 +153,22 @@ class TestSpectrum:
         data = load_json(tmp_path / "o" / "spectrum.json")
         assert not {"n", "beta", "lambda", "convention"} & set(data)
 
+    def test_singular_deformation_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = run(["spectrum", "--which", "deformed", "--model", "ex1", "--n", "1",
+                    "--lambda", "-0.5", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "deformed potential is singular for these parameters\n"
+        assert not out.exists()
+
+    def test_ex2_window_cut_where_the_seed_has_not_decayed(self, tmp_path):
+        # the right edge of [0, 14] is no anchor for chi: psi_1 seed does not
+        # decay there
+        code = run(["spectrum", "--which", "deformed", "--model", "ex2", "--n", "1",
+                    "--beta", "1", "--grid-min", "0", "--grid-max", "14",
+                    "--grid-points", "4001", "--levels", "3", "--out", str(tmp_path)])
+        assert code == 0
+
     def test_ex2_wider_window(self, tmp_path):
         code = run(["spectrum", "--model", "ex2", "--grid-min", "-20", "--grid-max", "20",
                     "--grid-points", "4001", "--levels", "3", "--out", str(tmp_path)])
@@ -185,9 +201,24 @@ class TestVerify:
              "--lambda", "-0.5", "--out", str(tmp_path)]
         )
         assert code == 1
-        assert "singular" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "singular" in captured.err
         data = load_json(tmp_path / "verify.json")
         assert data["singular"] is True
+        assert data["passed"] is False
+
+    def test_failed_check_reports_on_both_streams(self, tmp_path, capsys):
+        # beta != 0 deletes level n, so the check fails: the summary still
+        # goes to stdout and the verdict to stderr
+        code = run(["verify", "--model", "ex2", "--n", "1", "--beta", "0.5",
+                    "--levels", "4", "--out", str(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 1
+        assert captured.out.startswith("isospectrality: max_gap=1.300e+01 ")
+        assert captured.err == "FAIL: isospectrality check failed\n"
+        assert load_json(tmp_path / "verify.json")["passed"] is False
 
     @pytest.mark.parametrize("lam,singular", [("1", False), ("0", True)])
     def test_report_records_the_convention(self, tmp_path, lam, singular):

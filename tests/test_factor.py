@@ -229,6 +229,14 @@ class TestAuxiliary:
 
         assert riccati_residual(fac_ex2_n1_fine) <= 1e-5
 
+    def test_window_cut_where_the_seed_has_not_decayed(self, ex2):
+        # psi_1 seed decays on the left only: on [0, 14] chi is anchored at
+        # the peak of |psi_1 seed|, not at either edge
+        from pdmfactor.verify import riccati_residual
+
+        fac = factorize(ex2, 1, beta=1.0, grid=Grid(0.0, 14.0, 4001))
+        assert riccati_residual(fac) <= 1e-5
+
     def test_nonsingular_for_reference_parameters(self, fac_ex2_n1, fac_ex2_n2):
         assert not fac_ex2_n1.f_n.is_singular
         assert not fac_ex2_n2.f_n.is_singular

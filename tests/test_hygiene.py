@@ -1,6 +1,7 @@
 """Package hygiene: exported names resolve, no module imports what it does
-not use, every private module-level name is used, and only grids.py reads
-the node spacing."""
+not use, every private module-level name is used, only grids.py reads the
+node spacing, and only cli.main builds, writes and prints a command's
+inputs and outputs."""
 
 import ast
 import importlib
@@ -108,3 +109,18 @@ def test_only_grids_knows_the_spacing(name):
     reads = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "h"]
     assert reads == []
+
+
+def test_only_main_runs_the_command_pipeline():
+    # each cmd_* only computes: cli.main builds the model, the grid and the
+    # report header once, then writes every output and prints every line
+    pipeline = {"catalog", "_grid_from_args", "_atomic_write", "print"}
+    tree = ast.parse((SRC / "cli.py").read_text())
+    calls = [
+        (getattr(stmt, "name", None), node.func.id, node.lineno)
+        for stmt in tree.body for node in ast.walk(stmt)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in pipeline
+    ]
+    assert [call for call in calls if call[0] != "main"] == []
+    assert {callee for _, callee, _ in calls} == pipeline

@@ -31,8 +31,8 @@ def test_changed_stdout_is_reported(tmp_path):
                     ignore=shutil.ignore_patterns("__pycache__"))
     cli = tmp_path / "src" / "pdmfactor" / "cli.py"
     text = cli.read_text()
-    assert 'print(f"scanned ' in text
-    cli.write_text(text.replace('print(f"scanned ', 'print(f"Scanned '))
+    assert 'f"scanned ' in text
+    cli.write_text(text.replace('f"scanned ', 'f"Scanned '))
     out = compare(ROOT, tmp_path, "scan")
     assert out.returncode == 1
     assert "stdout differ" in out.stdout
@@ -44,7 +44,7 @@ def test_several_decks_in_one_run(tmp_path):
     shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     cli = tmp_path / "src" / "pdmfactor" / "cli.py"
-    cli.write_text(cli.read_text().replace('print(f"scanned ', 'print(f"Scanned '))
+    cli.write_text(cli.read_text().replace('f"scanned ', 'f"Scanned '))
     out = compare(ROOT, tmp_path, "construct", "scan")
     assert out.returncode == 1
     lines = out.stdout.splitlines()
