@@ -134,7 +134,7 @@ def cmd_construct(args, model, grid, payload):
                 continue
             psi_k = fac.model.eigenstate_samples(k, grid)
             name = f"psi_tilde_{k}.csv"
-            outputs[name] = map_eigenstate(psi_k, fac)
+            outputs[name] = map_eigenstate(psi_k, k, fac)
             states[f"psi_tilde_{k}"] = name
 
     payload.update(
@@ -142,7 +142,7 @@ def cmd_construct(args, model, grid, payload):
             "n": args.n,
             "beta": args.beta,
             "lambda": fac.f_n.lam,
-            "convention": fac.convention,
+            "convention": args.convention,
             "route": fac.f_n.route,
             "singular": fac.f_n.is_singular,
             "spectrum_shift": fac.spectrum_shift,
@@ -189,7 +189,7 @@ def cmd_verify(args, model, grid, payload):
         payload.update(singular=True, passed=False)
         return CHECK_FAILURE, outputs, None, (
             "FAIL: deformation function is singular for these parameters "
-            f"(lambda={fac.f_n.lam}, convention={fac.convention})"
+            f"(lambda={fac.f_n.lam}, convention={args.convention})"
         )
     tol = model.spectrum_tolerance
     report = check_isospectral(fac, args.levels, tol)

@@ -10,7 +10,9 @@ constraint
 and the nonsingular deformed partner V~_n- = V_n- - 2 f'/sqrt(m) + beta,
 together with the ladder operators, the eigenfunction map between the two
 Hamiltonians, and the zero mode.  The ladder operators flag the W pole bands
-as NaN samples; nothing is interpolated across them.
+as NaN samples; nothing is interpolated across them.  The caller names the
+level of every state it maps, so the construction builds only on ``grids``
+and ``models`` and never reads the eigensolver that checks it.
 
 Both routes produce f_n = psi_n q / (sqrt(m) D) with D' = psi_n q:
 
@@ -49,7 +51,6 @@ from .grids import (
     normalize_state,
 )
 from .models import PdmModel, weighted_defect
-from .spectra import count_nodes
 
 __all__ = [
     "Superpotential",
@@ -68,7 +69,6 @@ __all__ = [
     "map_eigenstate",
     "zero_mode",
     "factorize",
-    "count_nodes",
     "LAMBDA_SHIFT",
     "lambda_shift",
 ]
@@ -198,13 +198,15 @@ class DeformationFunction:
     """
 
     values: SampledFunction
-    beta: float
-    route: str  # "bernoulli" | "auxiliary"
     # f = psi_n q / (sqrt(m) D) with D' = psi_n q on both routes, D stored as
     # den: bernoulli D = lambda + F, q = psi_n; auxiliary D = chi, q = beta seed
     den: np.ndarray = field(repr=False)
     q: np.ndarray = field(repr=False)
-    lam: Optional[float] = None
+    lam: Optional[float] = None  # given exactly on the bernoulli route
+
+    @property
+    def route(self) -> str:
+        return "auxiliary" if self.lam is None else "bernoulli"
 
     @property
     def is_singular(self) -> bool:
@@ -252,33 +254,31 @@ def bernoulli_f(terms: BernoulliTerms, lam: float) -> DeformationFunction:
     crossings = _crossings(den, 0.0)  # denominator crossings are genuine
     return DeformationFunction(
         values=SampledFunction(terms.grid, f, _band_mask(terms.grid.n_points, crossings)),
-        beta=0.0,
-        route="bernoulli",
         den=den,
         q=terms.q,
         lam=lam,
     )
 
 
-def auxiliary_f(seed: SampledFunction, psi_n: SampledFunction, model: PdmModel,
-                w_n: Superpotential, beta: float) -> DeformationFunction:
+def auxiliary_f(seed: SampledFunction, model: PdmModel, w_n: Superpotential,
+                beta: float) -> DeformationFunction:
     """beta != 0 deformation from an auxiliary solution at energy E_n - beta.
 
-    chi = (psi_n seed' - psi_n' seed)/m obeys chi' = beta psi_n seed exactly,
-    so chi is reconstructed by quadrature of that identity, started from the
-    asymptotic value at the left edge when psi_n seed decays there (the
-    direct Wronskian cancels to noise there), else from the direct Wronskian
-    at the peak of |psi_n seed|.  f = beta psi_n seed / (sqrt(m) chi) is then smooth through
-    the nodes of psi_n; only genuine zero crossings of chi are flagged.
+    psi_n is W_n's defining state.  chi = (psi_n seed' - psi_n' seed)/m obeys
+    chi' = beta psi_n seed exactly, so chi is reconstructed by quadrature of
+    that identity, started from the asymptotic value at the left edge when
+    psi_n seed decays there (the direct Wronskian cancels to noise there),
+    else from the direct Wronskian at the peak of |psi_n seed|.
+    f = beta psi_n seed / (sqrt(m) chi) is then smooth through the nodes of
+    psi_n; only genuine zero crossings of chi are flagged.
     """
+    psi_n = w_n.state
     if seed.grid != psi_n.grid:
         raise InconsistentInputError("seed and state live on different grids")
-    x = psi_n.x
-    m = model.mass(x)
+    m = model.mass(psi_n.x)
     sqm = np.sqrt(m)
 
-    e_seed = model.energy(w_n.n) - beta
-    _check_pdmse_residual(seed, model, e_seed)
+    _check_pdmse_residual(seed, model, model.energy(w_n.n) - beta)
 
     prod = psi_n.values * seed.values
     F = cumulative_integral(SampledFunction(psi_n.grid, prod))
@@ -303,7 +303,12 @@ def auxiliary_f(seed: SampledFunction, psi_n: SampledFunction, model: PdmModel,
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rel = abs(wronskian[i_ref] - chi[i_ref]) / np.max(np.abs(chi))
     if not np.isfinite(rel) or rel > 1e-4:
+        # the seed passed its residual check, so a finite mismatch after the
+        # left-edge tail estimate of chi blames the window, not the seed
+        window = np.isfinite(rel) and mu_left > 0.0
         raise InconsistentInputError(
+            f"psi_n * seed has not decayed at the left edge x_min = {psi_n.grid.x_min}"
+            f" (wronskian mismatch {rel:.2e}); use a smaller --grid-min" if window else
             f"seed is not a solution at E_n - beta (wronskian mismatch {rel:.2e})"
         )
 
@@ -319,16 +324,14 @@ def auxiliary_f(seed: SampledFunction, psi_n: SampledFunction, model: PdmModel,
         f = beta * prod / (sqm * chi)
     return DeformationFunction(
         values=SampledFunction(psi_n.grid, f, _band_mask(psi_n.grid.n_points, crossings)),
-        beta=beta,
-        route="auxiliary",
         den=chi,
         q=beta * seed.values,
     )
 
 
-def _check_pdmse_residual(psi: SampledFunction, model: PdmModel, energy: float) -> float:
-    """Relative defect of the equation in its m-weighted form, refused above
-    _SEED_RESIDUAL_GATE.
+def _check_pdmse_residual(psi: SampledFunction, model: PdmModel, energy: float) -> None:
+    """Refuse psi when the relative defect of the equation in its m-weighted
+    form exceeds _SEED_RESIDUAL_GATE.
 
     The raw 1/m form would amplify double-precision stencil noise by 1/m at
     the truncation wings, where the mass vanishes, and reject exact
@@ -347,7 +350,6 @@ def _check_pdmse_residual(psi: SampledFunction, model: PdmModel, energy: float) 
             f"input does not solve the mass-weighted equation at E = {energy} "
             f"(relative residual {worst:.2e})"
         )
-    return worst
 
 
 def deformed_partner(v_n_minus: SampledFunction, f: DeformationFunction,
@@ -404,6 +406,21 @@ def _ladder_values(kind: str, w: Superpotential, f: Optional[DeformationFunction
     return u, du
 
 
+def _check_ladder_args(psi: SampledFunction, w: Superpotential,
+                       f: Optional[DeformationFunction], kinds) -> None:
+    """Known kinds, f given exactly when one is deformed, psi on W_n's grid."""
+    for kind in kinds:
+        if kind not in _LADDER_KINDS:
+            raise ConfigurationError(f"unknown ladder operator {kind!r}")
+    tilde = any(kind.startswith("Atilde") for kind in kinds)
+    if tilde and f is None:
+        raise ConfigurationError("deformed operators require a deformation function")
+    if not tilde and f is not None:
+        raise ConfigurationError("undeformed operators take no deformation function")
+    if psi.grid != w.state.grid:
+        raise InconsistentInputError("state and superpotential grids differ")
+
+
 def apply_ladder(psi: SampledFunction, w: Superpotential,
                  f: Optional[DeformationFunction], model: PdmModel,
                  which: str) -> SampledFunction:
@@ -412,15 +429,7 @@ def apply_ladder(psi: SampledFunction, w: Superpotential,
     The output is NaN exactly on W_n's guard bands, whose samples are
     finite but unusable next to a pole.
     """
-    if which not in _LADDER_KINDS:
-        raise ConfigurationError(f"unknown ladder operator {which!r}")
-    tilde = which.startswith("Atilde")
-    if tilde and f is None:
-        raise ConfigurationError("deformed operators require a deformation function")
-    if not tilde and f is not None:
-        raise ConfigurationError("undeformed operators take no deformation function")
-    if psi.grid != w.state.grid:
-        raise InconsistentInputError("state and superpotential grids differ")
+    _check_ladder_args(psi, w, f, (which,))
     dv = derivative(psi)
     u, _ = _ladder_values(which, w, f, model, psi.values, dv.values, None)
     return SampledFunction(psi.grid, u, w.values.singular_mask)
@@ -436,9 +445,7 @@ def ladder_pair(psi: SampledFunction, w: Superpotential,
     re-differenced across the pole.  The result is NaN only where psi_n is
     exactly zero on the grid.
     """
-    for kind in (first, second):
-        if kind not in _LADDER_KINDS:
-            raise ConfigurationError(f"unknown ladder operator {kind!r}")
+    _check_ladder_args(psi, w, f, (first, second))
     dv = derivative(psi)
     ddv = derivative(dv)
     u, du = _ladder_values(first, w, f, model, psi.values, dv.values, ddv.values)
@@ -455,47 +462,43 @@ class FactorizationResult:
     """All derived objects of one factorization run."""
 
     model: PdmModel
-    n: int
-    W_n: Superpotential
+    W_n: Superpotential  # its level n and defining state psi_n
     f_n: DeformationFunction
     V_n_minus: SampledFunction
     V_n_plus: SampledFunction
     V_tilde_minus: SampledFunction
     spectrum_shift: float  # beta
-    psi_n: SampledFunction = None
-    convention: str = "normalized"
 
     @property
     def grid(self) -> Grid:
         return self.V_n_minus.grid
 
 
-def map_eigenstate(psi_k: SampledFunction, fac: FactorizationResult) -> SampledFunction:
-    """Image of a bound state under A~_n- A_n+, unit-normalized.
+def map_eigenstate(psi_k: SampledFunction, k: int,
+                   fac: FactorizationResult) -> SampledFunction:
+    """Image of the level-k bound state psi_k under A~_n- A_n+, unit-normalized.
 
     Evaluated in the pole-free reduced form
         (E_k - E_n) psi_k + q * Wr(psi_n, psi_k) / (m D),
     in which f = psi_n q / (sqrt(m) D) has cancelled the 1/psi_n factor of
-    the composite for both deformation routes.  The level k is read off the
-    node count.  For k = n the composite vanishes identically and the zero
-    mode is returned instead.
+    the composite for both deformation routes.  The caller names the level
+    k, which sets E_k; nothing is inferred from the samples, whose node count
+    a truncated window can cut short.  For k = n the composite vanishes
+    identically and the zero mode is returned instead.
     """
-    k = count_nodes(psi_k)
-    n = fac.n
+    n = fac.W_n.n
     if k == n:
         return zero_mode(fac)
     if fac.f_n.is_singular:
         raise DomainError("deformation function is singular; no mapping is defined")
-    x = psi_k.x
-    m = fac.model.mass(x)
-    e_k = fac.model.energy(k)
-    e_n = fac.model.energy(n)
+    m = fac.model.mass(psi_k.x)
+    e_kn = fac.model.energy(k) - fac.model.energy(n)
     dpsi_k = derivative(psi_k)
-    wr = fac.psi_n.values * dpsi_k.values - fac.W_n.state_d1 * psi_k.values
+    wr = fac.W_n.state.values * dpsi_k.values - fac.W_n.state_d1 * psi_k.values
     # lambda at the edge of the singular window leaves D tiny at a truncation
     # edge, where the state can exceed the double range
     with np.errstate(over="ignore"):
-        composite = (e_k - e_n) * psi_k.values + fac.f_n.q * wr / (m * fac.f_n.den)
+        composite = e_kn * psi_k.values + fac.f_n.q * wr / (m * fac.f_n.den)
         square = composite**2
     if np.any(np.isinf(square)):
         raise DomainError(
@@ -519,7 +522,7 @@ def zero_mode(fac: FactorizationResult) -> SampledFunction:
     if fac.f_n.is_singular:
         raise DomainError("deformation function is singular; no zero mode exists")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        raw = fac.psi_n.values / fac.f_n.den
+        raw = fac.W_n.state.values / fac.f_n.den
     amax = np.max(np.abs(raw))
     # D is monotone and has no zero, so an overflow sits at an edge
     if not np.isfinite(amax) or max(abs(raw[0]), abs(raw[-1])) > 1e-2 * amax:
@@ -554,24 +557,19 @@ def factorize(model: PdmModel, n: int, *, beta: float = 0.0,
     g = grid or model.recommended_grid
     psi_n = normalize_state(model.eigenstate_samples(n, g))
     w = superpotential(psi_n, model, n)
-    v0 = model.potential_samples(g)
-    e_n = model.energy(n)
-    v_minus = partner_minus(v0, e_n)
+    v_minus = partner_minus(model.potential_samples(g), model.energy(n))
     v_plus = partner_plus(w, model, v_minus)
     if beta == 0.0:
         f = bernoulli_f(bernoulli_terms(psi_n, model), lam - shift)
     else:
-        f = auxiliary_f(model.seed_solution(n, beta, g), psi_n, model, w, beta)
+        f = auxiliary_f(model.seed_solution(n, beta, g), model, w, beta)
     v_tilde = deformed_partner(v_minus, f, model, beta)
     return FactorizationResult(
         model=model,
-        n=n,
         W_n=w,
         f_n=f,
         V_n_minus=v_minus,
         V_n_plus=v_plus,
         V_tilde_minus=v_tilde,
         spectrum_shift=beta,
-        psi_n=psi_n,
-        convention=convention,
     )

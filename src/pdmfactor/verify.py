@@ -150,16 +150,17 @@ def scan_lambda(model: PdmModel, n: int, lambdas, convention: str = "normalized"
 
 
 def intertwining_residual(fac: FactorizationResult, psi_k: SampledFunction,
-                          e_k: float) -> float:
-    """Relative residual of the intertwining relation on one bound state.
+                          k: int) -> float:
+    """Relative residual of the intertwining relation on the level-k state.
 
-    e_k is the eigenvalue of psi_k under the shifted Hamiltonian (m, V_n-),
-    i.e. the base energy minus E_n.  Computes K = A~_n- A_n+ psi_k by literal
-    operator composition and returns |H~ K - (e_k + beta) K|_inf / |K|_inf
-    over the nodes where the stencils are clean (away from the pole bands
-    and the grid edges).
+    The caller names the level k of psi_k; its eigenvalue under the shifted
+    Hamiltonian (m, V_n-) is e_k = E_k - E_n, from fac.model.  Computes
+    K = A~_n- A_n+ psi_k by literal operator composition and returns
+    |H~ K - (e_k + beta) K|_inf / |K|_inf over the nodes where the stencils
+    are clean (away from the pole bands and the grid edges).
     """
     model = fac.model
+    e_k = model.energy(k) - model.energy(fac.W_n.n)
     K = ladder_pair(psi_k, fac.W_n, fac.f_n, model, "A_plus", "Atilde_minus")
     amax = float(np.max(np.abs(K.values[~K.singular_mask])))
     if amax < 1e-12 * float(np.max(np.abs(psi_k.values))):

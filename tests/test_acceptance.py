@@ -14,13 +14,12 @@ import numpy as np
 import pytest
 
 from pdmfactor.factor import (
-    count_nodes,
     factorize,
     map_eigenstate,
     zero_mode,
 )
 from pdmfactor.grids import Grid, normalize_state
-from pdmfactor.spectra import solve_spectrum
+from pdmfactor.spectra import count_nodes, solve_spectrum
 from pdmfactor.verify import (
     check_isospectral,
     intertwining_residual,
@@ -66,7 +65,7 @@ class TestAcceptance:
 
     def test_03_closed_form_states(self, ex1, fac_ex1_fine):
         ref0, ref1 = _closed_form_states_ex1(EX1_FINE_GRID, 1.0)
-        mapped0 = map_eigenstate(ex1.eigenstate_samples(0, EX1_FINE_GRID), fac_ex1_fine)
+        mapped0 = map_eigenstate(ex1.eigenstate_samples(0, EX1_FINE_GRID), 0, fac_ex1_fine)
         zm = zero_mode(fac_ex1_fine)
         d0 = np.max(np.abs(mapped0.values - normalize_state(ref0).values))
         d1 = np.max(np.abs(zm.values - normalize_state(ref1).values))
@@ -144,14 +143,10 @@ class TestAcceptance:
         residuals = {}
         for k in (0, 2, 3):
             psi_k = ex1.eigenstate_samples(k, EX1_FINE_GRID)
-            residuals[f"ex1 k={k}"] = intertwining_residual(
-                fac_ex1_fine, psi_k, ex1.energy(k) - ex1.energy(1)
-            )
+            residuals[f"ex1 k={k}"] = intertwining_residual(fac_ex1_fine, psi_k, k)
         for k in (0, 2, 3):
             psi_k = ho.eigenstate_samples(k)
-            residuals[f"ho k={k}"] = intertwining_residual(
-                fac_ho, psi_k, ho.energy(k) - ho.energy(1)
-            )
+            residuals[f"ho k={k}"] = intertwining_residual(fac_ho, psi_k, k)
         worst = max(residuals.values())
         ok = bool(worst <= 1e-3)
         report("7", ok, f"worst relative residual = {worst:.2e} over "
@@ -163,7 +158,7 @@ class TestAcceptance:
         for model, fac in ((ex1, fac_ex1), (ho, fac_ho)):
             for k in range(5):
                 psi_k = model.eigenstate_samples(k)
-                got = count_nodes(map_eigenstate(psi_k, fac))
+                got = count_nodes(map_eigenstate(psi_k, k, fac))
                 if got != k:
                     mismatches.append((model.name, k, got))
         ok = not mismatches
@@ -186,7 +181,7 @@ class TestAcceptance:
         for k in range(5):
             psi_k = ex2.eigenstate_samples(k)
             try:
-                results[k] = count_nodes(map_eigenstate(psi_k, fac_ex2_n1))
+                results[k] = count_nodes(map_eigenstate(psi_k, k, fac_ex2_n1))
             except NonNormalizableError:
                 results[k] = "non-normalizable"
         ok = all(results[k] == k for k in range(5))

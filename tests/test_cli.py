@@ -104,6 +104,18 @@ class TestConstruct:
         assert "psi_tilde_zero_mode.csv" in names
         assert sorted(p.name for p in out.iterdir()) == sorted(names + ["result.json"])
 
+    def test_ex2_window_where_a_state_loses_a_node(self, tmp_path):
+        # psi_2 has one sign change inside [0, 14]; the construction maps it
+        # as level 2 because it is named so, not by its node count
+        out = tmp_path / "run"
+        code = run(["construct", "--model", "ex2", "--n", "1", "--beta", "1",
+                    "--grid-min", "0", "--grid-max", "14", "--grid-points", "4001",
+                    "--out", str(out)])
+        assert code == 0
+        assert (out / "psi_tilde_0.csv").exists()
+        assert (out / "psi_tilde_2.csv").exists()
+        assert load_json(out / "result.json")["states"]["zero_mode"] == "non-normalizable"
+
     def test_failed_state_writes_nothing(self, tmp_path, monkeypatch, capsys):
         def refuse(*args, **kwargs):
             raise DegenerateStateError("state has vanishing norm")
@@ -168,6 +180,22 @@ class TestSpectrum:
                     "--beta", "1", "--grid-min", "0", "--grid-max", "14",
                     "--grid-points", "4001", "--levels", "3", "--out", str(tmp_path)])
         assert code == 0
+
+    @pytest.mark.parametrize("grid_min, code, err", [
+        ("-1.5", 2, "error: psi_n * seed has not decayed at the left edge x_min = -1.5"
+                    " (wronskian mismatch 1.51e-02); use a smaller --grid-min\n"),
+        ("-3", 0, ""),
+    ], ids=["x_min=-1.5", "x_min=-3"])
+    def test_ex2_window_cut_where_the_left_tail_has_not_decayed(self, tmp_path, capsys,
+                                                                grid_min, code, err):
+        # chi starts from a one-term tail estimate at x_min; the refusal names
+        # the window, not the seed, which passed its residual check
+        out = tmp_path / "run"
+        assert run(["spectrum", "--which", "deformed", "--model", "ex2", "--n", "1",
+                    "--beta", "1", f"--grid-min={grid_min}", "--grid-max", "14",
+                    "--grid-points", "4001", "--out", str(out)]) == code
+        assert capsys.readouterr().err == err
+        assert out.exists() == (code == 0)
 
     def test_ex2_wider_window(self, tmp_path):
         code = run(["spectrum", "--model", "ex2", "--grid-min", "-20", "--grid-max", "20",

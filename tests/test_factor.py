@@ -14,7 +14,6 @@ from pdmfactor.factor import (
     auxiliary_f,
     bernoulli_f,
     bernoulli_terms,
-    count_nodes,
     deformed_partner,
     factorize,
     ladder_pair,
@@ -35,6 +34,7 @@ from pdmfactor.grids import (
     normalize_state,
 )
 from pdmfactor.models import Ex2Params, catalog, model_ex1, seed_solution_ex2
+from pdmfactor.spectra import count_nodes
 from scipy.special import erf
 
 EX1_FINE_GRID = Grid(-250.0, 250.0, 32001)
@@ -215,7 +215,7 @@ class TestBernoulli:
     def test_factorize_uses_the_split(self, ex1, convention, lam):
         fac = factorize(ex1, 1, lam=lam, convention=convention)
         shift = 0.5 if convention == "paper-ex1" else 0.0
-        f = bernoulli_f(bernoulli_terms(fac.psi_n, ex1), lam - shift)
+        f = bernoulli_f(bernoulli_terms(fac.W_n.state, ex1), lam - shift)
         assert np.array_equal(fac.f_n.values.values, f.values.values, equal_nan=True)
         assert np.array_equal(fac.f_n.values.singular_mask, f.values.singular_mask)
         assert np.array_equal(fac.f_n.den, f.den)
@@ -249,7 +249,7 @@ class TestAuxiliary:
         grid = fac_ex2_n1.grid
         fake = SampledFunction(grid, np.exp(-grid.points() ** 2))
         with pytest.raises(InconsistentInputError):
-            auxiliary_f(fake, fac_ex2_n1.psi_n, ex2, fac_ex2_n1.W_n, 1.0)
+            auxiliary_f(fake, ex2, fac_ex2_n1.W_n, 1.0)
 
 
 class TestDeformedPartner:
@@ -257,8 +257,6 @@ class TestDeformedPartner:
         v = ho.potential_samples()
         f0 = DeformationFunction(
             values=SampledFunction(v.grid, np.zeros(v.grid.n_points)),
-            beta=0.7,
-            route="bernoulli",
             den=np.ones(v.grid.n_points),
             q=np.zeros(v.grid.n_points),
             lam=1.0,
@@ -321,6 +319,20 @@ class TestLadder:
         with pytest.raises(ConfigurationError):
             apply_ladder(psi0, fac_ho.W_n, None, ho, "B_plus")
 
+    def test_pair_needs_f_for_a_deformed_operator(self, ho, fac_ho):
+        psi0 = normalize_state(ho.eigenstate_samples(0))
+        with pytest.raises(ConfigurationError):
+            ladder_pair(psi0, fac_ho.W_n, None, ho, "A_plus", "Atilde_minus")
+
+    @pytest.mark.parametrize("pair", [False, True])
+    def test_state_on_another_grid(self, ho, fac_ho, pair):
+        psi0 = normalize_state(ho.eigenstate_samples(0, Grid(-8.0, 8.0, 801)))
+        with pytest.raises(InconsistentInputError):
+            if pair:
+                ladder_pair(psi0, fac_ho.W_n, fac_ho.f_n, ho, "A_plus", "Atilde_minus")
+            else:
+                apply_ladder(psi0, fac_ho.W_n, None, ho, "A_plus")
+
     def test_genuine_pole_stays_masked(self, ex1, fac_ex1):
         # psi_0 does not vanish at the node of psi_1, so A_1+ psi_0 has a pole
         psi0 = normalize_state(ex1.eigenstate_samples(0))
@@ -335,7 +347,7 @@ class TestLadder:
         # nowhere else, because the band is flagged, not interpolated
         model = catalog(name)
         fac = factorize(model, 1, lam=1.0)
-        out = apply_ladder(fac.psi_n, fac.W_n, None, model, "A_plus")
+        out = apply_ladder(fac.W_n.state, fac.W_n, None, model, "A_plus")
         band = fac.W_n.values.singular_mask
         assert np.count_nonzero(band) == 7
         assert np.array_equal(out.singular_mask, band)
@@ -384,19 +396,19 @@ class TestFactorizationIdentities:
 class TestMapEigenstate:
     def test_matches_closed_form_ground_state(self, ex1, fac_ex1_fine):
         psi0 = ex1.eigenstate_samples(0, EX1_FINE_GRID)
-        mapped = map_eigenstate(psi0, fac_ex1_fine)
+        mapped = map_eigenstate(psi0, 0, fac_ex1_fine)
         ref, _ = _closed_form_states_ex1(EX1_FINE_GRID, 1.0)
         assert _linf_after_norm(mapped, ref) <= 1e-3
 
     def test_node_preservation_ex1(self, ex1, fac_ex1):
         for k in range(5):
             psi_k = ex1.eigenstate_samples(k)
-            assert count_nodes(map_eigenstate(psi_k, fac_ex1)) == k
+            assert count_nodes(map_eigenstate(psi_k, k, fac_ex1)) == k
 
     def test_mapped_state_solves_deformed_problem(self, ex1, fac_ex1_fine):
         for k in (0, 2):
             psi_k = ex1.eigenstate_samples(k, EX1_FINE_GRID)
-            mapped = map_eigenstate(psi_k, fac_ex1_fine)
+            mapped = map_eigenstate(psi_k, k, fac_ex1_fine)
             x = mapped.x
             m = ex1.mass(x)
             d1 = derivative(mapped)
@@ -411,7 +423,7 @@ class TestMapEigenstate:
 
     def test_level_n_routes_to_zero_mode(self, ex1, fac_ex1):
         psi1 = ex1.eigenstate_samples(1)
-        mapped = map_eigenstate(psi1, fac_ex1)
+        mapped = map_eigenstate(psi1, 1, fac_ex1)
         zm = zero_mode(fac_ex1)
         assert np.max(np.abs(mapped.values - zm.values)) < 1e-14
 
@@ -421,7 +433,7 @@ class TestZeroMode:
         # for the (normalized-convention) lambda = 1 run the closed-form norm
         # constant is sqrt(lambda (lambda + 1)) = sqrt(2)
         fac = factorize(ex1, 1, lam=1.0)
-        raw = fac.psi_n.values / fac.f_n.den
+        raw = fac.W_n.state.values / fac.f_n.den
         const = 1.0 / np.sqrt(
             definite_integral(SampledFunction(fac.grid, raw**2))
         )
@@ -436,7 +448,7 @@ class TestZeroMode:
     def test_huge_lambda_limit(self, ex1):
         fac = factorize(ex1, 1, lam=1e6)
         zm = zero_mode(fac)
-        assert _linf_after_norm(zm, fac.psi_n) <= 1e-4
+        assert _linf_after_norm(zm, fac.W_n.state) <= 1e-4
 
     def test_auxiliary_route_non_normalizable(self, fac_ex2_n1):
         with pytest.raises(NonNormalizableError):
@@ -457,7 +469,6 @@ class TestFactorizeDriver:
     def test_paper_convention_shift(self, ex1):
         fac = factorize(ex1, 1, lam=1.0, convention="paper-ex1")
         assert fac.f_n.lam == 0.5
-        assert fac.convention == "paper-ex1"
 
     def test_pointwise_identity_v_minus(self, fac_ex1, ex1):
         v0 = ex1.potential_samples()
@@ -484,8 +495,8 @@ class TestMaskRule:
     def test_flag_is_nan_in_every_result(self, name, kwargs, singular):
         fac = factorize(catalog(name), 1, **kwargs)
         found = list(_sampled_functions(fac))
-        # W_n, psi_n and its state copy, V_n-, V_n+, V~_n- and f_n
-        assert len(found) >= 7
+        # W_n and its state psi_n, V_n-, V_n+, V~_n- and f_n
+        assert len(found) >= 6
         for sf in found:
             assert np.array_equal(sf.singular_mask, np.isnan(sf.values))
         assert fac.f_n.is_singular == singular

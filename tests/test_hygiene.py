@@ -1,7 +1,8 @@
 """Package hygiene: exported names resolve, no module imports what it does
 not use, every private module-level name is used, only grids.py reads the
-node spacing, and only cli.main builds, writes and prints a command's
-inputs and outputs."""
+node spacing, only cli.main builds, writes and prints a command's inputs
+and outputs, and the construction in factor.py never reads the eigensolver
+or the checks built on it."""
 
 import ast
 import importlib
@@ -124,3 +125,18 @@ def test_only_main_runs_the_command_pipeline():
     ]
     assert [call for call in calls if call[0] != "main"] == []
     assert {callee for _, callee, _ in calls} == pipeline
+
+
+def test_factor_never_reads_the_solver():
+    # the eigensolver is the independent check of the construction: factor.py
+    # builds only on grids and models, and the caller names each state's level
+    tree = ast.parse((SRC / "factor.py").read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            # "from . import spectra" names the module as an alias
+            modules |= {node.module} if node.module else {a.name for a in node.names}
+    parts = {part for name in modules for part in name.split(".")}
+    assert parts & {"spectra", "verify", "cli"} == set()

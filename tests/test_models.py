@@ -232,6 +232,6 @@ class TestSeedSolution:
         grid = fac_ex2_n1.grid
         seed = seed_solution_ex2(Ex2Params(), 1, 1.0, grid)
         doubled = seed.with_values(2.0 * seed.values)
-        f2 = auxiliary_f(doubled, fac_ex2_n1.psi_n, ex2, fac_ex2_n1.W_n, 1.0)
+        f2 = auxiliary_f(doubled, ex2, fac_ex2_n1.W_n, 1.0)
         ref = fac_ex2_n1.f_n.values.values
         assert np.max(np.abs(f2.values.values - ref)) <= 1e-10 * np.max(np.abs(ref))

@@ -187,24 +187,20 @@ class TestIntertwining:
     @pytest.mark.parametrize("k", [0, 2])
     def test_ex1(self, ex1, fac_ex1_fine, k):
         psi_k = ex1.eigenstate_samples(k, EX1_FINE_GRID)
-        res = intertwining_residual(
-            fac_ex1_fine, psi_k, ex1.energy(k) - ex1.energy(1)
-        )
+        res = intertwining_residual(fac_ex1_fine, psi_k, k)
         assert res <= 1e-3
 
     def test_constant_mass(self, ho, fac_ho):
         psi0 = ho.eigenstate_samples(0)
-        res = intertwining_residual(fac_ho, psi0, ho.energy(0) - ho.energy(1))
+        res = intertwining_residual(fac_ho, psi0, 0)
         assert res <= 1e-4
 
     def test_scale_invariance(self, ho, fac_ho):
         # the ratio is scale-free; the residual itself sits at its roundoff
         # floor, so invariance holds to a few percent of that floor
         psi0 = ho.eigenstate_samples(0)
-        a = intertwining_residual(fac_ho, psi0, -2.0)
-        b = intertwining_residual(
-            fac_ho, psi0.with_values(3.0 * psi0.values), -2.0
-        )
+        a = intertwining_residual(fac_ho, psi0, 0)
+        b = intertwining_residual(fac_ho, psi0.with_values(3.0 * psi0.values), 0)
         assert abs(a - b) <= 1e-10 + 0.05 * max(a, b)
 
     @pytest.mark.parametrize("name, node", [("ho", 800), ("ex1", 4000)])
