@@ -19,6 +19,7 @@ only non-deterministic JSON field is the isolated "timestamp" key.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -40,7 +41,7 @@ from .errors import (
 )
 from .factor import LAMBDA_SHIFT, factorize, map_eigenstate, zero_mode
 from .grids import Grid, SampledFunction, write_csv
-from .models import catalog
+from .models import MODELS, catalog
 from .spectra import solve_spectrum
 from .verify import check_isospectral, riccati_residual, scan_lambda
 
@@ -49,14 +50,16 @@ CHECK_FAILURE = 1
 
 
 def _atomic_write(path: Path, content) -> None:
-    """Write a report dict as JSON, or a SampledFunction as CSV, via a temp file and a rename."""
+    """Write a report dict as JSON (numpy values through tolist()), or a
+    SampledFunction as CSV, via a temp file and a rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     os.close(fd)
     try:
         if isinstance(content, dict):
             with open(tmp, "w") as fh:
-                fh.write(json.dumps(content, indent=2, sort_keys=True))
+                fh.write(json.dumps(content, indent=2, sort_keys=True,
+                                    default=lambda v: v.tolist()))
         else:
             write_csv(content, tmp)
         os.replace(tmp, path)
@@ -67,11 +70,10 @@ def _atomic_write(path: Path, content) -> None:
 
 
 def _model_params_dict(args) -> dict:
-    if args.model == "ex1":
-        return {"alpha": args.alpha}
-    if args.model == "ex2":
-        return {"a": args.a, "b": args.b, "c": args.c}
-    return {}
+    """The flags of the chosen model's parameter dataclass, by field name."""
+    _, params_type = MODELS[args.model]
+    fields = dataclasses.fields(params_type) if params_type else ()
+    return {f.name: getattr(args, f.name) for f in fields}
 
 
 def _grid_from_args(args, model) -> Grid:
@@ -173,7 +175,8 @@ def cmd_spectrum(args, model, grid, payload):
     payload.update({"which": args.which, "levels": args.levels})
     if args.which == "deformed":
         payload.update(_deformation_inputs(args))
-    payload.update(report.to_json_dict())
+    payload.update(eigenvalues=report.eigenvalues, node_counts=report.node_counts,
+                   residuals=report.residuals)
     outputs = {f"eigenstate_{j}.csv": state for j, state in enumerate(report.eigenstates)}
     outputs["spectrum.json"] = payload
     evals = ", ".join(f"{e:.10g}" for e in report.eigenvalues)
@@ -195,7 +198,7 @@ def cmd_verify(args, model, grid, payload):
     report = check_isospectral(fac, args.levels, tol)
     ric = riccati_residual(fac)
     payload["singular"] = False
-    payload["isospectrality"] = report.to_json_dict()
+    payload["isospectrality"] = vars(report)
     payload["riccati_residual"] = ric
     payload["passed"] = report.passed
     deformed = ", ".join(f"{b:.6g}" for _, b, _ in report.pairs)
@@ -220,7 +223,7 @@ def cmd_scan(args, model, grid, payload):
         raise ConfigurationError(f"--steps {args.steps} is too large to allocate") from None
     report = scan_lambda(model, args.n, lambdas, convention=args.convention, grid=grid)
     payload.update({"n": args.n, "convention": args.convention})
-    payload.update(report.to_json_dict())
+    payload.update(vars(report))
     crit = "none" if report.critical_lambda is None else f"{report.critical_lambda:.6f}"
     n_sing = sum(report.singular_flags)
     line = f"scanned {args.steps} values: {n_sing} singular, critical lambda = {crit}"
@@ -277,11 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_command(name, func, summary, takes_beta_lambda=True):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
-        p.add_argument("--model", required=True, choices=["ex1", "ex2", "ho", "box"])
-        p.add_argument("--alpha", type=_finite_float, default=1.0, help="ex1 mass parameter")
-        p.add_argument("--a", type=_finite_float, default=1.0, help="ex2 parameter a")
-        p.add_argument("--b", type=_finite_float, default=5.0, help="ex2 parameter b")
-        p.add_argument("--c", type=_finite_float, default=4.0, help="ex2 parameter c")
+        p.add_argument("--model", required=True, choices=list(MODELS))
+        for model, (_, params_type) in MODELS.items():
+            for f in dataclasses.fields(params_type) if params_type else ():
+                p.add_argument(f"--{f.name}", type=_finite_float, default=f.default,
+                               help=f"{model} parameter {f.name}")
         p.add_argument("--n", type=_level, default=1, help="factorization level")
         if takes_beta_lambda:
             p.add_argument("--beta", type=_finite_float, default=0.0, help="spectral shift")

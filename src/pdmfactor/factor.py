@@ -486,6 +486,8 @@ def map_eigenstate(psi_k: SampledFunction, k: int,
     a truncated window can cut short.  For k = n the composite vanishes
     identically and the zero mode is returned instead.
     """
+    if psi_k.grid != fac.grid:
+        raise InconsistentInputError("state and factorization grids differ")
     n = fac.W_n.n
     if k == n:
         return zero_mode(fac)

@@ -33,6 +33,7 @@ __all__ = [
     "model_constant_mass_ho",
     "model_box",
     "seed_solution_ex2",
+    "MODELS",
     "catalog",
     "weighted_defect",
 ]
@@ -48,7 +49,7 @@ class PdmModel:
     mass_d2: Callable[[np.ndarray], np.ndarray]
     potential: Callable[[np.ndarray], np.ndarray]
     energy: Callable[[int], float]
-    eigenstate: Callable[[int], Callable[[np.ndarray], np.ndarray]]
+    eigenstate: Callable[[int, np.ndarray], np.ndarray]
     recommended_grid: Grid
     spectrum_tolerance: float
     seed_solution: Optional[Callable[[int, float, Grid], SampledFunction]] = field(default=None)
@@ -58,7 +59,7 @@ class PdmModel:
         # parameters far beyond the paper's (ex2's b = 1e50) overflow the
         # closed form on any grid
         with np.errstate(over="ignore", invalid="ignore"):
-            values = self.eigenstate(k)(g.points())
+            values = self.eigenstate(k, g.points())
         if not np.all(np.isfinite(values)):
             raise DomainError(
                 f"closed-form state {k} of {self.name} overflows on the grid"
@@ -151,17 +152,13 @@ def model_ex1(p: Ex1Params = Ex1Params()) -> PdmModel:
     def energy(k: int) -> float:
         return 2.0 * k + 1.0
 
-    def eigenstate(k: int):
+    def eigenstate(k: int, x):
         # In the stretched coordinate s = arcsinh(alpha x)/alpha the problem
         # is exactly the unit harmonic oscillator; psi = m^(1/4) u_k(s) with
         # u_k the standard normalized oscillator state, for every alpha.
         norm = math.sqrt(1.0 / (2.0 ** k * math.factorial(k))) * math.pi ** -0.25
-
-        def psi(x):
-            s = np.arcsinh(al * x) / al
-            return norm * np.exp(-0.5 * s * s) / (1.0 + al2 * x * x) ** 0.25 * hermite(k, s)
-
-        return psi
+        s = np.arcsinh(al * x) / al
+        return norm * np.exp(-0.5 * s * s) / (1.0 + al2 * x * x) ** 0.25 * hermite(k, s)
 
     return PdmModel(
         name="ex1",
@@ -205,17 +202,14 @@ def model_ex2(p: Ex2Params = Ex2Params()) -> PdmModel:
     def energy(n: int) -> float:
         return _ex2_energy(p, n)
 
-    def eigenstate(n: int):
-        def psi(x):
-            t = (1.0 - np.exp(x)) / (1.0 + np.exp(x))
-            v = np.exp(0.5 * c * x) / (1.0 + np.exp(x)) ** (0.5 * (a + b + 1.0)) * jacobi(
-                n, c - 1.0, a + b - c, t
-            )
-            # Jacobi value at t -> -1 carries sign (-1)^n; flip so the
-            # right-hand tail approaches zero from positive values
-            return v if n % 2 == 0 else -v
-
-        return psi
+    def eigenstate(n: int, x):
+        t = (1.0 - np.exp(x)) / (1.0 + np.exp(x))
+        v = np.exp(0.5 * c * x) / (1.0 + np.exp(x)) ** (0.5 * (a + b + 1.0)) * jacobi(
+            n, c - 1.0, a + b - c, t
+        )
+        # Jacobi value at t -> -1 carries sign (-1)^n; flip so the
+        # right-hand tail approaches zero from positive values
+        return v if n % 2 == 0 else -v
 
     def seed_solution(n: int, beta: float, grid: Grid) -> SampledFunction:
         return seed_solution_ex2(p, n, beta, grid)
@@ -251,13 +245,9 @@ def model_constant_mass_ho() -> PdmModel:
     def energy(k: int) -> float:
         return 2.0 * k
 
-    def eigenstate(k: int):
+    def eigenstate(k: int, x):
         norm = (2.0 ** k * math.factorial(k) * math.sqrt(math.pi)) ** -0.5
-
-        def psi(x):
-            return norm * np.exp(-0.5 * x * x) * hermite(k, np.asarray(x, dtype=float))
-
-        return psi
+        return norm * np.exp(-0.5 * x * x) * hermite(k, np.asarray(x, dtype=float))
 
     return PdmModel(
         name="ho",
@@ -278,11 +268,8 @@ def model_box() -> PdmModel:
     def energy(k: int) -> float:
         return ((k + 1) * math.pi) ** 2
 
-    def eigenstate(k: int):
-        def psi(x):
-            return math.sqrt(2.0) * np.sin((k + 1) * math.pi * np.asarray(x, dtype=float))
-
-        return psi
+    def eigenstate(k: int, x):
+        return math.sqrt(2.0) * np.sin((k + 1) * math.pi * np.asarray(x, dtype=float))
 
     return PdmModel(
         name="box",
@@ -422,14 +409,20 @@ def seed_solution_ex2(p: Ex2Params, n: int, beta: float, grid: Grid) -> SampledF
     return SampledFunction(grid, values)
 
 
+# the model catalog: CLI identifier -> (factory, parameter dataclass, or None
+# for a model without parameters); the CLI's --model choices and parameter
+# flags, defaults included, are read from this table
+MODELS = {
+    "ex1": (model_ex1, Ex1Params),
+    "ex2": (model_ex2, Ex2Params),
+    "ho": (model_constant_mass_ho, None),
+    "box": (model_box, None),
+}
+
+
 def catalog(name: str, **params) -> PdmModel:
-    """Look up a model by CLI identifier."""
-    if name == "ex1":
-        return model_ex1(Ex1Params(**params))
-    if name == "ex2":
-        return model_ex2(Ex2Params(**params))
-    if name == "ho":
-        return model_constant_mass_ho()
-    if name == "box":
-        return model_box()
-    raise ConfigurationError(f"unknown model {name!r} (expected ex1, ex2, ho or box)")
+    """Look up a model by CLI identifier; a model without parameters ignores params."""
+    if name not in MODELS:
+        raise ConfigurationError(f"unknown model {name!r} (expected one of {', '.join(MODELS)})")
+    factory, params_type = MODELS[name]
+    return factory() if params_type is None else factory(params_type(**params))

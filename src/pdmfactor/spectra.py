@@ -95,13 +95,6 @@ class SpectrumReport:
     node_counts: list[int]
     residuals: list[float]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "eigenvalues": [float(e) for e in self.eigenvalues],
-            "node_counts": list(self.node_counts),
-            "residuals": [float(r) for r in self.residuals],
-        }
-
 
 def count_nodes(psi: SampledFunction) -> int:
     """Strict sign changes among finite values above the noise floor."""

@@ -46,20 +46,7 @@ class IsospectralityReport:
     max_gap: float
     node_match: bool
     tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_gap <= self.tolerance and self.node_match
-
-    def to_json_dict(self) -> dict:
-        return {
-            "levels_checked": self.levels_checked,
-            "pairs": [[float(a), float(b), float(g)] for a, b, g in self.pairs],
-            "max_gap": float(self.max_gap),
-            "node_match": bool(self.node_match),
-            "tolerance": float(self.tolerance),
-            "passed": bool(self.passed),
-        }
+    passed: bool  # max_gap <= tolerance and node_match
 
 
 @dataclass
@@ -70,16 +57,6 @@ class ScanReport:
     singular_flags: list[bool]
     critical_lambda: Optional[float]
     boundaries: list[float] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda_values": [float(v) for v in self.lambda_values],
-            "singular_flags": [bool(b) for b in self.singular_flags],
-            "critical_lambda": None
-            if self.critical_lambda is None
-            else float(self.critical_lambda),
-            "boundaries": [float(b) for b in self.boundaries],
-        }
 
 
 def check_isospectral(fac: FactorizationResult, k_levels: int,
@@ -107,6 +84,7 @@ def check_isospectral(fac: FactorizationResult, k_levels: int,
         max_gap=max_gap,
         node_match=node_match,
         tolerance=tol,
+        passed=max_gap <= tol and node_match,
     )
 
 

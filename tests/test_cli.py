@@ -221,7 +221,12 @@ class TestVerify:
         assert code == 0
         data = load_json(tmp_path / "verify.json")
         assert data["passed"] is True
-        assert data["isospectrality"]["max_gap"] <= 1e-3
+        iso = data["isospectrality"]
+        assert set(iso) == {
+            "levels_checked", "pairs", "max_gap", "node_match", "tolerance", "passed",
+        }
+        assert iso["max_gap"] <= 1e-3
+        assert iso["max_gap"] == max(gap for _, _, gap in iso["pairs"])
 
     def test_singular_lambda_fails(self, tmp_path, capsys):
         code = run(
@@ -246,7 +251,9 @@ class TestVerify:
         assert len(captured.out.splitlines()) == 1
         assert captured.out.startswith("isospectrality: max_gap=1.300e+01 ")
         assert captured.err == "FAIL: isospectrality check failed\n"
-        assert load_json(tmp_path / "verify.json")["passed"] is False
+        data = load_json(tmp_path / "verify.json")
+        assert data["passed"] is False
+        assert data["isospectrality"]["passed"] is False
 
     @pytest.mark.parametrize("lam,singular", [("1", False), ("0", True)])
     def test_report_records_the_convention(self, tmp_path, lam, singular):

@@ -427,6 +427,38 @@ class TestMapEigenstate:
         zm = zero_mode(fac_ex1)
         assert np.max(np.abs(mapped.values - zm.values)) < 1e-14
 
+    def test_state_on_another_grid(self, ho, fac_ho):
+        psi0 = ho.eigenstate_samples(0, Grid(-8.0, 8.0, 801))
+        with pytest.raises(InconsistentInputError):
+            map_eigenstate(psi0, 0, fac_ho)
+
+    @pytest.mark.parametrize("name, n, kwargs, grid, bound", [
+        ("ho", 1, dict(lam=1.0), None, 1e-6),
+        ("ho", 2, dict(lam=1.0), None, 1e-6),
+        ("ex2", 1, dict(lam=1.0), None, 1e-6),
+        ("ex2", 1, dict(beta=0.5), None, 1e-6),
+        ("ex2", 1, dict(beta=1.0), None, 1e-6),
+        # on ex1's default grid the two differ by up to 3.5e-4
+        ("ex1", 1, dict(lam=1.0, convention="paper-ex1"), EX1_FINE_GRID, 1e-5),
+    ])
+    def test_reduced_form_matches_literal_composite(self, name, n, kwargs, grid, bound):
+        # the pole-free reduced form against A~_n- A_n+ composed literally,
+        # scaled onto the mapped state, away from the grid edges and from
+        # W_n's guard band, where the literal stencils are not clean
+        model = catalog(name)
+        fac = factorize(model, n, grid=grid, **kwargs)
+        ok = np.ones(fac.grid.n_points, dtype=bool)
+        ok[:8] = False
+        ok[-8:] = False
+        for i in np.flatnonzero(fac.W_n.values.singular_mask):
+            ok[max(0, i - 6) : i + 7] = False
+        for k in (k for k in range(4) if k != n):
+            psi_k = model.eigenstate_samples(k, fac.grid)
+            mapped = map_eigenstate(psi_k, k, fac).values
+            K = ladder_pair(psi_k, fac.W_n, fac.f_n, model, "A_plus", "Atilde_minus").values
+            scaled = K[ok] * (K[ok] @ mapped[ok]) / (K[ok] @ K[ok])
+            assert np.max(np.abs(scaled - mapped[ok])) <= bound * np.max(np.abs(mapped))
+
 
 class TestZeroMode:
     def test_normalization_constant(self, ex1):

@@ -1,16 +1,19 @@
 """Package hygiene: exported names resolve, no module imports what it does
 not use, every private module-level name is used, only grids.py reads the
 node spacing, only cli.main builds, writes and prints a command's inputs
-and outputs, and the construction in factor.py never reads the eigensolver
+and outputs, only cli.py writes JSON, cli.py reads the model catalog from
+models.MODELS, and the construction in factor.py never reads the eigensolver
 or the checks built on it."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import pytest
 
 import pdmfactor
+from pdmfactor.models import MODELS
 
 SRC = Path(pdmfactor.__file__).resolve().parent
 # __init__.py only re-exports; its imports are checked to resolve instead
@@ -28,6 +31,18 @@ def _imported_names(tree):
             for alias in node.names:
                 names[alias.asname or alias.name] = node.lineno
     return names
+
+
+def _imported_module_parts(tree):
+    """Every dotted part of every module an import statement names."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            # "from . import spectra" names the module as an alias
+            modules |= {node.module} if node.module else {a.name for a in node.names}
+    return {part for name in modules for part in name.split(".")}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -131,12 +146,30 @@ def test_factor_never_reads_the_solver():
     # the eigensolver is the independent check of the construction: factor.py
     # builds only on grids and models, and the caller names each state's level
     tree = ast.parse((SRC / "factor.py").read_text())
-    modules = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            modules |= {alias.name for alias in node.names}
-        elif isinstance(node, ast.ImportFrom):
-            # "from . import spectra" names the module as an alias
-            modules |= {node.module} if node.module else {a.name for a in node.names}
-    parts = {part for name in modules for part in name.split(".")}
-    assert parts & {"spectra", "verify", "cli"} == set()
+    assert _imported_module_parts(tree) & {"spectra", "verify", "cli"} == set()
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "cli"])
+def test_only_cli_writes_json(name):
+    # the report format is one decision: cli._atomic_write serializes the
+    # report dataclasses and dicts, so no other module casts its own JSON
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    assert "json" not in _imported_module_parts(tree)
+    defs = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "to_json_dict"]
+    assert defs == []
+
+
+def test_cli_reads_the_model_catalog():
+    # model identifiers, parameter names and their defaults are declared once,
+    # in models.MODELS; cli.py takes its --model choices, its parameter flags
+    # and their defaults from that table
+    names, defaults = set(MODELS), set()
+    for _, params_type in MODELS.values():
+        for f in dataclasses.fields(params_type) if params_type else ():
+            names |= {f.name, f"--{f.name}"}
+            defaults.add(f.default)
+    tree = ast.parse((SRC / "cli.py").read_text())
+    constants = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)]
+    assert [c for c in constants if isinstance(c, str) and c in names] == []
+    assert [c for c in constants if isinstance(c, float) and c in defaults] == []

@@ -53,19 +53,6 @@ class TestCheckIsospectral:
         expected = [ex2.energy(k) - ex2.energy(1) + 1.0 for k in (0, 2, 3, 4)]
         assert np.max(np.abs(np.array(deformed) - np.array(expected))) <= 1e-2
 
-    def test_report_json_fields(self, fac_ex1):
-        rep = check_isospectral(fac_ex1, 3, 1e-3)
-        d = rep.to_json_dict()
-        assert set(d) == {
-            "levels_checked",
-            "pairs",
-            "max_gap",
-            "node_match",
-            "tolerance",
-            "passed",
-        }
-        assert d["max_gap"] == max(p[2] for p in d["pairs"])
-
 
 class TestScanLambda:
     def test_normalized_window_flags(self, ex1):
