@@ -29,14 +29,12 @@ from .factor import (
 )
 from .grids import Grid, SampledFunction, cumulative_integral, definite_integral, derivative
 from .models import (
-    Ex1Params,
-    Ex2Params,
+    Box,
+    Ex1,
+    Ex2,
+    HarmonicOscillator,
     PdmModel,
     catalog,
-    model_box,
-    model_constant_mass_ho,
-    model_ex1,
-    model_ex2,
     seed_solution_ex2,
 )
 from .spectra import (

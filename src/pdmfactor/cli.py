@@ -69,13 +69,6 @@ def _atomic_write(path: Path, content) -> None:
         raise
 
 
-def _model_params_dict(args) -> dict:
-    """The flags of the chosen model's parameter dataclass, by field name."""
-    _, params_type = MODELS[args.model]
-    fields = dataclasses.fields(params_type) if params_type else ()
-    return {f.name: getattr(args, f.name) for f in fields}
-
-
 def _grid_from_args(args, model) -> Grid:
     base = model.recommended_grid
     x_min = base.x_min if args.grid_min is None else args.grid_min
@@ -134,9 +127,8 @@ def cmd_construct(args, model, grid, payload):
         for k in range(max(2, args.n + 1) + 1):
             if k == args.n:
                 continue
-            psi_k = fac.model.eigenstate_samples(k, grid)
             name = f"psi_tilde_{k}.csv"
-            outputs[name] = map_eigenstate(psi_k, k, fac)
+            outputs[name] = map_eigenstate(k, fac)
             states[f"psi_tilde_{k}"] = name
 
     payload.update(
@@ -281,9 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
         p.add_argument("--model", required=True, choices=list(MODELS))
-        for model, (_, params_type) in MODELS.items():
-            for f in dataclasses.fields(params_type) if params_type else ():
-                p.add_argument(f"--{f.name}", type=_finite_float, default=f.default,
+        # a parameter flag reaches catalog only when given, so the model
+        # supplies its defaults and refuses another model's parameter
+        for model, model_type in MODELS.items():
+            for f in dataclasses.fields(model_type):
+                p.add_argument(f"--{f.name}", type=_finite_float, default=argparse.SUPPRESS,
                                help=f"{model} parameter {f.name}")
         p.add_argument("--n", type=_level, default=1, help="factorization level")
         if takes_beta_lambda:
@@ -322,13 +316,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        params = _model_params_dict(args)
-        model = catalog(args.model, **params)
+        # a parameter flag that was not given is no attribute of args
+        given = {f.name: getattr(args, f.name) for model_type in MODELS.values()
+                 for f in dataclasses.fields(model_type) if hasattr(args, f.name)}
+        model = catalog(args.model, **given)
         grid = _grid_from_args(args, model)
         payload = {
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "model": args.model,
-            "parameters": params,
+            "parameters": dataclasses.asdict(model),
         }
         # a command only computes and returns (exit code, {file name: report
         # dict or SampledFunction}, stdout line, stderr line); every output is

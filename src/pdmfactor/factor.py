@@ -474,25 +474,24 @@ class FactorizationResult:
         return self.V_n_minus.grid
 
 
-def map_eigenstate(psi_k: SampledFunction, k: int,
-                   fac: FactorizationResult) -> SampledFunction:
-    """Image of the level-k bound state psi_k under A~_n- A_n+, unit-normalized.
+def map_eigenstate(k: int, fac: FactorizationResult) -> SampledFunction:
+    """Image of the model's level-k bound state under A~_n- A_n+, unit-normalized.
 
     Evaluated in the pole-free reduced form
         (E_k - E_n) psi_k + q * Wr(psi_n, psi_k) / (m D),
     in which f = psi_n q / (sqrt(m) D) has cancelled the 1/psi_n factor of
     the composite for both deformation routes.  The caller names the level
-    k, which sets E_k; nothing is inferred from the samples, whose node count
-    a truncated window can cut short.  For k = n the composite vanishes
-    identically and the zero mode is returned instead.
+    k, which sets both psi_k (sampled here from the closed form on the
+    factorization's grid) and E_k; nothing is inferred from the samples,
+    whose node count a truncated window can cut short.  For k = n the
+    composite vanishes identically and the zero mode is returned instead.
     """
-    if psi_k.grid != fac.grid:
-        raise InconsistentInputError("state and factorization grids differ")
     n = fac.W_n.n
     if k == n:
         return zero_mode(fac)
     if fac.f_n.is_singular:
         raise DomainError("deformation function is singular; no mapping is defined")
+    psi_k = fac.model.eigenstate_samples(k, fac.grid)
     m = fac.model.mass(psi_k.x)
     e_kn = fac.model.energy(k) - fac.model.energy(n)
     dpsi_k = derivative(psi_k)

@@ -1,6 +1,7 @@
 """Catalog of exactly solvable position-dependent-mass models.
 
-Each model bundles a mass profile m(x) > 0 (with first and second derivative
+Each model is one frozen dataclass whose fields are its parameters; it
+bundles a mass profile m(x) > 0 (with first and second derivative
 evaluators), the base potential, closed-form bound states and energies, and a
 recommended truncation grid.  Units: hbar = 2 m0 = 1 throughout.
 
@@ -15,8 +16,8 @@ box   constant-mass particle in a box (plain solver sanity model)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, fields
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -26,12 +27,10 @@ from .specfun import HypergeometricParams, gauss_2f1, hermite, jacobi
 
 __all__ = [
     "PdmModel",
-    "Ex1Params",
-    "Ex2Params",
-    "model_ex1",
-    "model_ex2",
-    "model_constant_mass_ho",
-    "model_box",
+    "Ex1",
+    "Ex2",
+    "HarmonicOscillator",
+    "Box",
     "seed_solution_ex2",
     "MODELS",
     "catalog",
@@ -41,18 +40,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PdmModel:
-    """A solvable mass/potential pair with closed-form spectrum."""
+    """A solvable mass/potential pair with closed-form spectrum.
 
-    name: str
-    mass: Callable[[np.ndarray], np.ndarray]
-    mass_d1: Callable[[np.ndarray], np.ndarray]
-    mass_d2: Callable[[np.ndarray], np.ndarray]
-    potential: Callable[[np.ndarray], np.ndarray]
-    energy: Callable[[int], float]
-    eigenstate: Callable[[int, np.ndarray], np.ndarray]
-    recommended_grid: Grid
-    spectrum_tolerance: float
-    seed_solution: Optional[Callable[[int, float, Grid], SampledFunction]] = field(default=None)
+    Each model is a frozen dataclass subclass whose fields are its
+    parameters.  It defines mass, mass_d1, mass_d2 and potential (of x),
+    energy(k) and eigenstate(k, x), and the class attributes below; a model
+    with auxiliary solutions also defines seed_solution(n, beta, grid).
+    """
+
+    name: ClassVar[str]
+    recommended_grid: ClassVar[Grid]
+    spectrum_tolerance: ClassVar[float]
+    seed_solution: ClassVar[Optional[Callable[[int, float, Grid], SampledFunction]]] = None
 
     def eigenstate_samples(self, k: int, grid: Grid | None = None) -> SampledFunction:
         g = grid or self.recommended_grid
@@ -91,8 +90,19 @@ def weighted_defect(model: PdmModel, potential: SampledFunction,
 
 
 @dataclass(frozen=True)
-class Ex1Params:
+class Ex1(PdmModel):
+    """Oscillator-like model with m(x) = 1/(1 + alpha^2 x^2) and E_k = 2k + 1.
+
+    Bound states are Hermite-Gaussian in the stretched coordinate
+    s = arcsinh(alpha x)/alpha; they decay only like exp(-arcsinh(x)^2/2), so
+    the recommended grid is very wide.
+    """
+
     alpha: float = 1.0
+
+    name = "ex1"
+    recommended_grid = Grid(-250.0, 250.0, 8001)
+    spectrum_tolerance = 1e-3
 
     def __post_init__(self):
         # the mass, the potential and the stretched coordinate square alpha
@@ -103,12 +113,55 @@ class Ex1Params:
         if self.alpha <= 0.0:
             raise DomainError(f"alpha must be positive, got {self.alpha}")
 
+    def mass(self, x):
+        al2 = self.alpha * self.alpha
+        return 1.0 / (1.0 + al2 * x * x)
+
+    def mass_d1(self, x):
+        al2 = self.alpha * self.alpha
+        return -2.0 * al2 * x / (1.0 + al2 * x * x) ** 2
+
+    def mass_d2(self, x):
+        al2 = self.alpha * self.alpha
+        u = 1.0 + al2 * x * x
+        return (-2.0 * al2 * u + 8.0 * al2 * al2 * x * x) / u ** 3
+
+    def potential(self, x):
+        al = self.alpha
+        al2 = al * al
+        s = np.arcsinh(al * x) / al
+        return s * s - 0.25 * al2 * (2.0 + al2 * x * x) / (1.0 + al2 * x * x)
+
+    def energy(self, k: int) -> float:
+        return 2.0 * k + 1.0
+
+    def eigenstate(self, k: int, x):
+        # In the stretched coordinate s = arcsinh(alpha x)/alpha the problem
+        # is exactly the unit harmonic oscillator; psi = m^(1/4) u_k(s) with
+        # u_k the standard normalized oscillator state, for every alpha.
+        al = self.alpha
+        al2 = al * al
+        norm = math.sqrt(1.0 / (2.0 ** k * math.factorial(k))) * math.pi ** -0.25
+        s = np.arcsinh(al * x) / al
+        return norm * np.exp(-0.5 * s * s) / (1.0 + al2 * x * x) ** 0.25 * hermite(k, s)
+
 
 @dataclass(frozen=True)
-class Ex2Params:
+class Ex2(PdmModel):
+    """Model with m(x) = sech^2(x/2)/4 and E_n = n^2 + n(a+b) + c(a+b-c+1)/2.
+
+    Bound states carry a Jacobi polynomial in t = (1 - e^x)/(1 + e^x); the
+    overall sign is fixed so each state decays to zero from above as
+    x -> +infinity.  Normalization is left to quadrature downstream.
+    """
+
     a: float = 1.0
     b: float = 5.0
     c: float = 4.0
+
+    name = "ex2"
+    recommended_grid = Grid(-14.0, 14.0, 4001)
+    spectrum_tolerance = 1e-2
 
     def __post_init__(self):
         # a and b enter only as a + b; the potential, the energies and the
@@ -124,85 +177,25 @@ class Ex2Params:
         if not self.a + self.b - self.c + 0.5 > 0.0:
             raise DomainError("need a + b - c + 1/2 > 0")
 
-
-def model_ex1(p: Ex1Params = Ex1Params()) -> PdmModel:
-    """Oscillator-like model with m(x) = 1/(1 + alpha^2 x^2) and E_k = 2k + 1.
-
-    Bound states are Hermite-Gaussian in the stretched coordinate
-    s = arcsinh(alpha x)/alpha; they decay only like exp(-arcsinh(x)^2/2), so
-    the recommended grid is very wide.
-    """
-    al = p.alpha
-    al2 = al * al
-
-    def mass(x):
-        return 1.0 / (1.0 + al2 * x * x)
-
-    def mass_d1(x):
-        return -2.0 * al2 * x / (1.0 + al2 * x * x) ** 2
-
-    def mass_d2(x):
-        u = 1.0 + al2 * x * x
-        return (-2.0 * al2 * u + 8.0 * al2 * al2 * x * x) / u ** 3
-
-    def potential(x):
-        s = np.arcsinh(al * x) / al
-        return s * s - 0.25 * al2 * (2.0 + al2 * x * x) / (1.0 + al2 * x * x)
-
-    def energy(k: int) -> float:
-        return 2.0 * k + 1.0
-
-    def eigenstate(k: int, x):
-        # In the stretched coordinate s = arcsinh(alpha x)/alpha the problem
-        # is exactly the unit harmonic oscillator; psi = m^(1/4) u_k(s) with
-        # u_k the standard normalized oscillator state, for every alpha.
-        norm = math.sqrt(1.0 / (2.0 ** k * math.factorial(k))) * math.pi ** -0.25
-        s = np.arcsinh(al * x) / al
-        return norm * np.exp(-0.5 * s * s) / (1.0 + al2 * x * x) ** 0.25 * hermite(k, s)
-
-    return PdmModel(
-        name="ex1",
-        mass=mass,
-        mass_d1=mass_d1,
-        mass_d2=mass_d2,
-        potential=potential,
-        energy=energy,
-        eigenstate=eigenstate,
-        recommended_grid=Grid(-250.0, 250.0, 8001),
-        spectrum_tolerance=1e-3,
-    )
-
-
-def _ex2_energy(p: Ex2Params, n: int) -> float:
-    return n * n + n * (p.a + p.b) + p.c * (p.a + p.b - p.c + 1.0) / 2.0
-
-
-def model_ex2(p: Ex2Params = Ex2Params()) -> PdmModel:
-    """Model with m(x) = sech^2(x/2)/4 and E_n = n^2 + n(a+b) + c(a+b-c+1)/2.
-
-    Bound states carry a Jacobi polynomial in t = (1 - e^x)/(1 + e^x); the
-    overall sign is fixed so each state decays to zero from above as
-    x -> +infinity.  Normalization is left to quadrature downstream.
-    """
-    a, b, c = p.a, p.b, p.c
-
-    def mass(x):
+    def mass(self, x):
         return 0.25 / np.cosh(0.5 * x) ** 2
 
-    def mass_d1(x):
+    def mass_d1(self, x):
         return -0.25 * np.tanh(0.5 * x) / np.cosh(0.5 * x) ** 2
 
-    def mass_d2(x):
+    def mass_d2(self, x):
         t = np.tanh(0.5 * x)
         return 0.125 * (2.0 * t * t - (1.0 - t * t)) / np.cosh(0.5 * x) ** 2
 
-    def potential(x):
+    def potential(self, x):
+        a, b, c = self.a, self.b, self.c
         return ((a + b - c) ** 2 - 1.0) / 4.0 * np.exp(x) + c * (c - 2.0) / 4.0 * np.exp(-x)
 
-    def energy(n: int) -> float:
-        return _ex2_energy(p, n)
+    def energy(self, n: int) -> float:
+        return n * n + n * (self.a + self.b) + self.c * (self.a + self.b - self.c + 1.0) / 2.0
 
-    def eigenstate(n: int, x):
+    def eigenstate(self, n: int, x):
+        a, b, c = self.a, self.b, self.c
         t = (1.0 - np.exp(x)) / (1.0 + np.exp(x))
         v = np.exp(0.5 * c * x) / (1.0 + np.exp(x)) ** (0.5 * (a + b + 1.0)) * jacobi(
             n, c - 1.0, a + b - c, t
@@ -211,21 +204,8 @@ def model_ex2(p: Ex2Params = Ex2Params()) -> PdmModel:
         # right-hand tail approaches zero from positive values
         return v if n % 2 == 0 else -v
 
-    def seed_solution(n: int, beta: float, grid: Grid) -> SampledFunction:
-        return seed_solution_ex2(p, n, beta, grid)
-
-    return PdmModel(
-        name="ex2",
-        mass=mass,
-        mass_d1=mass_d1,
-        mass_d2=mass_d2,
-        potential=potential,
-        energy=energy,
-        eigenstate=eigenstate,
-        recommended_grid=Grid(-14.0, 14.0, 4001),
-        spectrum_tolerance=1e-2,
-        seed_solution=seed_solution,
-    )
+    def seed_solution(self, n: int, beta: float, grid: Grid) -> SampledFunction:
+        return seed_solution_ex2(self, n, beta, grid)
 
 
 def _unit_mass(x):
@@ -236,52 +216,42 @@ def _zero(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
-def model_constant_mass_ho() -> PdmModel:
+@dataclass(frozen=True)
+class HarmonicOscillator(PdmModel):
     """Constant-mass harmonic oscillator, V = x^2 - 1, so that E_k = 2k."""
 
-    def potential(x):
+    name = "ho"
+    recommended_grid = Grid(-8.0, 8.0, 1601)
+    spectrum_tolerance = 1e-5
+    mass = staticmethod(_unit_mass)
+    mass_d1 = mass_d2 = staticmethod(_zero)
+
+    def potential(self, x):
         return x * x - 1.0
 
-    def energy(k: int) -> float:
+    def energy(self, k: int) -> float:
         return 2.0 * k
 
-    def eigenstate(k: int, x):
+    def eigenstate(self, k: int, x):
         norm = (2.0 ** k * math.factorial(k) * math.sqrt(math.pi)) ** -0.5
         return norm * np.exp(-0.5 * x * x) * hermite(k, np.asarray(x, dtype=float))
 
-    return PdmModel(
-        name="ho",
-        mass=_unit_mass,
-        mass_d1=_zero,
-        mass_d2=_zero,
-        potential=potential,
-        energy=energy,
-        eigenstate=eigenstate,
-        recommended_grid=Grid(-8.0, 8.0, 1601),
-        spectrum_tolerance=1e-5,
-    )
 
-
-def model_box() -> PdmModel:
+@dataclass(frozen=True)
+class Box(PdmModel):
     """Particle in a box on [0, 1]: the textbook sanity check for the solver."""
 
-    def energy(k: int) -> float:
+    name = "box"
+    recommended_grid = Grid(0.0, 1.0, 2001)
+    spectrum_tolerance = 1e-2
+    mass = staticmethod(_unit_mass)
+    mass_d1 = mass_d2 = potential = staticmethod(_zero)
+
+    def energy(self, k: int) -> float:
         return ((k + 1) * math.pi) ** 2
 
-    def eigenstate(k: int, x):
+    def eigenstate(self, k: int, x):
         return math.sqrt(2.0) * np.sin((k + 1) * math.pi * np.asarray(x, dtype=float))
-
-    return PdmModel(
-        name="box",
-        mass=_unit_mass,
-        mass_d1=_zero,
-        mass_d2=_zero,
-        potential=_zero,
-        energy=energy,
-        eigenstate=eigenstate,
-        recommended_grid=Grid(0.0, 1.0, 2001),
-        spectrum_tolerance=1e-2,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +262,7 @@ _SEED_SERIES_CUT = 2.0
 _SEED_SUBSTEPS = 4
 
 
-def _seed_closed_form(p: Ex2Params, n: int, beta: float, x: np.ndarray) -> np.ndarray:
+def _seed_closed_form(model: Ex2, n: int, beta: float, x: np.ndarray) -> np.ndarray:
     """Closed-form solution at energy E_n - beta, valid for moderate x.
 
     Written via the Pfaff transform as a series in w = e^x/(1 + e^x), which
@@ -300,8 +270,8 @@ def _seed_closed_form(p: Ex2Params, n: int, beta: float, x: np.ndarray) -> np.nd
     the sign of the auxiliary exponent P, so the root choice is immaterial.
     As x -> -infinity the solution decays like exp(c x / 2).
     """
-    a, b, c = p.a, p.b, p.c
-    e = _ex2_energy(p, n) - beta
+    a, b, c = model.a, model.b, model.c
+    e = model.energy(n) - beta
     p2 = (a + b) ** 2 - 2.0 * c * (a + b - c + 1.0) + 4.0 * e
     if p2 < 0.0:
         raise DomainError(
@@ -354,7 +324,7 @@ def _integrate_linear2(y0, dy0, hs, c1, c2, nsub, n_nodes):
     return out
 
 
-def seed_solution_ex2(p: Ex2Params, n: int, beta: float, grid: Grid) -> SampledFunction:
+def seed_solution_ex2(model: Ex2, n: int, beta: float, grid: Grid) -> SampledFunction:
     """Solution of the mass-weighted Schrodinger equation at energy E_n - beta.
 
     Closed form where the hypergeometric series converges (x below the cut),
@@ -366,9 +336,8 @@ def seed_solution_ex2(p: Ex2Params, n: int, beta: float, grid: Grid) -> SampledF
     The result is generally non-normalizable; only its logarithmic derivative
     matters downstream, so the overall scale is fixed by the closed form.
     """
-    model = model_ex2(p)
     x = grid.points()
-    e = _ex2_energy(p, n) - beta
+    e = model.energy(n) - beta
     values = np.empty(grid.n_points)
     icut = int(np.searchsorted(x, _SEED_SERIES_CUT))
     icut = min(max(icut, 3), grid.n_points - 1)
@@ -379,13 +348,13 @@ def seed_solution_ex2(p: Ex2Params, n: int, beta: float, grid: Grid) -> SampledF
     # closed form is evaluated anywhere else
     with np.errstate(over="ignore", invalid="ignore"):
         stencil = _seed_closed_form(
-            p, n, beta, np.array([x0 - 2 * dd, x0 - dd, x0 + dd, x0 + 2 * dd])
+            model, n, beta, np.array([x0 - 2 * dd, x0 - dd, x0 + dd, x0 + 2 * dd])
         )
     if not np.all(np.isfinite(stencil)):
         raise DomainError(
             f"seed energy {e} overflows the closed-form auxiliary solution at x = {x0}"
         )
-    values[: icut + 1] = _seed_closed_form(p, n, beta, x[: icut + 1])
+    values[: icut + 1] = _seed_closed_form(model, n, beta, x[: icut + 1])
 
     if icut < grid.n_points - 1:
         dpsi0 = (stencil[0] - 8.0 * stencil[1] + 8.0 * stencil[2] - stencil[3]) / (12.0 * dd)
@@ -400,7 +369,7 @@ def seed_solution_ex2(p: Ex2Params, n: int, beta: float, grid: Grid) -> SampledF
         values[icut:] = marched
         # consistency between the two evaluation routes at the matching nodes
         if icut + 1 < grid.n_points and x[icut + 1] < 4.0:
-            ref = _seed_closed_form(p, n, beta, x[icut + 1 : icut + 2])[0]
+            ref = _seed_closed_form(model, n, beta, x[icut + 1 : icut + 2])[0]
             if abs(marched[1] - ref) > 1e-6 * max(abs(ref), 1.0):
                 raise ConfigurationError(
                     "closed-form and integrated auxiliary solutions disagree at the "
@@ -409,20 +378,18 @@ def seed_solution_ex2(p: Ex2Params, n: int, beta: float, grid: Grid) -> SampledF
     return SampledFunction(grid, values)
 
 
-# the model catalog: CLI identifier -> (factory, parameter dataclass, or None
-# for a model without parameters); the CLI's --model choices and parameter
-# flags, defaults included, are read from this table
-MODELS = {
-    "ex1": (model_ex1, Ex1Params),
-    "ex2": (model_ex2, Ex2Params),
-    "ho": (model_constant_mass_ho, None),
-    "box": (model_box, None),
-}
+# the model catalog: CLI identifier -> model class; the CLI's --model
+# choices and parameter flags (one per field) are read from this table, and
+# a flag not given takes the field's default
+MODELS = {model.name: model for model in (Ex1, Ex2, HarmonicOscillator, Box)}
 
 
 def catalog(name: str, **params) -> PdmModel:
-    """Look up a model by CLI identifier; a model without parameters ignores params."""
+    """Build a model by CLI identifier; a keyword it has no field for is refused."""
     if name not in MODELS:
         raise ConfigurationError(f"unknown model {name!r} (expected one of {', '.join(MODELS)})")
-    factory, params_type = MODELS[name]
-    return factory() if params_type is None else factory(params_type(**params))
+    names = {f.name for f in fields(MODELS[name])}
+    unknown = [key for key in params if key not in names]
+    if unknown:
+        raise ConfigurationError(f"model {name} takes no parameter {', '.join(unknown)}")
+    return MODELS[name](**params)

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from pdmfactor import factorize, model_constant_mass_ho, model_ex1, model_ex2
+from pdmfactor import Ex1, Ex2, HarmonicOscillator, factorize
 from pdmfactor.grids import Grid, SampledFunction
 
 EX1_FINE_GRID = Grid(-250.0, 250.0, 32001)
@@ -23,17 +23,17 @@ def read_csv(path) -> SampledFunction:
 
 @pytest.fixture(scope="session")
 def ex1():
-    return model_ex1()
+    return Ex1()
 
 
 @pytest.fixture(scope="session")
 def ex2():
-    return model_ex2()
+    return Ex2()
 
 
 @pytest.fixture(scope="session")
 def ho():
-    return model_constant_mass_ho()
+    return HarmonicOscillator()
 
 
 @pytest.fixture(scope="session")

@@ -65,7 +65,7 @@ class TestAcceptance:
 
     def test_03_closed_form_states(self, ex1, fac_ex1_fine):
         ref0, ref1 = _closed_form_states_ex1(EX1_FINE_GRID, 1.0)
-        mapped0 = map_eigenstate(ex1.eigenstate_samples(0, EX1_FINE_GRID), 0, fac_ex1_fine)
+        mapped0 = map_eigenstate(0, fac_ex1_fine)
         zm = zero_mode(fac_ex1_fine)
         d0 = np.max(np.abs(mapped0.values - normalize_state(ref0).values))
         d1 = np.max(np.abs(zm.values - normalize_state(ref1).values))
@@ -157,8 +157,7 @@ class TestAcceptance:
         mismatches = []
         for model, fac in ((ex1, fac_ex1), (ho, fac_ho)):
             for k in range(5):
-                psi_k = model.eigenstate_samples(k)
-                got = count_nodes(map_eigenstate(psi_k, k, fac))
+                got = count_nodes(map_eigenstate(k, fac))
                 if got != k:
                     mismatches.append((model.name, k, got))
         ok = not mismatches
@@ -179,9 +178,8 @@ class TestAcceptance:
 
         results = {}
         for k in range(5):
-            psi_k = ex2.eigenstate_samples(k)
             try:
-                results[k] = count_nodes(map_eigenstate(psi_k, k, fac_ex2_n1))
+                results[k] = count_nodes(map_eigenstate(k, fac_ex2_n1))
             except NonNormalizableError:
                 results[k] = "non-normalizable"
         ok = all(results[k] == k for k in range(5))

@@ -211,6 +211,24 @@ class TestSpectrum:
         ref = np.array([np.pi**2, 4 * np.pi**2])
         assert np.max(np.abs(np.array(data["eigenvalues"]) - ref)) <= 1e-2
 
+    @pytest.mark.parametrize("flags, parameters, energies", [
+        # E_n = n^2 + n (a + b) + c (a + b - c + 1) / 2
+        (["--a", "2", "--b", "8", "--c", "3"], {"a": 2.0, "b": 8.0, "c": 3.0},
+         [12.0, 23.0, 36.0]),
+        # a flag not given takes the model's default
+        (["--b", "8"], {"a": 1.0, "b": 8.0, "c": 4.0}, [12.0, 22.0, 34.0]),
+    ])
+    def test_given_parameters_reach_the_model(self, tmp_path, flags, parameters, energies):
+        # off-default values, so that a dropped flag shows in both the report
+        # and the spectrum
+        code = run(["spectrum", "--model", "ex2", *flags, "--levels", "3",
+                    "--out", str(tmp_path)])
+        assert code == 0
+        data = load_json(tmp_path / "spectrum.json")
+        assert data["parameters"] == parameters
+        got = np.array(data["eigenvalues"])
+        assert np.max(np.abs(got - np.array(energies))) <= 1e-2
+
 
 class TestVerify:
     def test_ex1_suite_passes(self, tmp_path):
@@ -325,6 +343,21 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             run([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "--model", "ho", "--alpha", "5", "--levels", "2"],
+         "model ho takes no parameter alpha"),
+        (["construct", "--model", "ex1", "--lambda", "1", "--c", "4"],
+         "model ex1 takes no parameter c"),
+        (["scan", "--model", "box", "--lambda-min", "0", "--lambda-max", "1", "--a", "1",
+          "--b", "5"], "model box takes no parameter a, b"),
+    ])
+    def test_another_models_parameter_exits_two(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "run"
+        code = run(argv + ["--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [["construct"], ["verify"],
                                          ["spectrum", "--which", "deformed"]])

@@ -33,7 +33,7 @@ from pdmfactor.grids import (
     derivative,
     normalize_state,
 )
-from pdmfactor.models import Ex2Params, catalog, model_ex1, seed_solution_ex2
+from pdmfactor.models import catalog
 from pdmfactor.spectra import count_nodes
 from scipy.special import erf
 
@@ -395,20 +395,17 @@ class TestFactorizationIdentities:
 
 class TestMapEigenstate:
     def test_matches_closed_form_ground_state(self, ex1, fac_ex1_fine):
-        psi0 = ex1.eigenstate_samples(0, EX1_FINE_GRID)
-        mapped = map_eigenstate(psi0, 0, fac_ex1_fine)
+        mapped = map_eigenstate(0, fac_ex1_fine)
         ref, _ = _closed_form_states_ex1(EX1_FINE_GRID, 1.0)
         assert _linf_after_norm(mapped, ref) <= 1e-3
 
     def test_node_preservation_ex1(self, ex1, fac_ex1):
         for k in range(5):
-            psi_k = ex1.eigenstate_samples(k)
-            assert count_nodes(map_eigenstate(psi_k, k, fac_ex1)) == k
+            assert count_nodes(map_eigenstate(k, fac_ex1)) == k
 
     def test_mapped_state_solves_deformed_problem(self, ex1, fac_ex1_fine):
         for k in (0, 2):
-            psi_k = ex1.eigenstate_samples(k, EX1_FINE_GRID)
-            mapped = map_eigenstate(psi_k, k, fac_ex1_fine)
+            mapped = map_eigenstate(k, fac_ex1_fine)
             x = mapped.x
             m = ex1.mass(x)
             d1 = derivative(mapped)
@@ -422,15 +419,9 @@ class TestMapEigenstate:
             assert np.max(np.abs(res[8:-8])) <= 1e-4 * np.max(np.abs(mapped.values))
 
     def test_level_n_routes_to_zero_mode(self, ex1, fac_ex1):
-        psi1 = ex1.eigenstate_samples(1)
-        mapped = map_eigenstate(psi1, 1, fac_ex1)
+        mapped = map_eigenstate(1, fac_ex1)
         zm = zero_mode(fac_ex1)
         assert np.max(np.abs(mapped.values - zm.values)) < 1e-14
-
-    def test_state_on_another_grid(self, ho, fac_ho):
-        psi0 = ho.eigenstate_samples(0, Grid(-8.0, 8.0, 801))
-        with pytest.raises(InconsistentInputError):
-            map_eigenstate(psi0, 0, fac_ho)
 
     @pytest.mark.parametrize("name, n, kwargs, grid, bound", [
         ("ho", 1, dict(lam=1.0), None, 1e-6),
@@ -454,7 +445,7 @@ class TestMapEigenstate:
             ok[max(0, i - 6) : i + 7] = False
         for k in (k for k in range(4) if k != n):
             psi_k = model.eigenstate_samples(k, fac.grid)
-            mapped = map_eigenstate(psi_k, k, fac).values
+            mapped = map_eigenstate(k, fac).values
             K = ladder_pair(psi_k, fac.W_n, fac.f_n, model, "A_plus", "Atilde_minus").values
             scaled = K[ok] * (K[ok] @ mapped[ok]) / (K[ok] @ K[ok])
             assert np.max(np.abs(scaled - mapped[ok])) <= bound * np.max(np.abs(mapped))

@@ -301,9 +301,9 @@ class TestQuadrature:
             definite_integral(f)
 
     def test_cumulative_norm_of_bound_state(self):
-        from pdmfactor.models import model_ex1
+        from pdmfactor.models import Ex1
 
-        ex1 = model_ex1()
+        ex1 = Ex1()
         psi1 = ex1.eigenstate_samples(1)
         F = cumulative_integral(psi1.with_values(psi1.values**2))
         assert abs(F.values[-1] - 1.0) < 1e-6

@@ -1,9 +1,9 @@
 """Package hygiene: exported names resolve, no module imports what it does
 not use, every private module-level name is used, only grids.py reads the
 node spacing, only cli.main builds, writes and prints a command's inputs
-and outputs, only cli.py writes JSON, cli.py reads the model catalog from
-models.MODELS, and the construction in factor.py never reads the eigensolver
-or the checks built on it."""
+and outputs, only cli.py writes JSON, each model is one frozen dataclass,
+cli.py reads the model catalog from models.MODELS, and the construction in
+factor.py never reads the eigensolver or the checks built on it."""
 
 import ast
 import dataclasses
@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import pdmfactor
-from pdmfactor.models import MODELS
+from pdmfactor.models import MODELS, PdmModel
 
 SRC = Path(pdmfactor.__file__).resolve().parent
 # __init__.py only re-exports; its imports are checked to resolve instead
@@ -160,13 +160,24 @@ def test_only_cli_writes_json(name):
     assert defs == []
 
 
+def test_each_model_is_one_frozen_dataclass():
+    # a model class is its own parameter set: MODELS maps each identifier to
+    # a frozen dataclass subclass of PdmModel that carries that name
+    for name, model_type in MODELS.items():
+        assert issubclass(model_type, PdmModel)
+        assert dataclasses.is_dataclass(model_type)
+        assert model_type.__dataclass_params__.frozen
+        assert model_type.name == name
+
+
 def test_cli_reads_the_model_catalog():
     # model identifiers, parameter names and their defaults are declared once,
-    # in models.MODELS; cli.py takes its --model choices, its parameter flags
-    # and their defaults from that table
+    # in the model classes of models.MODELS; cli.py takes its --model choices
+    # and its parameter flags from that table, and the defaults stay with
+    # the model
     names, defaults = set(MODELS), set()
-    for _, params_type in MODELS.values():
-        for f in dataclasses.fields(params_type) if params_type else ():
+    for model_type in MODELS.values():
+        for f in dataclasses.fields(model_type):
             names |= {f.name, f"--{f.name}"}
             defaults.add(f.default)
     tree = ast.parse((SRC / "cli.py").read_text())

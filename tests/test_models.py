@@ -1,19 +1,15 @@
 import numpy as np
 import pytest
 
-from pdmfactor.errors import DomainError
+from pdmfactor.errors import ConfigurationError, DomainError
 from pdmfactor.grids import Grid, definite_integral
 import pdmfactor.models
 from pdmfactor.models import (
     _integrate_linear2,
     weighted_defect,
-    Ex1Params,
-    Ex2Params,
+    Ex1,
+    Ex2,
     catalog,
-    model_box,
-    model_constant_mass_ho,
-    model_ex1,
-    model_ex2,
     seed_solution_ex2,
 )
 from pdmfactor.spectra import count_nodes, solve_spectrum
@@ -31,7 +27,7 @@ def pdmse_residual(model, psi, energy):
 class TestEx1:
     def test_params(self):
         with pytest.raises(DomainError):
-            Ex1Params(alpha=-1.0)
+            Ex1(alpha=-1.0)
 
     def test_energies(self, ex1):
         assert ex1.energy(0) == 1.0
@@ -62,7 +58,7 @@ class TestEx1:
         assert np.all(ex1.mass(ex1.recommended_grid.points()) > 0.0)
 
     def test_general_alpha_states_still_solve(self):
-        model = model_ex1(Ex1Params(alpha=0.5))
+        model = Ex1(alpha=0.5)
         grid = Grid(-400.0, 400.0, 64001)
         for k in (0, 2):
             psi = model.eigenstate_samples(k, grid)
@@ -72,9 +68,9 @@ class TestEx1:
 class TestEx2:
     def test_params(self):
         with pytest.raises(DomainError):
-            Ex2Params(a=1.0, b=5.0, c=0.4)
+            Ex2(a=1.0, b=5.0, c=0.4)
         with pytest.raises(DomainError):
-            Ex2Params(a=-3.0, b=1.0, c=4.0)
+            Ex2(a=-3.0, b=1.0, c=4.0)
 
     def test_energies(self, ex2):
         assert ex2.energy(0) == 6.0
@@ -95,7 +91,7 @@ class TestEx2:
     def test_state_that_overflows_is_refused(self):
         # (1 + e^x)^((a + b + 1)/2) overflows for x > 1e-49 with b = 5.7e51
         with pytest.raises(DomainError, match="state 4 of ex2 overflows on the grid"):
-            model_ex2(Ex2Params(a=-1.1, b=5.7e51)).eigenstate_samples(4)
+            Ex2(a=-1.1, b=5.7e51).eigenstate_samples(4)
 
     def test_mass_positive(self, ex2):
         assert np.all(ex2.mass(ex2.recommended_grid.points()) > 0.0)
@@ -111,6 +107,21 @@ class TestConstantMass:
     def test_numerical_spectrum(self, ho):
         rep = solve_spectrum(ho, ho.potential_samples(), 4)
         assert np.max(np.abs(rep.eigenvalues - np.array([0.0, 2.0, 4.0, 6.0]))) < 1e-5
+
+
+class TestCatalog:
+    def test_parameters_reach_the_model(self):
+        assert catalog("ex2", b=8.0) == Ex2(a=1.0, b=8.0, c=4.0)
+        assert catalog("ex1") == Ex1(alpha=1.0)
+
+    @pytest.mark.parametrize("name, params, message", [
+        ("ho", {"alpha": 5.0}, "model ho takes no parameter alpha"),
+        ("ex1", {"alpha": 2.0, "c": 4.0}, "model ex1 takes no parameter c"),
+        ("nope", {}, "unknown model 'nope'"),
+    ])
+    def test_refusals(self, name, params, message):
+        with pytest.raises(ConfigurationError, match=message):
+            catalog(name, **params)
 
 
 class TestCatalogInvariants:
@@ -186,7 +197,7 @@ class TestSeedMarch:
             return _integrate_linear2(*args)
 
         monkeypatch.setattr(pdmfactor.models, "_integrate_linear2", record)
-        seed_solution_ex2(Ex2Params(), n, beta, model_ex2().recommended_grid)
+        seed_solution_ex2(Ex2(), n, beta, Ex2.recommended_grid)
         (args,) = calls
         assert isinstance(args[0], np.float64)
         assert np.array_equal(_integrate_linear2(*args), numpy_scalar_march(*args))
@@ -206,7 +217,7 @@ class TestSeedSolution:
         # raw-form residual where 1/m stays moderate; the sup over the full
         # grid is checked in the weighted form, since 1/m ~ e^|x| at the wings
         # amplifies pure float64 stencil noise past any fixed tolerance
-        seed = seed_solution_ex2(Ex2Params(), 1, 1.0, SEED_GRID)
+        seed = seed_solution_ex2(Ex2(), 1, 1.0, SEED_GRID)
         assert pdmse_residual_weighted(ex2, seed, ex2.energy(1) - 1.0) <= 1e-6
         x = SEED_GRID.points()
         window = np.abs(x) <= 6.0
@@ -218,19 +229,19 @@ class TestSeedSolution:
         # at energy E_n - beta between the (n-1)-th and n-th levels, every
         # solution oscillates; the left-decaying one has exactly n sign changes
         for n in (1, 2):
-            seed = seed_solution_ex2(Ex2Params(), n, 1.0, SEED_GRID)
+            seed = seed_solution_ex2(Ex2(), n, 1.0, SEED_GRID)
             assert count_nodes(seed) == n
 
     def test_oscillatory_regime_rejected(self):
         with pytest.raises(DomainError):
-            seed_solution_ex2(Ex2Params(), 1, 20.0, SEED_GRID)
+            seed_solution_ex2(Ex2(), 1, 20.0, SEED_GRID)
 
     def test_scale_invariance_downstream(self, ex2, fac_ex2_n1):
         # doubling the seed leaves the deformation function unchanged
         from pdmfactor.factor import auxiliary_f
 
         grid = fac_ex2_n1.grid
-        seed = seed_solution_ex2(Ex2Params(), 1, 1.0, grid)
+        seed = seed_solution_ex2(Ex2(), 1, 1.0, grid)
         doubled = seed.with_values(2.0 * seed.values)
         f2 = auxiliary_f(doubled, ex2, fac_ex2_n1.W_n, 1.0)
         ref = fac_ex2_n1.f_n.values.values

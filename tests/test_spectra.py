@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import pdmfactor.spectra
 from pdmfactor.errors import ConfigurationError, DomainError, SolverError
 from pdmfactor.grids import Grid, SampledFunction
-from pdmfactor.models import catalog, model_box, model_constant_mass_ho, model_ex1, model_ex2
+from pdmfactor.models import Box, Ex1, Ex2, HarmonicOscillator, catalog
 from pdmfactor.spectra import (
     _TINY,
     SturmLiouvilleProblem,
@@ -68,7 +68,7 @@ class TestDiscretize:
         assert np.allclose(prob.off, -1.0 / h2)
 
     def test_box_ground_state(self):
-        box = model_box()
+        box = Box()
         prob = discretize(box, box.potential_samples())
         rep = lowest_eigenpairs(prob, 1)
         assert abs(rep.eigenvalues[0] - np.pi**2) < 1e-2
@@ -116,7 +116,7 @@ class TestLowestEigenpairs:
     def test_matrix_far_inside_the_tolerance_is_refused(self):
         # on [0, 1e100] the box matrix spans 6.4e-195 against tol 1e-13, so
         # the twist sits far from every eigenvalue and z overflows
-        box = model_box()
+        box = Box()
         prob = discretize(box, box.potential_samples(Grid(0.0, 1e100, 401)))
         with pytest.raises(SolverError, match="eigenvector 0 overflows"):
             lowest_eigenpairs(prob, 1)
@@ -146,12 +146,12 @@ class TestLowestEigenpairs:
         assert all(r <= cap for r in rep.residuals)
 
     def test_oscillation_theorem(self):
-        for model in (model_ex1(), model_ex2(), model_constant_mass_ho()):
+        for model in (Ex1(), Ex2(), HarmonicOscillator()):
             rep = solve_spectrum(model, model.potential_samples(), 5)
             assert rep.node_counts == [0, 1, 2, 3, 4]
 
     def test_box_convergence_order(self):
-        box = model_box()
+        box = Box()
 
         def err(n):
             g = Grid(0.0, 1.0, n)
@@ -229,7 +229,7 @@ class TestSturmCount:
     def test_box_matches_row_by_row(self, monkeypatch):
         # the box's constant stencil meets exact zero pivots, first at the
         # midpoint of its Gershgorin bracket
-        box = model_box()
+        box = Box()
         prob = discretize(box, box.potential_samples())
         counts = []
 
@@ -245,7 +245,7 @@ class TestSturmCount:
         assert zeros > 0
 
     def test_count_is_the_negative_pivots(self, rng):
-        box = model_box()
+        box = Box()
         diag, off2 = random_tridiagonal(rng, 150)
         # the box meets an exact zero pivot in the first row at the midpoint of
         # its Gershgorin bracket
@@ -392,7 +392,7 @@ class TestWarmBrackets:
     def test_zero_level_of_ho(self):
         # the deformed oscillator's ground level is 0; its bracket must not
         # shrink to a point there
-        ho = model_constant_mass_ho()
+        ho = HarmonicOscillator()
         prob = discretize(ho, ho.potential_samples())
         tol = _gershgorin(prob)[2]
         cold = _eigenvalues_only(prob, 3)
@@ -405,7 +405,7 @@ class TestWarmBrackets:
 
 class TestCountNodes:
     def test_ground_states(self):
-        for model in (model_ex1(), model_ex2(), model_constant_mass_ho()):
+        for model in (Ex1(), Ex2(), HarmonicOscillator()):
             assert count_nodes(model.eigenstate_samples(0)) == 0
 
     def test_ex1_third_state(self, ex1):
