@@ -35,7 +35,7 @@ from .models import (
     HarmonicOscillator,
     PdmModel,
     catalog,
-    seed_solution_ex2,
+    seed_solution,
 )
 from .spectra import (
     SpectrumReport,

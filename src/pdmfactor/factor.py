@@ -22,7 +22,9 @@ Both routes produce f_n = psi_n q / (sqrt(m) D) with D' = psi_n q:
   and ``bernoulli_f`` builds the deformation for one lambda from it.
 * beta != 0: an auxiliary solution ("seed") at energy E_n - beta gives
   q = beta seed and D = chi, the mass-weighted Wronskian of psi_n and the
-  seed.  chi is built by integrating D' = beta psi_n seed, which stays
+  seed.  The seed is ``models.seed_solution``, marched from where it decays
+  for any model; a seed that is not finite or does not solve its equation
+  is refused.  chi is built by integrating D' = beta psi_n seed, which stays
   accurate in tails where the direct Wronskian cancels catastrophically.
 """
 
@@ -50,7 +52,7 @@ from .grids import (
     derivative,
     normalize_state,
 )
-from .models import PdmModel, weighted_defect
+from .models import PdmModel, seed_solution, weighted_defect
 
 __all__ = [
     "Superpotential",
@@ -330,8 +332,8 @@ def auxiliary_f(seed: SampledFunction, model: PdmModel, w_n: Superpotential,
 
 
 def _check_pdmse_residual(psi: SampledFunction, model: PdmModel, energy: float) -> None:
-    """Refuse psi when the relative defect of the equation in its m-weighted
-    form exceeds _SEED_RESIDUAL_GATE.
+    """Refuse psi when a sample is not finite, or when the relative defect of
+    the equation in its m-weighted form exceeds _SEED_RESIDUAL_GATE.
 
     The raw 1/m form would amplify double-precision stencil noise by 1/m at
     the truncation wings, where the mass vanishes, and reject exact
@@ -342,10 +344,18 @@ def _check_pdmse_residual(psi: SampledFunction, model: PdmModel, energy: float) 
             "the residual check of an auxiliary solution needs more than 8 grid points,"
             f" got {psi.grid.n_points}"
         )
+    # a marched seed overflows on too wide a window
+    if psi.is_singular:
+        raise InconsistentInputError(
+            f"the auxiliary solution at E = {energy} is not finite on the window"
+            f" [{psi.grid.x_min}, {psi.grid.x_max}]; a narrower window keeps it within"
+            " double precision"
+        )
     res = weighted_defect(model, model.potential_samples(psi.grid), psi, energy)
     scale = np.max(np.abs(psi.values))
     worst = float(np.max(np.abs(res[4:-4])) / scale)
-    if worst > _SEED_RESIDUAL_GATE:
+    # a stencil that overflows gives a NaN residual, which fails the gate too
+    if not worst <= _SEED_RESIDUAL_GATE:
         raise InconsistentInputError(
             f"input does not solve the mass-weighted equation at E = {energy} "
             f"(relative residual {worst:.2e})"
@@ -551,10 +561,6 @@ def factorize(model: PdmModel, n: int, *, beta: float = 0.0,
         raise ConfigurationError("--lambda is required when --beta is 0")
     if beta != 0.0 and lam is not None:
         raise ConfigurationError("--lambda applies only to --beta 0 runs")
-    if beta != 0.0 and model.seed_solution is None:
-        raise ConfigurationError(
-            f"model {model.name!r} provides no auxiliary solutions for --beta != 0"
-        )
     g = grid or model.recommended_grid
     psi_n = normalize_state(model.eigenstate_samples(n, g))
     w = superpotential(psi_n, model, n)
@@ -563,7 +569,7 @@ def factorize(model: PdmModel, n: int, *, beta: float = 0.0,
     if beta == 0.0:
         f = bernoulli_f(bernoulli_terms(psi_n, model), lam - shift)
     else:
-        f = auxiliary_f(model.seed_solution(n, beta, g), model, w, beta)
+        f = auxiliary_f(seed_solution(model, n, beta, g), model, w, beta)
     v_tilde = deformed_partner(v_minus, f, model, beta)
     return FactorizationResult(
         model=model,

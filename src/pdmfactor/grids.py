@@ -87,7 +87,8 @@ class Grid:
 
     def substep_lattice(self, start: int, nsub: int) -> tuple[np.ndarray, float]:
         """Lattice at half the substep h / nsub from node start to the last
-        node, and the substep."""
+        node, and the substep; a negative start lies left of x_min on the
+        grid's spacing."""
         hs = self.h / nsub
         half = 0.5 * hs * np.arange(2 * nsub * (self.n_points - 1 - start) + 1)
         return self.x_min + self.h * start + half, hs

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, ClassVar, Optional
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .grids import Grid, SampledFunction, derivative
-from .specfun import HypergeometricParams, gauss_2f1, hermite, jacobi
+from .specfun import hermite, jacobi
 
 __all__ = [
     "PdmModel",
@@ -31,7 +31,7 @@ __all__ = [
     "Ex2",
     "HarmonicOscillator",
     "Box",
-    "seed_solution_ex2",
+    "seed_solution",
     "MODELS",
     "catalog",
     "weighted_defect",
@@ -44,14 +44,12 @@ class PdmModel:
 
     Each model is a frozen dataclass subclass whose fields are its
     parameters.  It defines mass, mass_d1, mass_d2 and potential (of x),
-    energy(k) and eigenstate(k, x), and the class attributes below; a model
-    with auxiliary solutions also defines seed_solution(n, beta, grid).
+    energy(k) and eigenstate(k, x), and the class attributes below.
     """
 
     name: ClassVar[str]
     recommended_grid: ClassVar[Grid]
     spectrum_tolerance: ClassVar[float]
-    seed_solution: ClassVar[Optional[Callable[[int, float, Grid], SampledFunction]]] = None
 
     def eigenstate_samples(self, k: int, grid: Grid | None = None) -> SampledFunction:
         g = grid or self.recommended_grid
@@ -204,9 +202,6 @@ class Ex2(PdmModel):
         # right-hand tail approaches zero from positive values
         return v if n % 2 == 0 else -v
 
-    def seed_solution(self, n: int, beta: float, grid: Grid) -> SampledFunction:
-        return seed_solution_ex2(self, n, beta, grid)
-
 
 def _unit_mass(x):
     return np.ones_like(np.asarray(x, dtype=float))
@@ -255,33 +250,14 @@ class Box(PdmModel):
 
 
 # ---------------------------------------------------------------------------
-# Auxiliary (non-normalizable) solutions for the sech^2-mass model
+# Auxiliary (non-normalizable) solutions, marched from where they decay
 # ---------------------------------------------------------------------------
 
-_SEED_SERIES_CUT = 2.0
 _SEED_SUBSTEPS = 4
-
-
-def _seed_closed_form(model: Ex2, n: int, beta: float, x: np.ndarray) -> np.ndarray:
-    """Closed-form solution at energy E_n - beta, valid for moderate x.
-
-    Written via the Pfaff transform as a series in w = e^x/(1 + e^x), which
-    converges for w < 1, i.e. everywhere left of x ~ 6.9; the form is even in
-    the sign of the auxiliary exponent P, so the root choice is immaterial.
-    As x -> -infinity the solution decays like exp(c x / 2).
-    """
-    a, b, c = model.a, model.b, model.c
-    e = model.energy(n) - beta
-    p2 = (a + b) ** 2 - 2.0 * c * (a + b - c + 1.0) + 4.0 * e
-    if p2 < 0.0:
-        raise DomainError(
-            f"oscillatory auxiliary solution (P^2 = {p2} < 0); no construction is defined"
-        )
-    P = math.sqrt(p2)
-    params = HypergeometricParams(0.5 * (a + b + P), 0.5 * (a + b - P), c)
-    w = 1.0 / (1.0 + np.exp(-x))
-    pref = np.exp(0.5 * c * x) / (1.0 + np.exp(x)) ** (0.5 * (a + b + 1.0))
-    return pref * gauss_2f1(params, w)
+_MARCH_BLOCK = 1024
+# a damping exponent of ln(1/eps) leaves the other solution's admixture at
+# x_min below the rounding error of the decaying one
+_SEED_DAMPING = -math.log(np.finfo(float).eps)
 
 
 def _integrate_linear2(y0, dy0, hs, c1, c2, nsub, n_nodes):
@@ -291,91 +267,87 @@ def _integrate_linear2(y0, dy0, hs, c1, c2, nsub, n_nodes):
     c1 and c2 are sampled on the half-substep lattice along the marching
     direction: index 2*s is the start of substep s, 2*s + 1 its midpoint.
     The march runs on Python floats, which round exactly as numpy float64
-    scalars do but cost far less per operation.
+    scalars do but cost far less per operation.  The tables are converted
+    _MARCH_BLOCK nodes at a time, so their Python floats never all exist at
+    once.
     """
-    c1 = c1.tolist()
-    c2 = c2.tolist()
+    hh = 0.5 * hs
     out = np.empty(n_nodes)
     y = float(y0)
     dy = float(dy0)
     out[0] = y0
-    s = 0
-    for node in range(1, n_nodes):
-        for _ in range(nsub):
-            j0 = 2 * s
-            k1y = dy
-            k1d = c1[j0] * y + c2[j0] * dy
-            y2 = y + 0.5 * hs * k1y
-            d2 = dy + 0.5 * hs * k1d
-            k2y = d2
-            k2d = c1[j0 + 1] * y2 + c2[j0 + 1] * d2
-            y3 = y + 0.5 * hs * k2y
-            d3 = dy + 0.5 * hs * k2d
-            k3y = d3
-            k3d = c1[j0 + 1] * y3 + c2[j0 + 1] * d3
-            y4 = y + hs * k3y
+    for lo in range(1, n_nodes, _MARCH_BLOCK):
+        hi = min(lo + _MARCH_BLOCK, n_nodes)
+        block = slice(2 * nsub * (lo - 1), 2 * nsub * (hi - 1) + 1)
+        p0, pm = c1[block][0::2].tolist(), c1[block][1::2].tolist()
+        q0, qm = c2[block][0::2].tolist(), c2[block][1::2].tolist()
+        ys = []
+        # (start, midpoint, end) coefficients of each substep
+        for a0, b0, am, bm, a1, b1 in zip(p0, q0, pm, qm, p0[1:], q0[1:]):
+            k1d = a0 * y + b0 * dy
+            y2 = y + hh * dy
+            d2 = dy + hh * k1d
+            k2d = am * y2 + bm * d2
+            y3 = y + hh * d2
+            d3 = dy + hh * k2d
+            k3d = am * y3 + bm * d3
+            y4 = y + hs * d3
             d4 = dy + hs * k3d
-            k4y = d4
-            k4d = c1[j0 + 2] * y4 + c2[j0 + 2] * d4
-            y = y + hs * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
+            k4d = a1 * y4 + b1 * d4
+            y = y + hs * (dy + 2.0 * d2 + 2.0 * d3 + d4) / 6.0
             dy = dy + hs * (k1d + 2.0 * k2d + 2.0 * k3d + k4d) / 6.0
-            s += 1
-        out[node] = y
+            ys.append(y)
+        out[lo:hi] = ys[nsub - 1::nsub]
     return out
 
 
-def seed_solution_ex2(model: Ex2, n: int, beta: float, grid: Grid) -> SampledFunction:
-    """Solution of the mass-weighted Schrodinger equation at energy E_n - beta.
+def _seed_coefficients(model: PdmModel, x: np.ndarray, energy: float):
+    """c1 = m (V - E) and c2 = m'/m of the equation u'' = c1 u + c2 u'."""
+    m = model.mass(x)
+    return m * (model.potential(x) - energy), model.mass_d1(x) / m
 
-    Closed form where the hypergeometric series converges (x below the cut),
-    then a fixed-step RK4 continuation of the equation
-    psi'' = m (V - E) psi + (m'/m) psi' toward the right edge, started from
-    the closed-form value and derivative at the matching node and checked
-    against the closed form at the adjacent node.
+
+def seed_solution(model: PdmModel, n: int, beta: float, grid: Grid) -> SampledFunction:
+    """The solution of the mass-weighted equation at energy E_n - beta that
+    decays to the left, for any model.
+
+    u'' = m (V - E) u + (m'/m) u' has the local exponents m'/(2m) +- kappa,
+    kappa^2 = (m'/(2m))^2 + m (V - E).  The march starts left of x_min, on
+    the grid's spacing, at the first node from which the damping exponent
+    (the integral of 2 kappa up to x_min) reaches ln(1/eps), but at most one
+    window width out.  It starts from u = 1, u' = (m'/(2m) + kappa) u and runs
+    rightward, which damps the admixture of the solution that grows to the
+    left by that exponent before x_min.
 
     The result is generally non-normalizable; only its logarithmic derivative
-    matters downstream, so the overall scale is fixed by the closed form.
+    matters downstream, so its overall scale is arbitrary.
     """
-    x = grid.points()
     e = model.energy(n) - beta
-    values = np.empty(grid.n_points)
-    icut = int(np.searchsorted(x, _SEED_SERIES_CUT))
-    icut = min(max(icut, 3), grid.n_points - 1)
-    x0 = x[icut]
-    dd = 1e-6
-    # the series terms grow with x, so a seed energy too large for double
-    # precision shows in the matching stencil first; refuse it before the
-    # closed form is evaluated anywhere else
-    with np.errstate(over="ignore", invalid="ignore"):
-        stencil = _seed_closed_form(
-            model, n, beta, np.array([x0 - 2 * dd, x0 - dd, x0 + dd, x0 + 2 * dd])
-        )
-    if not np.all(np.isfinite(stencil)):
+    width = grid.n_points - 1
+    # x_min, x_min - h, ..., x_min - width h
+    lattice, h = grid.substep_lattice(-width, 1)
+    back = lattice[2 * width::-2]
+    # the model's closed forms may overflow beyond the window, and a
+    # non-finite coefficient never reaches the damping exponent
+    with np.errstate(all="ignore"):
+        c1, c2 = _seed_coefficients(model, back, e)
+        kappa2 = 0.25 * c2 * c2 + c1
+        kappa = np.sqrt(np.maximum(kappa2, 0.0))
+        damping = np.cumsum(h * (kappa[:-1] + kappa[1:]))
+    reached = damping >= _SEED_DAMPING
+    start = int(np.argmax(reached)) + 1 if reached.any() else width
+    if not kappa2[start] > 0.0:
         raise DomainError(
-            f"seed energy {e} overflows the closed-form auxiliary solution at x = {x0}"
+            f"seed energy {e} makes the equation oscillate at the march's start"
+            f" x = {back[start]:.6g}, left of x_min = {grid.x_min}: no auxiliary"
+            " solution decays there"
         )
-    values[: icut + 1] = _seed_closed_form(model, n, beta, x[: icut + 1])
-
-    if icut < grid.n_points - 1:
-        dpsi0 = (stencil[0] - 8.0 * stencil[1] + 8.0 * stencil[2] - stencil[3]) / (12.0 * dd)
-        nsub = _SEED_SUBSTEPS
-        n_right = grid.n_points - icut
-        # coefficient tables on the half-substep lattice of the marched region
-        xs, hs = grid.substep_lattice(icut, nsub)
-        m = model.mass(xs)
-        c1 = m * (model.potential(xs) - e)
-        c2 = model.mass_d1(xs) / m
-        marched = _integrate_linear2(values[icut], dpsi0, hs, c1, c2, nsub, n_right)
-        values[icut:] = marched
-        # consistency between the two evaluation routes at the matching nodes
-        if icut + 1 < grid.n_points and x[icut + 1] < 4.0:
-            ref = _seed_closed_form(model, n, beta, x[icut + 1 : icut + 2])[0]
-            if abs(marched[1] - ref) > 1e-6 * max(abs(ref), 1.0):
-                raise ConfigurationError(
-                    "closed-form and integrated auxiliary solutions disagree at the "
-                    f"matching node ({marched[1]} vs {ref})"
-                )
-    return SampledFunction(grid, values)
+    xs, hs = grid.substep_lattice(-start, _SEED_SUBSTEPS)
+    with np.errstate(all="ignore"):
+        c1, c2 = _seed_coefficients(model, xs, e)
+    slope = 0.5 * c2[0] + math.sqrt(kappa2[start])
+    u = _integrate_linear2(1.0, slope, hs, c1, c2, _SEED_SUBSTEPS, start + grid.n_points)
+    return SampledFunction(grid, u[start:])
 
 
 # the model catalog: CLI identifier -> model class; the CLI's --model

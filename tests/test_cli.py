@@ -204,6 +204,32 @@ class TestSpectrum:
         got = np.array(load_json(tmp_path / "spectrum.json")["eigenvalues"])
         assert np.max(np.abs(got - np.array([6.0, 13.0, 22.0]))) <= 1e-2
 
+    def test_seed_that_overflows_the_window_is_refused(self, tmp_path, capsys):
+        # the seed marched across [-40, 40] grows past the double range
+        out = tmp_path / "run"
+        assert run(["spectrum", "--which", "deformed", "--model", "ho", "--n", "1",
+                    "--beta", "1", "--grid-min=-40", "--grid-max", "40",
+                    "--grid-points", "8001", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the auxiliary solution at E = 1.0 is not finite on the window"
+            " [-40.0, 40.0]; a narrower window keeps it within double precision\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("beta, err", [
+        # E_1 - beta above the flat floor: the seed would oscillate outside the wall
+        ("1", "error: seed energy 38.47841760435743 makes the equation oscillate at the"
+              " march's start x = -1, left of x_min = 0.0: no auxiliary solution decays"
+              " there\n"),
+        ("50", "deformed potential is singular for these parameters\n"),
+    ], ids=["seed-energy-above-floor", "singular"])
+    def test_box_beta_is_refused(self, tmp_path, capsys, beta, err):
+        out = tmp_path / "run"
+        assert run(["spectrum", "--which", "deformed", "--model", "box", "--n", "1",
+                    "--beta", beta, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
     def test_box_sanity(self, tmp_path):
         code = run(["spectrum", "--model", "box", "--levels", "2", "--out", str(tmp_path)])
         assert code == 0
@@ -629,11 +655,12 @@ class TestPackageErrors:
         assert err.startswith("error: a=") and "overflow double precision" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv, start", [
-        (["spectrum", "--model", "ex1", "--alpha", "1e300"], "error: alpha="),
-        (["construct", "--model", "ex2", "--beta=-1e300"], "error: seed energy"),
+    @pytest.mark.parametrize("argv, start, reason", [
+        (["spectrum", "--model", "ex1", "--alpha", "1e300"], "error: alpha=", "overflow"),
+        (["construct", "--model", "ex2", "--beta=-1e300"], "error: seed energy 1e+300",
+         "oscillate"),
     ])
-    def test_huge_parameters_exit_one(self, tmp_path, capsys, argv, start):
+    def test_huge_parameters_exit_one(self, tmp_path, capsys, argv, start, reason):
         # the suite turns every RuntimeWarning into an error, so an exit code
         # also shows that none was raised on the way to the refusal
         out = tmp_path / "run"
@@ -641,7 +668,7 @@ class TestPackageErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert err.startswith(start) and "overflow" in err
+        assert err.startswith(start) and reason in err
         assert not out.exists()
 
 

@@ -251,6 +251,30 @@ class TestAuxiliary:
         with pytest.raises(InconsistentInputError):
             auxiliary_f(fake, ex2, fac_ex2_n1.W_n, 1.0)
 
+    def test_non_finite_seed_rejected(self, ex2, fac_ex2_n1):
+        # a NaN residual compares False against the gate; the refusal names
+        # the window, where too wide a one overflows a marched seed
+        grid = fac_ex2_n1.grid
+        values = fac_ex2_n1.f_n.q.copy()  # beta * seed, with beta = 1
+        values[grid.n_points // 2] = np.inf
+        with pytest.raises(InconsistentInputError,
+                           match=r"not finite on the window \[-14.0, 14.0\]"):
+            auxiliary_f(SampledFunction(grid, values), ex2, fac_ex2_n1.W_n, 1.0)
+
+    @pytest.mark.parametrize("name, n, beta", [
+        ("ho", 1, 0.5), ("ho", 1, -0.5), ("ho", 2, 1.0), ("ex1", 1, 0.5), ("ex1", 2, 1.0),
+    ])
+    def test_every_model_deletes_level_n(self, name, n, beta):
+        # a marched seed serves every model: the zero mode psi_n/chi is not
+        # normalizable, so the deformed spectrum is {E_k - E_n + beta : k != n}
+        from pdmfactor.spectra import solve_spectrum
+
+        model = catalog(name)
+        rep = solve_spectrum(model, factorize(model, n, beta=beta).V_tilde_minus, 4)
+        want = [model.energy(k) - model.energy(n) + beta for k in range(5) if k != n]
+        assert np.max(np.abs(rep.eigenvalues - want)) <= model.spectrum_tolerance
+        assert rep.node_counts == [0, 1, 2, 3]
+
 
 class TestDeformedPartner:
     def test_zero_deformation_is_shift(self, ho):
@@ -479,13 +503,11 @@ class TestZeroMode:
 
 
 class TestFactorizeDriver:
-    def test_flag_validation(self, ex1, ho):
+    def test_flag_validation(self, ex1):
         with pytest.raises(ConfigurationError):
             factorize(ex1, 1)  # beta = 0 needs lambda
         with pytest.raises(ConfigurationError):
             factorize(ex1, 1, beta=1.0, lam=1.0)
-        with pytest.raises(ConfigurationError):
-            factorize(ho, 1, beta=1.0)  # no auxiliary solutions for ho
         with pytest.raises(ConfigurationError):
             factorize(ex1, 1, lam=1.0, convention="bogus")
 

@@ -2,8 +2,9 @@
 not use, every private module-level name is used, only grids.py reads the
 node spacing, only cli.main builds, writes and prints a command's inputs
 and outputs, only cli.py writes JSON, each model is one frozen dataclass,
-cli.py reads the model catalog from models.MODELS, and the construction in
-factor.py never reads the eigensolver or the checks built on it."""
+cli.py reads the model catalog from models.MODELS, the construction in
+factor.py never reads the eigensolver or the checks built on it, and one
+marched auxiliary solution serves every model."""
 
 import ast
 import dataclasses
@@ -184,3 +185,17 @@ def test_cli_reads_the_model_catalog():
     constants = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)]
     assert [c for c in constants if isinstance(c, str) and c in names] == []
     assert [c for c in constants if isinstance(c, float) and c in defaults] == []
+
+
+def test_no_model_brings_its_own_seed():
+    # models.seed_solution marches the auxiliary solution of any model
+    assert [name for name, model_type in MODELS.items()
+            if hasattr(model_type, "seed_solution")] == []
+
+
+def test_hypergeometric_seed_is_a_test_oracle():
+    # ex2's closed-form seed and its 2F1 series live in the tests, as the
+    # reference for the march
+    importers = [p.name for p in sorted(SRC.glob("*.py"))
+                 if "gauss_2f1" in _imported_names(ast.parse(p.read_text()))]
+    assert importers == []

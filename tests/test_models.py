@@ -2,17 +2,20 @@ import numpy as np
 import pytest
 
 from pdmfactor.errors import ConfigurationError, DomainError
-from pdmfactor.grids import Grid, definite_integral
+from pdmfactor.grids import Grid, SampledFunction, definite_integral, derivative
 import pdmfactor.models
 from pdmfactor.models import (
     _integrate_linear2,
     weighted_defect,
+    Box,
     Ex1,
     Ex2,
+    MODELS,
     catalog,
-    seed_solution_ex2,
+    seed_solution,
 )
 from pdmfactor.spectra import count_nodes, solve_spectrum
+from tests.hypergeometric import ex2_seed_closed_form
 
 SEED_GRID = Grid(-12.0, 14.0, 32001)
 
@@ -197,9 +200,9 @@ class TestSeedMarch:
             return _integrate_linear2(*args)
 
         monkeypatch.setattr(pdmfactor.models, "_integrate_linear2", record)
-        seed_solution_ex2(Ex2(), n, beta, Ex2.recommended_grid)
+        seed_solution(Ex2(), n, beta, Ex2.recommended_grid)
         (args,) = calls
-        assert isinstance(args[0], np.float64)
+        assert isinstance(args[1], np.float64)
         assert np.array_equal(_integrate_linear2(*args), numpy_scalar_march(*args))
 
     def test_matches_numpy_scalar_march_from_float64_start(self):
@@ -217,7 +220,7 @@ class TestSeedSolution:
         # raw-form residual where 1/m stays moderate; the sup over the full
         # grid is checked in the weighted form, since 1/m ~ e^|x| at the wings
         # amplifies pure float64 stencil noise past any fixed tolerance
-        seed = seed_solution_ex2(Ex2(), 1, 1.0, SEED_GRID)
+        seed = seed_solution(Ex2(), 1, 1.0, SEED_GRID)
         assert pdmse_residual_weighted(ex2, seed, ex2.energy(1) - 1.0) <= 1e-6
         x = SEED_GRID.points()
         window = np.abs(x) <= 6.0
@@ -229,20 +232,57 @@ class TestSeedSolution:
         # at energy E_n - beta between the (n-1)-th and n-th levels, every
         # solution oscillates; the left-decaying one has exactly n sign changes
         for n in (1, 2):
-            seed = seed_solution_ex2(Ex2(), n, 1.0, SEED_GRID)
+            seed = seed_solution(Ex2(), n, 1.0, SEED_GRID)
             assert count_nodes(seed) == n
 
-    def test_oscillatory_regime_rejected(self):
-        with pytest.raises(DomainError):
-            seed_solution_ex2(Ex2(), 1, 20.0, SEED_GRID)
+    @pytest.mark.parametrize("model, n, beta", [(Ex2(), 1, -1e300), (Box(), 1, 1.0)])
+    def test_energy_oscillatory_at_the_start_is_refused(self, model, n, beta):
+        # no solution decays to the left where the energy lies above m V
+        with pytest.raises(DomainError, match="^seed energy .* no auxiliary solution decays"):
+            seed_solution(model, n, beta, model.recommended_grid)
 
     def test_scale_invariance_downstream(self, ex2, fac_ex2_n1):
         # doubling the seed leaves the deformation function unchanged
         from pdmfactor.factor import auxiliary_f
 
         grid = fac_ex2_n1.grid
-        seed = seed_solution_ex2(Ex2(), 1, 1.0, grid)
+        seed = seed_solution(Ex2(), 1, 1.0, grid)
         doubled = seed.with_values(2.0 * seed.values)
         f2 = auxiliary_f(doubled, ex2, fac_ex2_n1.W_n, 1.0)
         ref = fac_ex2_n1.f_n.values.values
         assert np.max(np.abs(f2.values.values - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+class TestSeedOracle:
+    """The march against ex2's closed form, left of x = 4 where its series
+    converges quickly."""
+
+    @pytest.mark.parametrize("grid", [
+        Grid(-14.0, 14.0, 2001), Grid(-14.0, 14.0, 4001), SEED_GRID, Grid(0.0, 14.0, 4001),
+    ], ids=["[-14,14]x2001", "[-14,14]x4001", "[-12,14]x32001", "[0,14]x4001"])
+    @pytest.mark.parametrize("n, beta", [(1, 1.0), (2, 0.5)])
+    def test_march_matches_closed_form(self, grid, n, beta):
+        left = grid.points() <= 4.0
+        closed = ex2_seed_closed_form(Ex2(), n, beta, grid.points()[left])
+        marched = seed_solution(Ex2(), n, beta, grid).values[left]
+        # the scale is arbitrary: match it at the peak; relative errors are
+        # taken against |closed| floored at 1e-6 of the peak, which keeps
+        # the seed's sign changes and deep left tail from dividing by ~0
+        peak = int(np.argmax(np.abs(closed)))
+        marched = marched * (closed[peak] / marched[peak])
+        scale = np.maximum(np.abs(closed), 1e-6 * abs(closed[peak]))
+        assert np.max(np.abs(marched - closed) / scale) <= 1e-7
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_mass_derivatives_match_the_stencil(name):
+    # mass_d1 and mass_d2 are closed forms; the 4th-order stencil of the
+    # mass samples on the default grid checks both (ex1's coarse default
+    # grid reads 3.6e-4 on mass_d2, and a 1 % error in one of its terms 4e-3)
+    model = MODELS[name]()
+    grid = model.recommended_grid
+    x = grid.points()
+    d1 = derivative(SampledFunction(grid, model.mass(x)))
+    d2 = derivative(d1)
+    for exact, stencil in ((model.mass_d1(x), d1.values), (model.mass_d2(x), d2.values)):
+        assert np.max(np.abs(stencil - exact)) <= 1e-3 * np.max(np.abs(exact))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pdmfactor.errors import ConfigurationError, DomainError
-from pdmfactor.specfun import HypergeometricParams, gauss_2f1, hermite, jacobi
+from pdmfactor.specfun import hermite, jacobi
+from tests.hypergeometric import HypergeometricParams, gauss_2f1
 
 
 def hermite_sum(k, x):
