@@ -15,7 +15,6 @@ from .factor import (
     DeformationFunction,
     FactorizationResult,
     Superpotential,
-    apply_ladder,
     auxiliary_f,
     bernoulli_f,
     bernoulli_terms,
@@ -49,7 +48,6 @@ from .verify import (
     IsospectralityReport,
     ScanReport,
     check_isospectral,
-    intertwining_residual,
     riccati_residual,
     scan_lambda,
 )

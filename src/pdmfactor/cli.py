@@ -331,7 +331,12 @@ def main(argv=None) -> int:
         # built before the first write, so a failure leaves no partial directory
         code, outputs, stdout, stderr = args.func(args, model, grid, payload)
         for name, content in outputs.items():
-            _atomic_write(Path(args.out) / name, content)
+            path = Path(args.out) / name
+            try:
+                _atomic_write(path, content)
+            except OSError as exc:
+                # --out names a file, or a path through one, or no permission
+                raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from None
         if stdout is not None:
             print(stdout)
         if stderr is not None:

@@ -8,9 +8,11 @@ constraint
     f'/sqrt(m) + (2 W + m'/(2 m^(3/2))) f + f^2 = beta,
 
 and the nonsingular deformed partner V~_n- = V_n- - 2 f'/sqrt(m) + beta,
-together with the ladder operators, the eigenfunction map between the two
-Hamiltonians, and the zero mode.  The ladder operators flag the W pole bands
-as NaN samples; nothing is interpolated across them.  The caller names the
+together with the eigenfunction map A~_n- A_n+ between the two Hamiltonians,
+in a pole-free reduced form, and the zero mode.  W's pole bands are NaN
+samples; nothing is interpolated across them.  The literal composition of
+the four ladder operators is not part of the package: tests/ladder.py keeps
+it as the reference the map is checked against.  The caller names the
 level of every state it maps, so the construction builds only on ``grids``
 and ``models`` and never reads the eigensolver that checks it.
 
@@ -66,8 +68,6 @@ __all__ = [
     "bernoulli_f",
     "auxiliary_f",
     "deformed_partner",
-    "apply_ladder",
-    "ladder_pair",
     "map_eigenstate",
     "zero_mode",
     "factorize",
@@ -112,14 +112,14 @@ def lambda_shift(convention: str) -> float:
 class Superpotential:
     """W_n = -psi_n'/(sqrt(m) psi_n) with masked bands around the n poles.
 
-    The defining state and its first two derivatives are retained so that
-    ladder applications can form products like W * psi as exact ratios
-    instead of multiplying a masked pole by a small number.
+    The defining state and its first two derivatives are retained:
+    partner_plus forms W' from them as exact ratios (log_deriv and
+    log_deriv_slope), and map_eigenstate and auxiliary_f take Wronskians
+    with psi_n', so no masked pole is multiplied by a small number.
     """
 
     n: int
     values: SampledFunction
-    node_positions: list[float]
     state: SampledFunction = field(repr=False)
     state_d1: np.ndarray = field(repr=False)
     state_d2: np.ndarray = field(repr=False)
@@ -149,14 +149,10 @@ def superpotential(psi_n: SampledFunction, model: PdmModel, n: int) -> Superpote
     sqm = np.sqrt(model.mass(x))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         w = -dpsi.values / (sqm * v)
-    positions = [
-        float(x[lo] + (x[hi] - x[lo]) * v[lo] / (v[lo] - v[hi])) for lo, hi in crossings
-    ]
     d2 = derivative(dpsi)
     return Superpotential(
         n=n,
         values=SampledFunction(psi_n.grid, w, _band_mask(psi_n.grid.n_points, crossings)),
-        node_positions=positions,
         state=psi_n,
         state_d1=dpsi.values,
         state_d2=d2.values,
@@ -303,16 +299,24 @@ def auxiliary_f(seed: SampledFunction, model: PdmModel, w_n: Superpotential,
     # infinite mismatch
     i_ref = int(np.argmax(np.abs(chi)))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rel = abs(wronskian[i_ref] - chi[i_ref]) / np.max(np.abs(chi))
+        scale = np.max(np.abs(chi))
+        rel = abs(wronskian[i_ref] - chi[i_ref]) / scale
     if not np.isfinite(rel) or rel > 1e-4:
-        # the seed passed its residual check, so a finite mismatch after the
-        # left-edge tail estimate of chi blames the window, not the seed
-        window = np.isfinite(rel) and mu_left > 0.0
-        raise InconsistentInputError(
-            f"psi_n * seed has not decayed at the left edge x_min = {psi_n.grid.x_min}"
-            f" (wronskian mismatch {rel:.2e}); use a smaller --grid-min" if window else
-            f"seed is not a solution at E_n - beta (wronskian mismatch {rel:.2e})"
-        )
+        # the seed passed its residual check, so a finite mismatch blames the
+        # left-edge tail estimate of chi, and so the window, when that
+        # estimate's share of chi can explain it; else the mismatch is the
+        # direct Wronskian's stencil error, which does not shrink with beta
+        # as chi does
+        mismatch = f"(wronskian mismatch {rel:.2e})"
+        if not np.isfinite(rel) or not mu_left > 0.0:
+            msg = f"seed is not a solution at E_n - beta {mismatch}"
+        elif abs(beta * prod[0] / mu_left) / scale >= rel:
+            msg = (f"psi_n * seed has not decayed at the left edge x_min = {psi_n.grid.x_min}"
+                   f" {mismatch}; use a smaller --grid-min")
+        else:
+            msg = (f"chi, which scales with beta = {beta}, is below the stencil error of"
+                   f" the direct Wronskian {mismatch}; use a larger |--beta|")
+        raise InconsistentInputError(msg)
 
     noise = 64.0 * np.finfo(float).eps * (
         np.abs(psi_n.values * dseed.values) + np.abs(w_n.state_d1 * seed.values)
@@ -370,97 +374,6 @@ def deformed_partner(v_n_minus: SampledFunction, f: DeformationFunction,
     with np.errstate(over="ignore", invalid="ignore"):
         vals = v_n_minus.values - 2.0 * df.values / sqm + beta
     return SampledFunction(v_n_minus.grid, vals)
-
-
-# ---------------------------------------------------------------------------
-# Ladder operators
-# ---------------------------------------------------------------------------
-
-_LADDER_KINDS = ("A_plus", "A_minus", "Atilde_plus", "Atilde_minus")
-
-
-def _ladder_values(kind: str, w: Superpotential, f: Optional[DeformationFunction],
-                   model: PdmModel, v: np.ndarray, dv: np.ndarray,
-                   ddv: Optional[np.ndarray]):
-    """Apply one ladder operator given input samples and derivatives.
-
-    Products W * v are formed as (psi_n' v)/psi_n so the only unusable nodes
-    are the exact zeros of psi_n.  Returns (u, du); du is None when ddv was
-    not supplied.
-    """
-    x = w.state.x
-    m = model.mass(x)
-    mp = model.mass_d1(x)
-    mpp = model.mass_d2(x)
-    sqm = np.sqrt(m)
-    g = 1.0 / sqm
-    B = -mp / (2.0 * m * sqm)  # (1/sqrt(m))'
-    Bp = -mpp / (2.0 * m * sqm) + 3.0 * mp * mp / (4.0 * m * m * sqm)
-    r = w.log_deriv()
-    rp = w.log_deriv_slope()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if kind in ("A_plus", "Atilde_plus"):
-            u = (dv - r * v) * g
-            du = None if ddv is None else (ddv - r * dv - rp * v) * g + B * (dv - r * v)
-        else:
-            u = -g * dv - B * v - r * g * v
-            du = None if ddv is None else (
-                -g * ddv - 2.0 * B * dv - r * g * dv - (Bp + rp * g + r * B) * v
-            )
-        if kind in ("Atilde_plus", "Atilde_minus"):
-            fv = f.values.values
-            u = u + fv * v
-            if du is not None:
-                dfv = derivative(f.values).values
-                du = du + dfv * v + fv * dv
-    return u, du
-
-
-def _check_ladder_args(psi: SampledFunction, w: Superpotential,
-                       f: Optional[DeformationFunction], kinds) -> None:
-    """Known kinds, f given exactly when one is deformed, psi on W_n's grid."""
-    for kind in kinds:
-        if kind not in _LADDER_KINDS:
-            raise ConfigurationError(f"unknown ladder operator {kind!r}")
-    tilde = any(kind.startswith("Atilde") for kind in kinds)
-    if tilde and f is None:
-        raise ConfigurationError("deformed operators require a deformation function")
-    if not tilde and f is not None:
-        raise ConfigurationError("undeformed operators take no deformation function")
-    if psi.grid != w.state.grid:
-        raise InconsistentInputError("state and superpotential grids differ")
-
-
-def apply_ladder(psi: SampledFunction, w: Superpotential,
-                 f: Optional[DeformationFunction], model: PdmModel,
-                 which: str) -> SampledFunction:
-    """Apply one of A_n+-, A~_n+- to a sampled state.
-
-    The output is NaN exactly on W_n's guard bands, whose samples are
-    finite but unusable next to a pole.
-    """
-    _check_ladder_args(psi, w, f, (which,))
-    dv = derivative(psi)
-    u, _ = _ladder_values(which, w, f, model, psi.values, dv.values, None)
-    return SampledFunction(psi.grid, u, w.values.singular_mask)
-
-
-def ladder_pair(psi: SampledFunction, w: Superpotential,
-                f: Optional[DeformationFunction], model: PdmModel,
-                first: str, second: str) -> SampledFunction:
-    """Compose two ladder operators (second after first) stably.
-
-    The intermediate state has genuine poles at the nodes of the defining
-    state, so its derivative is carried algebraically instead of being
-    re-differenced across the pole.  The result is NaN only where psi_n is
-    exactly zero on the grid.
-    """
-    _check_ladder_args(psi, w, f, (first, second))
-    dv = derivative(psi)
-    ddv = derivative(dv)
-    u, du = _ladder_values(first, w, f, model, psi.values, dv.values, ddv.values)
-    out, _ = _ladder_values(second, w, f, model, u, du, None)
-    return SampledFunction(psi.grid, out)
 
 
 # ---------------------------------------------------------------------------

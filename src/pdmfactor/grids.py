@@ -76,9 +76,6 @@ class Grid:
     def midpoints(self) -> np.ndarray:
         return self.x_min + self.h * (np.arange(self.n_points - 1) + 0.5)
 
-    def nearest_node(self, x: float) -> int:
-        return int(round((x - self.x_min) / self.h))
-
     def divergence_stencil(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal and off-diagonal of -d/dx(p d/dx) on the interior nodes,
         from p at the midpoints, with Dirichlet edges."""

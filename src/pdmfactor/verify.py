@@ -3,8 +3,9 @@
 Isospectrality is verified spectrally: both the shifted original potential
 and its deformed partner are solved numerically and compared level by level.
 The lambda scan locates the singularity window of the beta = 0 deformation,
-and the intertwining check applies the second-order composite operator
-literally on the grid.
+and the Riccati residual checks the deformation function against its
+constraint.  The intertwining relation is checked in the tests, where
+tests/ladder.py composes the ladder operators literally on the grid.
 """
 
 from __future__ import annotations
@@ -14,17 +15,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateStateError, DomainError
-from .factor import (
-    DEFAULT_GUARD_BAND,
-    FactorizationResult,
-    bernoulli_f,
-    bernoulli_terms,
-    ladder_pair,
-    lambda_shift,
-)
-from .grids import SampledFunction, derivative, normalize_state
-from .models import PdmModel, weighted_defect
+from .errors import ConfigurationError, DomainError
+from .factor import FactorizationResult, bernoulli_f, bernoulli_terms, lambda_shift
+from .grids import derivative, normalize_state
+from .models import PdmModel
 from .spectra import solve_spectrum
 
 __all__ = [
@@ -32,7 +26,6 @@ __all__ = [
     "ScanReport",
     "check_isospectral",
     "scan_lambda",
-    "intertwining_residual",
     "riccati_residual",
 ]
 
@@ -125,35 +118,6 @@ def scan_lambda(model: PdmModel, n: int, lambdas, convention: str = "normalized"
         critical_lambda=critical,
         boundaries=boundaries,
     )
-
-
-def intertwining_residual(fac: FactorizationResult, psi_k: SampledFunction,
-                          k: int) -> float:
-    """Relative residual of the intertwining relation on the level-k state.
-
-    The caller names the level k of psi_k; its eigenvalue under the shifted
-    Hamiltonian (m, V_n-) is e_k = E_k - E_n, from fac.model.  Computes
-    K = A~_n- A_n+ psi_k by literal operator composition and returns
-    |H~ K - (e_k + beta) K|_inf / |K|_inf over the nodes where the stencils
-    are clean (away from the pole bands and the grid edges).
-    """
-    model = fac.model
-    e_k = model.energy(k) - model.energy(fac.W_n.n)
-    K = ladder_pair(psi_k, fac.W_n, fac.f_n, model, "A_plus", "Atilde_minus")
-    amax = float(np.max(np.abs(K.values[~K.singular_mask])))
-    if amax < 1e-12 * float(np.max(np.abs(psi_k.values))):
-        raise DegenerateStateError("composite state is numerically zero (k = n?)")
-    defect = weighted_defect(model, fac.V_tilde_minus, K, e_k + fac.spectrum_shift)
-    res = np.abs(defect / model.mass(K.x))
-    ok = np.ones(K.grid.n_points, dtype=bool)
-    ok[:8] = False
-    ok[-8:] = False
-    reach = DEFAULT_GUARD_BAND + 6
-    for pos in fac.W_n.node_positions:
-        i = K.grid.nearest_node(pos)
-        ok[max(0, i - reach) : i + reach + 1] = False
-    ok &= np.isfinite(res)
-    return float(np.max(res[ok]) / amax)
 
 
 def riccati_residual(fac: FactorizationResult) -> float:

@@ -20,13 +20,9 @@ from pdmfactor.factor import (
 )
 from pdmfactor.grids import Grid, normalize_state
 from pdmfactor.spectra import count_nodes, solve_spectrum
-from pdmfactor.verify import (
-    check_isospectral,
-    intertwining_residual,
-    riccati_residual,
-    scan_lambda,
-)
+from pdmfactor.verify import check_isospectral, riccati_residual, scan_lambda
 from tests.conftest import EX1_FINE_GRID, EX2_TAIL_SAFE_GRID, read_csv
+from tests.ladder import intertwining_residual
 from tests.test_factor import (
     _closed_form_states_ex1,
     _reference_deformed_potential_ex1,

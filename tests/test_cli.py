@@ -486,6 +486,15 @@ class TestPackageErrors:
         (["construct", "--model", "ex2", "--grid-max=0", "--n", "0", "--a=0", "--b", "2",
           "--c", "1.2", "--beta=5e-324"],
          "error: seed is not a solution at E_n - beta (wronskian mismatch inf)\n"),
+        # chi scales with beta, the direct Wronskian's stencil error does not;
+        # chi's left-edge tail estimate is below 1e-22 of chi, so a wider
+        # window would not help
+        (["spectrum", "--which", "deformed", "--model", "ho", "--beta", "1e-10"],
+         "error: chi, which scales with beta = 1e-10, is below the stencil error of the"
+         " direct Wronskian (wronskian mismatch 6.10e-02); use a larger |--beta|\n"),
+        (["spectrum", "--which", "deformed", "--model", "ex2", "--beta", "1e-300"],
+         "error: chi, which scales with beta = 1e-300, is below the stencil error of the"
+         " direct Wronskian (wronskian mismatch 3.37e+288); use a larger |--beta|\n"),
         (["construct", "--model", "ex2", "--grid-points", "8", "--n", "0", "--beta", "2"],
          "error: the residual check of an auxiliary solution needs more than 8 grid"
          " points, got 8\n"),
@@ -494,7 +503,8 @@ class TestPackageErrors:
          "error: no node of the 29-point grid lies clear of the edges and of the node"
          " bands of W_n; the Riccati residual needs more grid points\n"),
     ], ids=["ex1-wide", "ex1-wide-derivative", "ho-wide", "zero-spacing", "subnormal-beta",
-            "subnormal-chi", "seed-on-8-points", "riccati-without-nodes"])
+            "subnormal-chi", "tiny-beta-ho", "tiny-beta-ex2", "seed-on-8-points",
+            "riccati-without-nodes"])
     def test_unrepresentable_inputs_exit_two(self, tmp_path, capsys, argv, message):
         # refused without a RuntimeWarning, which the suite turns into an error
         out = tmp_path / "run"
@@ -513,6 +523,16 @@ class TestPackageErrors:
         code = run(argv + ["--grid-min=5e-324", "--grid-points", "401",
                            "--out", str(tmp_path / "run")])
         assert code == 0
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_output_path_through_a_file_exits_two(self, tmp_path, capsys, out):
+        (tmp_path / "afile").write_text("")
+        code = run(["spectrum", "--model", "ho", "--levels", "1", "--out", str(tmp_path / out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {tmp_path / out / 'eigenstate_0.csv'}: ")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert (tmp_path / "afile").read_text() == ""
 
     def test_deformed_partner_that_overflows_at_an_edge(self, tmp_path, capsys):
         # D = lambda + F is 2.2e-308 at x_min, so 2 f' exceeds the double

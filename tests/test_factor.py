@@ -10,13 +10,11 @@ from pdmfactor.errors import (
     NonNormalizableError,
 )
 from pdmfactor.factor import (
-    apply_ladder,
     auxiliary_f,
     bernoulli_f,
     bernoulli_terms,
     deformed_partner,
     factorize,
-    ladder_pair,
     map_eigenstate,
     partner_minus,
     partner_plus,
@@ -36,6 +34,8 @@ from pdmfactor.grids import (
 from pdmfactor.models import catalog
 from pdmfactor.spectra import count_nodes
 from scipy.special import erf
+
+from tests.ladder import apply_ladder, ladder_pair, node_positions
 
 EX1_FINE_GRID = Grid(-250.0, 250.0, 32001)
 
@@ -103,8 +103,9 @@ class TestSuperpotential:
         assert runs.size > 0
         x = w.values.x
         assert np.all(np.abs(x[runs]) < 0.5)
-        assert len(w.node_positions) == 1
-        assert abs(w.node_positions[0]) < 1e-8
+        positions = node_positions(w)
+        assert len(positions) == 1
+        assert abs(positions[0]) < 1e-8
 
     def test_wrong_level_rejected(self, ex1):
         psi1 = normalize_state(ex1.eigenstate_samples(1))
@@ -333,29 +334,6 @@ class TestLadder:
         out = apply_ladder(psi1_cf, fac_ex1_fine.W_n, fac_ex1_fine.f_n, ex1, "Atilde_plus")
         ok = ~out.singular_mask
         assert np.max(np.abs(out.values[ok])) <= 1e-4 * np.max(np.abs(psi1_cf.values))
-
-    def test_flag_consistency(self, ho, fac_ho):
-        psi0 = normalize_state(ho.eigenstate_samples(0))
-        with pytest.raises(ConfigurationError):
-            apply_ladder(psi0, fac_ho.W_n, None, ho, "Atilde_plus")
-        with pytest.raises(ConfigurationError):
-            apply_ladder(psi0, fac_ho.W_n, fac_ho.f_n, ho, "A_plus")
-        with pytest.raises(ConfigurationError):
-            apply_ladder(psi0, fac_ho.W_n, None, ho, "B_plus")
-
-    def test_pair_needs_f_for_a_deformed_operator(self, ho, fac_ho):
-        psi0 = normalize_state(ho.eigenstate_samples(0))
-        with pytest.raises(ConfigurationError):
-            ladder_pair(psi0, fac_ho.W_n, None, ho, "A_plus", "Atilde_minus")
-
-    @pytest.mark.parametrize("pair", [False, True])
-    def test_state_on_another_grid(self, ho, fac_ho, pair):
-        psi0 = normalize_state(ho.eigenstate_samples(0, Grid(-8.0, 8.0, 801)))
-        with pytest.raises(InconsistentInputError):
-            if pair:
-                ladder_pair(psi0, fac_ho.W_n, fac_ho.f_n, ho, "A_plus", "Atilde_minus")
-            else:
-                apply_ladder(psi0, fac_ho.W_n, None, ho, "A_plus")
 
     def test_genuine_pole_stays_masked(self, ex1, fac_ex1):
         # psi_0 does not vanish at the node of psi_1, so A_1+ psi_0 has a pole

@@ -89,14 +89,6 @@ class TestGrid:
         # every 2 nsub-th entry is a node
         assert np.allclose(xs[:: 2 * nsub], g.points()[start:], rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("x_min, x_max, n", [(-2.0, 3.0, 101), (-250.0, 250.0, 8001),
-                                                 (0.0, 1.0, 8), (1e6, 1e6 + 1e-3, 1001)])
-    def test_nearest_node_of_every_node_is_itself(self, x_min, x_max, n):
-        g = Grid(x_min, x_max, n)
-        assert [g.nearest_node(x) for x in g.points()] == list(range(n))
-        assert g.nearest_node(g.x_min + 0.4 * g.h) == 0
-        assert g.nearest_node(g.x_min + 1.6 * g.h) == 2
-
 
 class TestMaskRule:
     def test_inf_is_stored_as_flagged_nan(self):

@@ -3,8 +3,9 @@ not use, every private module-level name is used, only grids.py reads the
 node spacing, only cli.main builds, writes and prints a command's inputs
 and outputs, only cli.py writes JSON, each model is one frozen dataclass,
 cli.py reads the model catalog from models.MODELS, the construction in
-factor.py never reads the eigensolver or the checks built on it, and one
-marched auxiliary solution serves every model."""
+factor.py never reads the eigensolver or the checks built on it, one
+marched auxiliary solution serves every model, and no function, class or
+method is there for the tests alone."""
 
 import ast
 import dataclasses
@@ -116,6 +117,20 @@ def test_private_names_are_used(name):
         if not any(private in _references(tree, stmt) for tree in trees.values())
     ]
     assert unused == []
+
+
+def test_every_definition_is_read_by_the_package():
+    # a function, class or method that only tests call is API the package
+    # does not need; __all__ strings and __init__.py re-exports are no reads
+    trees = {name: ast.parse((SRC / f"{name}.py").read_text()) for name in MODULES}
+    unread = [
+        f"{name}.{node.name}"
+        for name, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and not any(node.name in _references(other, node) for other in trees.values())
+    ]
+    assert unread == []
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "grids"))

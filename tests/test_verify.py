@@ -8,16 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdmfactor.errors import ConfigurationError, DomainError
-from pdmfactor.factor import bernoulli_f, bernoulli_terms, factorize, ladder_pair
+from pdmfactor.factor import bernoulli_f, bernoulli_terms, factorize
 from pdmfactor.grids import Grid, SampledFunction, cumulative_integral, normalize_state
 from pdmfactor.models import catalog
-from pdmfactor.verify import (
-    check_isospectral,
-    intertwining_residual,
-    riccati_residual,
-    scan_lambda,
-)
+from pdmfactor.verify import check_isospectral, riccati_residual, scan_lambda
 from tests.conftest import EX1_FINE_GRID
+from tests.ladder import intertwining_residual, ladder_pair
 
 
 class TestCheckIsospectral:
