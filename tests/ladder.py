@@ -9,10 +9,16 @@ deformed operator takes the deformation function f; the others take None.
 
 import numpy as np
 
-from pdmfactor.errors import DegenerateStateError
+from pdmfactor.errors import (
+    ConfigurationError,
+    DegenerateStateError,
+    InconsistentInputError,
+)
 from pdmfactor.factor import DEFAULT_GUARD_BAND
 from pdmfactor.grids import NOISE_FLOOR, SampledFunction, _crossings, derivative
 from pdmfactor.models import weighted_defect
+
+_LADDER_KINDS = ("A_plus", "A_minus", "Atilde_plus", "Atilde_minus")
 
 
 def _ladder_values(kind, w, f, model, v, dv, ddv):
@@ -50,9 +56,25 @@ def _ladder_values(kind, w, f, model, v, dv, ddv):
     return u, du
 
 
+def _check_ladder_args(psi, w, f, kinds):
+    """Known kinds, f given exactly when one is deformed, psi on W_n's grid,
+    so a misused oracle fails instead of giving a wrong reference."""
+    for kind in kinds:
+        if kind not in _LADDER_KINDS:
+            raise ConfigurationError(f"unknown ladder operator {kind!r}")
+    tilde = any(kind.startswith("Atilde") for kind in kinds)
+    if tilde and f is None:
+        raise ConfigurationError("deformed operators require a deformation function")
+    if not tilde and f is not None:
+        raise ConfigurationError("undeformed operators take no deformation function")
+    if psi.grid != w.state.grid:
+        raise InconsistentInputError("state and superpotential grids differ")
+
+
 def apply_ladder(psi, w, f, model, which):
     """One of A_n+- ("A_plus", "A_minus"), A~_n+- ("Atilde_plus",
     "Atilde_minus") applied to psi; NaN exactly on W_n's guard bands."""
+    _check_ladder_args(psi, w, f, (which,))
     dv = derivative(psi)
     u, _ = _ladder_values(which, w, f, model, psi.values, dv.values, None)
     return SampledFunction(psi.grid, u, w.values.singular_mask)
@@ -66,6 +88,7 @@ def ladder_pair(psi, w, f, model, first, second):
     re-differenced across the pole.  The result is NaN only where psi_n is
     exactly zero on the grid.
     """
+    _check_ladder_args(psi, w, f, (first, second))
     dv = derivative(psi)
     ddv = derivative(dv)
     u, du = _ladder_values(first, w, f, model, psi.values, dv.values, ddv.values)

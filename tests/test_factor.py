@@ -335,6 +335,29 @@ class TestLadder:
         ok = ~out.singular_mask
         assert np.max(np.abs(out.values[ok])) <= 1e-4 * np.max(np.abs(psi1_cf.values))
 
+    def test_flag_consistency(self, ho, fac_ho):
+        psi0 = normalize_state(ho.eigenstate_samples(0))
+        with pytest.raises(ConfigurationError):
+            apply_ladder(psi0, fac_ho.W_n, None, ho, "Atilde_plus")
+        with pytest.raises(ConfigurationError):
+            apply_ladder(psi0, fac_ho.W_n, fac_ho.f_n, ho, "A_plus")
+        with pytest.raises(ConfigurationError):
+            apply_ladder(psi0, fac_ho.W_n, None, ho, "B_plus")
+
+    def test_pair_needs_f_for_a_deformed_operator(self, ho, fac_ho):
+        psi0 = normalize_state(ho.eigenstate_samples(0))
+        with pytest.raises(ConfigurationError):
+            ladder_pair(psi0, fac_ho.W_n, None, ho, "A_plus", "Atilde_minus")
+
+    @pytest.mark.parametrize("pair", [False, True])
+    def test_state_on_another_grid(self, ho, fac_ho, pair):
+        psi0 = normalize_state(ho.eigenstate_samples(0, Grid(-8.0, 8.0, 801)))
+        with pytest.raises(InconsistentInputError):
+            if pair:
+                ladder_pair(psi0, fac_ho.W_n, fac_ho.f_n, ho, "A_plus", "Atilde_minus")
+            else:
+                apply_ladder(psi0, fac_ho.W_n, None, ho, "A_plus")
+
     def test_genuine_pole_stays_masked(self, ex1, fac_ex1):
         # psi_0 does not vanish at the node of psi_1, so A_1+ psi_0 has a pole
         psi0 = normalize_state(ex1.eigenstate_samples(0))
