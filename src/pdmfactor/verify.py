@@ -83,14 +83,21 @@ def check_isospectral(fac: FactorizationResult, k_levels: int,
 
 def scan_lambda(model: PdmModel, n: int, lambdas, convention: str = "normalized",
                 grid=None) -> ScanReport:
-    """Run the beta = 0 deformation over a lambda sweep and flag singularity.
+    """Flag the beta = 0 deformation's singularity over a lambda sweep.
 
-    The lambda-independent terms (``bernoulli_terms``) are built once; each
-    lambda then runs the per-lambda construction (``bernoulli_f``), whose
-    flags are the scan's.  The denominator lambda + F vanishes on the grid
-    exactly when lambda lies in [-max F, -min F], F the running integral of
-    psi_n^2, so each flag transition reports the window edge it crosses in
-    closed form from the same F.  critical_lambda is the last boundary (the
+    The lambda-independent terms (``bernoulli_terms``) are built once.  The
+    denominator lambda + F, F the running integral of psi_n^2, has a zero or
+    a sign change on the grid exactly when lambda lies in the closed window
+    [-max F, -min F], so every lambda there is flagged singular.  Outside
+    it, IEEE addition keeps the sign of each sum and is monotone, so every
+    |lambda + F_j| is at least the gap to the nearer edge; when
+    max psi_n^2 / (min sqrt(m) gap) is finite, every sample of f is, and the
+    flag is False.  Only a lambda whose bound overflows (within about 1e-305
+    of an edge) runs the per-lambda construction (``bernoulli_f``), whose
+    flag is then the scan's.  Each transition into or out of the window
+    reports the edge it crosses, in closed form from the same F, so a
+    boundary always lies between its two lambdas; a flag change caused by
+    overflow alone reports none.  critical_lambda is the last boundary (the
     singular-to-nonsingular edge when scanning upward).  Iterations are
     independent; they can be distributed freely as long as results are
     merged in lambda order.
@@ -102,14 +109,24 @@ def scan_lambda(model: PdmModel, n: int, lambdas, convention: str = "normalized"
     g = grid or model.recommended_grid
     psi_n = normalize_state(model.eigenstate_samples(n, g))
     terms = bernoulli_terms(psi_n, model)
-    flags = [bernoulli_f(terms, lam - shift).is_singular for lam in lambdas]
+    f_min, f_max = float(np.min(terms.F)), float(np.max(terms.F))
+    lam_eff = np.array(lambdas) - shift
+    inside = (-f_max <= lam_eff) & (lam_eff <= -f_min)
+    # outside the window, |lambda + F_j| >= gap to the nearer edge
+    gap = np.abs(lam_eff + np.where(lam_eff < -f_max, f_max, f_min))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        certified = np.isfinite(np.max(terms.q2) / (np.min(terms.sqm) * gap))
+    in_window = inside.tolist()
+    flags = in_window.copy()
+    for i in np.flatnonzero(~inside & ~certified).tolist():
+        flags[i] = bernoulli_f(terms, float(lam_eff[i])).is_singular
     # adding the shift (0.0 or 0.5) also turns the edge -F[0] = -0.0 into +0.0
-    lower, upper = -np.max(terms.F) + shift, -np.min(terms.F) + shift
+    lower, upper = -f_max + shift, -f_min + shift
     # stepping up into the window, or down out of it, crosses its lower edge
     boundaries = [
-        float(lower if (b > a) == flag_b else upper)
-        for a, b, flag_a, flag_b in zip(lambdas, lambdas[1:], flags, flags[1:])
-        if flag_a != flag_b
+        lower if (b > a) == in_b else upper
+        for a, b, in_a, in_b in zip(lambdas, lambdas[1:], in_window, in_window[1:])
+        if in_a != in_b
     ]
     critical = boundaries[-1] if boundaries else None
     return ScanReport(

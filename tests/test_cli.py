@@ -400,6 +400,22 @@ class TestUsageErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_calls_in_one_process_are_independent(self, tmp_path, capsys):
+        # main can run many times in one process; a flag given to one call,
+        # or a refused call, must not reach the next
+        base = ["spectrum", "--model", "ex1", "--levels", "2"]
+        assert run(base + ["--alpha", "2", "--out", str(tmp_path / "a")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            run(base + ["--alpha", "nan", "--out", str(tmp_path / "b")])
+        assert exc.value.code == 2
+        assert run(base + ["--out", str(tmp_path / "c")]) == 0
+        assert not (tmp_path / "b").exists()
+        for out, alpha in (("a", 2.0), ("c", 1.0)):
+            data = load_json(tmp_path / out / "spectrum.json")
+            assert data["parameters"] == {"alpha": alpha}
+            assert np.max(np.abs(np.array(data["eigenvalues"]) - [1.0, 3.0])) <= 1e-2
+        assert "expected a finite number, got 'nan'" in capsys.readouterr().err
+
     def test_auxiliary_route_echoes_the_convention(self, tmp_path):
         # the convention shifts only lambda, but result.json reports the flag
         out = tmp_path / "run"

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdmfactor.errors import ConfigurationError, DomainError
-from pdmfactor.factor import bernoulli_f, bernoulli_terms, factorize
+from pdmfactor.factor import LAMBDA_SHIFT, bernoulli_f, bernoulli_terms, factorize
 from pdmfactor.grids import Grid, SampledFunction, cumulative_integral, normalize_state
 from pdmfactor.models import catalog
 from pdmfactor.verify import check_isospectral, riccati_residual, scan_lambda
@@ -48,6 +48,19 @@ class TestCheckIsospectral:
         deformed = [b for _, b, _ in rep.pairs]
         expected = [ex2.energy(k) - ex2.energy(1) + 1.0 for k in (0, 2, 3, 4)]
         assert np.max(np.abs(np.array(deformed) - np.array(expected))) <= 1e-2
+
+
+# lambdas at and next to the window edges, the subnormals above 0 and the
+# double range's ends
+EDGE_LAMBDAS = [5e-324, -5e-324, 0.0, -0.0, 1e-310, -1e-310, 1e308, -1e308]
+
+
+def _window_points(F):
+    """The window's edges -max F and -min F, their float neighbours, and
+    -F_j at a few nodes."""
+    lo, hi = -np.max(F), -np.min(F)
+    neighbours = [np.nextafter(v, d) for v in (lo, hi) for d in (-np.inf, np.inf)]
+    return [float(v) for v in [lo, hi, *neighbours, *-F[::F.size // 4]]]
 
 
 class TestScanLambda:
@@ -92,10 +105,34 @@ class TestScanLambda:
         with pytest.raises(ConfigurationError):
             scan_lambda(ex1, 1, [])
 
-    def test_terms_built_once_per_scan(self, ex1, monkeypatch):
-        # the lambda-independent terms are hoisted out of the loop; the
-        # per-lambda construction runs once per lambda through the names
-        # that pdmfactor.verify looks up
+    @given(
+        name=st.sampled_from(["ex1", "ex2", "ho", "box"]),
+        n=st.sampled_from([1, 2, 3]),
+        convention=st.sampled_from(list(LAMBDA_SHIFT)),
+        lams=st.lists(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+                      min_size=1, max_size=8),
+        at_edges=st.booleans(),
+    )
+    @example(name="ex1", n=1, convention="normalized", lams=EDGE_LAMBDAS, at_edges=True)
+    @example(name="ex2", n=1, convention="normalized", lams=EDGE_LAMBDAS, at_edges=True)
+    @example(name="ho", n=2, convention="normalized", lams=EDGE_LAMBDAS, at_edges=True)
+    @example(name="box", n=3, convention="normalized", lams=EDGE_LAMBDAS, at_edges=True)
+    @example(name="ex1", n=1, convention="paper-ex1", lams=EDGE_LAMBDAS, at_edges=True)
+    @settings(max_examples=100, deadline=None)
+    def test_flags_match_bernoulli_f(self, name, n, convention, lams, at_edges):
+        # the window rule and its overflow fallback flag exactly the lambdas
+        # that the per-lambda construction flags
+        model, psi, F = _state_and_running_norm(name, n)
+        shift = LAMBDA_SHIFT[convention]
+        if at_edges:
+            lams = lams + [v + shift for v in _window_points(F)]
+        terms = bernoulli_terms(psi, model)
+        expected = [bernoulli_f(terms, lam - shift).is_singular for lam in lams]
+        assert scan_lambda(model, n, lams, convention=convention).singular_flags == expected
+
+    def test_flags_run_bernoulli_f_only_where_the_bound_overflows(self, ex1, monkeypatch):
+        # the lambda-independent terms are built once per scan; counted
+        # through the names that pdmfactor.verify looks up
         import pdmfactor.verify as verify
 
         calls = {"bernoulli_terms": 0, "bernoulli_f": 0}
@@ -112,8 +149,35 @@ class TestScanLambda:
         for name in calls:
             monkeypatch.setattr(verify, name, counting(name))
         rep = scan_lambda(ex1, 1, np.linspace(-2.0, 1.0, 31))
-        assert calls == {"bernoulli_terms": 1, "bernoulli_f": 31}
+        assert calls == {"bernoulli_terms": 1, "bernoulli_f": 0}
         assert len(rep.singular_flags) == 31
+        # 5e-324 lies above the window, but max psi^2 / (min sqrt(m) 5e-324)
+        # overflows, so the construction itself decides
+        calls.update(bernoulli_terms=0, bernoulli_f=0)
+        assert scan_lambda(ex1, 1, [5e-324]).singular_flags == [True]
+        assert calls == {"bernoulli_terms": 1, "bernoulli_f": 1}
+
+    @pytest.mark.parametrize("lams, flags", [([5e-324, 1.0], [True, False]),
+                                             ([-2.0, 5e-324], [False, True])])
+    def test_overflow_transition_reports_no_boundary(self, ex1, lams, flags):
+        # both lambdas lie outside the window, so no edge lies between them
+        rep = scan_lambda(ex1, 1, lams)
+        assert rep.singular_flags == flags
+        assert rep.boundaries == []
+        assert rep.critical_lambda is None
+
+    def test_boundary_lies_between_its_lambdas(self, ex1):
+        _, _, F = _state_and_running_norm("ex1", 1)
+        up = scan_lambda(ex1, 1, [-2.0, -0.5, 1.0])
+        assert up.singular_flags == [False, True, False]
+        assert up.boundaries == [-np.max(F), -np.min(F)]
+        down = scan_lambda(ex1, 1, [1.0, -0.5, -2.0])
+        assert down.boundaries == [-np.min(F), -np.max(F)]
+        assert down.critical_lambda == -np.max(F)
+        for rep in (up, down):
+            lams = rep.lambda_values
+            for a, b, edge in zip(lams, lams[1:], rep.boundaries):
+                assert min(a, b) < edge < max(a, b)
 
     def test_iterations_thread_safe(self, ex1):
         # each lambda is an independent pure computation; running them in
