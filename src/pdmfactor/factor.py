@@ -87,14 +87,13 @@ LAMBDA_SHIFT = {"normalized": 0.0, "paper-ex1": 0.5}
 # Small shared helpers
 # ---------------------------------------------------------------------------
 
-def _band_mask(n: int, crossings) -> Optional[np.ndarray]:
-    """Guard bands around the crossings; None when there are none."""
-    if not crossings:
-        return None
-    mask = np.zeros(n, dtype=bool)
-    for lo, hi in crossings:
-        mask[max(0, lo - DEFAULT_GUARD_BAND + 1) : min(n, hi + DEFAULT_GUARD_BAND)] = True
-    return mask
+def _with_bands(grid: Grid, values: np.ndarray, crossings) -> SampledFunction:
+    """The values on grid, with NaN written in the guard bands around the crossings."""
+    if crossings:
+        values = values.copy()
+        for lo, hi in crossings:
+            values[max(0, lo - DEFAULT_GUARD_BAND + 1) : hi + DEFAULT_GUARD_BAND] = np.nan
+    return SampledFunction(grid, values)
 
 
 def lambda_shift(convention: str) -> float:
@@ -152,7 +151,7 @@ def superpotential(psi_n: SampledFunction, model: PdmModel, n: int) -> Superpote
     d2 = derivative(dpsi)
     return Superpotential(
         n=n,
-        values=SampledFunction(psi_n.grid, w, _band_mask(psi_n.grid.n_points, crossings)),
+        values=_with_bands(psi_n.grid, w, crossings),
         state=psi_n,
         state_d1=dpsi.values,
         state_d2=d2.values,
@@ -180,7 +179,8 @@ def partner_plus(w: Superpotential, model: PdmModel, v_n_minus: SampledFunction)
         w_prime = -rp / sqm + r * mp / (2.0 * m * sqm)
         curvature_term = -mpp / (2.0 * m * m) + 3.0 * mp * mp / (4.0 * m ** 3)
         vals = v_n_minus.values + 2.0 * w_prime / sqm - curvature_term
-    return SampledFunction(v_n_minus.grid, vals, w.values.singular_mask)
+    vals[w.values.singular_mask] = np.nan
+    return SampledFunction(v_n_minus.grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +251,7 @@ def bernoulli_f(terms: BernoulliTerms, lam: float) -> DeformationFunction:
         f = terms.q2 / (terms.sqm * den)
     crossings = _crossings(den, 0.0)  # denominator crossings are genuine
     return DeformationFunction(
-        values=SampledFunction(terms.grid, f, _band_mask(terms.grid.n_points, crossings)),
+        values=_with_bands(terms.grid, f, crossings),
         den=den,
         q=terms.q,
         lam=lam,
@@ -329,7 +329,7 @@ def auxiliary_f(seed: SampledFunction, model: PdmModel, w_n: Superpotential,
     with np.errstate(divide="ignore", invalid="ignore"):
         f = beta * prod / (sqm * chi)
     return DeformationFunction(
-        values=SampledFunction(psi_n.grid, f, _band_mask(psi_n.grid.n_points, crossings)),
+        values=_with_bands(psi_n.grid, f, crossings),
         den=chi,
         q=beta * seed.values,
     )

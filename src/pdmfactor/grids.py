@@ -3,10 +3,10 @@
 The grid owns its coordinate: only this module reads the node spacing ``Grid.h``.
 
 Everything downstream works on ``SampledFunction`` objects: real values on a
-uniform grid.  The package has one mask rule: a singular or otherwise
-unusable sample is a NaN sample.  ``SampledFunction`` stores NaN at every
-node it is told is singular and at every non-finite value, so its
-``singular_mask`` is exactly ``isnan(values)``, and IEEE arithmetic carries
+uniform grid.  The package has one mask rule: a singular or unusable sample
+is a NaN sample, and the NaN is its only record.  ``SampledFunction`` keeps
+no mask: ``singular_mask`` is read as ``isnan(values)``, a caller that
+flags a finite sample writes the NaN itself, and IEEE arithmetic carries
 the flag through every stencil, product and quotient.  No derivative is
 ever taken across a flagged point.
 """
@@ -14,7 +14,7 @@ ever taken across a flagged point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -115,15 +115,14 @@ class Grid:
 class SampledFunction:
     """Real-valued function tabulated on a Grid; a singular sample is NaN.
 
-    The nodes passed in ``singular_mask`` and every non-finite value are
-    stored as NaN, and ``singular_mask`` is then exactly ``isnan(values)``.
-    Pass a mask only for nodes whose values are finite but unusable (guard
-    bands); everything else is flagged by its value alone.
+    Only the values are stored, with every non-finite value as NaN, so
+    ``singular_mask`` and ``is_singular`` are read from the NaN samples.  A
+    node whose value is finite but unusable (a guard band) is flagged by
+    writing NaN into the values before they are passed in.
     """
 
     grid: Grid
     values: np.ndarray
-    singular_mask: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.values = np.array(self.values, dtype=float)
@@ -131,21 +130,18 @@ class SampledFunction:
             raise ConfigurationError(
                 f"values length {self.values.shape} does not match grid ({self.grid.n_points},)"
             )
-        mask = ~np.isfinite(self.values)
-        if self.singular_mask is not None:
-            band = np.asarray(self.singular_mask, dtype=bool)
-            if band.shape != (self.grid.n_points,):
-                raise ConfigurationError("singular_mask length does not match grid")
-            mask |= band
-        if mask.any():
-            self.values[mask] = np.nan
-        self.singular_mask = mask
+        bad = ~np.isfinite(self.values)
+        if bad.any():
+            self.values[bad] = np.nan
         self.values.flags.writeable = False
-        self.singular_mask.flags.writeable = False
 
     @property
     def x(self) -> np.ndarray:
         return self.grid.points()
+
+    @property
+    def singular_mask(self) -> np.ndarray:
+        return np.isnan(self.values)
 
     @property
     def is_singular(self) -> bool:
@@ -166,13 +162,6 @@ def _crossings(values: np.ndarray, floor: float) -> list[tuple[int, int]]:
     tails) and are skipped; a crossing is reported between the surrounding
     determinate values.
     """
-    if values.size < 2:
-        return []
-    if np.abs(values).min() > floor:
-        # every entry is determinate (a NaN fails the test), so a sign
-        # change is a change of ``values < 0`` between neighbours
-        neg = values < 0.0
-        return [(j, j + 1) for j in (neg[1:] != neg[:-1]).nonzero()[0].tolist()]
     idx = (np.abs(values) > floor).nonzero()[0]
     neg = values[idx] < 0.0
     where = (neg[1:] != neg[:-1]).nonzero()[0]
@@ -183,8 +172,8 @@ def derivative(f: SampledFunction) -> SampledFunction:
     """First derivative, 4th-order central stencils, one-sided at the edges.
 
     A NaN sample poisons every node whose stencil touches it; the central
-    stencil skips its own node, so a singular node is kept singular by hand.
-    A stencil that overflows gives a singular node too.
+    stencil skips its own node, so NaN is written at every node whose own
+    sample is NaN.  A stencil that overflows gives a singular node too.
     """
     n = f.grid.n_points
     if n < 5:
@@ -198,7 +187,8 @@ def derivative(f: SampledFunction) -> SampledFunction:
         dy[1] = (-3.0 * y[0] - 10.0 * y[1] + 18.0 * y[2] - 6.0 * y[3] + y[4]) / h12
         dy[-2] = (3.0 * y[-1] + 10.0 * y[-2] - 18.0 * y[-3] + 6.0 * y[-4] - y[-5]) / h12
         dy[-1] = (25.0 * y[-1] - 48.0 * y[-2] + 36.0 * y[-3] - 16.0 * y[-4] + 3.0 * y[-5]) / h12
-    return SampledFunction(f.grid, dy, f.singular_mask)
+    dy[f.singular_mask] = np.nan
+    return SampledFunction(f.grid, dy)
 
 
 def _cumulative_increments(y: np.ndarray, h: float) -> np.ndarray:
@@ -227,7 +217,8 @@ def cumulative_integral(f: SampledFunction) -> SampledFunction:
 
 
 def definite_integral(f: SampledFunction) -> float:
-    """Integral over the whole grid; the final value of the running sum."""
+    """Integral over the whole grid: ``np.sum`` adds the running sum's
+    increments pairwise, so it can differ in the last bits from its last value."""
     if f.is_singular:
         raise DomainError("definite_integral requires an unmasked input")
     return float(np.sum(_cumulative_increments(f.values, f.grid.h)))

@@ -98,9 +98,9 @@ def scan_lambda(model: PdmModel, n: int, lambdas, convention: str = "normalized"
     reports the edge it crosses, in closed form from the same F, so a
     boundary always lies between its two lambdas; a flag change caused by
     overflow alone reports none.  critical_lambda is the last boundary (the
-    singular-to-nonsingular edge when scanning upward).  Iterations are
-    independent; they can be distributed freely as long as results are
-    merged in lambda order.
+    singular-to-nonsingular edge when scanning upward).  The window
+    flags the whole sweep at once; only the overflow fallback runs per
+    lambda, once for each lambda it takes.
     """
     shift = lambda_shift(convention)
     lambdas = [float(v) for v in lambdas]

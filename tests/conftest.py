@@ -18,7 +18,9 @@ def read_csv(path) -> SampledFunction:
         xs, vals, sing = zip(*((float(x), float(v), bool(int(s))) for x, v, s in rows))
     grid = Grid(xs[0], xs[-1], len(xs))
     assert np.allclose(xs, grid.points(), rtol=0.0, atol=1e-9 * max(1.0, abs(xs[-1])))
-    return SampledFunction(grid, np.asarray(vals), np.asarray(sing))
+    # a singular sample is written as nan, so the flag column repeats the values
+    assert np.array_equal(np.asarray(sing), np.isnan(vals))
+    return SampledFunction(grid, np.asarray(vals))
 
 
 @pytest.fixture(scope="session")

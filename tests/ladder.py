@@ -77,7 +77,8 @@ def apply_ladder(psi, w, f, model, which):
     _check_ladder_args(psi, w, f, (which,))
     dv = derivative(psi)
     u, _ = _ladder_values(which, w, f, model, psi.values, dv.values, None)
-    return SampledFunction(psi.grid, u, w.values.singular_mask)
+    u[w.values.singular_mask] = np.nan
+    return SampledFunction(psi.grid, u)
 
 
 def ladder_pair(psi, w, f, model, first, second):

@@ -216,6 +216,18 @@ class TestSpectrum:
         )
         assert not out.exists()
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "factor._check_pdmse_residual refuses this correct marched seed with relative"
+        " residual 1.27e-03 at ho's default spacing h = 0.01; the same window at"
+        " 4801 points passes (the open FOUND line on _check_pdmse_residual in CHANGES.md)"))
+    def test_ho_seed_on_a_wide_window_at_the_default_spacing(self, tmp_path):
+        code = run(["spectrum", "--which", "deformed", "--model", "ho", "--n", "1",
+                    "--beta", "1", "--grid-min=-12", "--grid-max", "12",
+                    "--grid-points", "2401", "--levels", "3", "--out", str(tmp_path)])
+        assert code == 0
+        got = np.array(load_json(tmp_path / "spectrum.json")["eigenvalues"])
+        assert np.max(np.abs(got - np.array([-1.0, 3.0, 5.0]))) <= 1e-5
+
     @pytest.mark.parametrize("beta, err", [
         # E_1 - beta above the flat floor: the seed would oscillate outside the wall
         ("1", "error: seed energy 38.47841760435743 makes the equation oscillate at the"

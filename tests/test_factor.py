@@ -544,6 +544,23 @@ class TestMaskRule:
         # W_n and its state psi_n, V_n-, V_n+, V~_n- and f_n
         assert len(found) >= 6
         for sf in found:
-            assert np.array_equal(sf.singular_mask, np.isnan(sf.values))
+            assert not np.isinf(sf.values).any()
         assert fac.f_n.is_singular == singular
         assert fac.W_n.values.is_singular  # the guard band around the node
+
+    @pytest.mark.parametrize("name", ["ho", "ex1"])
+    def test_guard_bands_are_written_into_the_values(self, name):
+        # psi_1 and the denominator of f_1 are finite across their sign
+        # changes, so the guard bands of W_1, V_1+ and f_1 are flagged by the
+        # NaN written into their values and by nothing else
+        fac = factorize(catalog(name), 1, lam=-0.5)
+        w_band = np.flatnonzero(fac.W_n.values.singular_mask)
+        f_band = np.flatnonzero(fac.f_n.values.singular_mask)
+        assert np.isfinite(fac.W_n.state.values[w_band]).all()
+        assert np.isfinite(fac.f_n.den[f_band]).all()
+        # psi_1's node is a sample, the band reaches DEFAULT_GUARD_BAND nodes
+        # past it on each side; f_1's sign change lies between two samples
+        assert np.array_equal(np.diff(w_band), np.ones(2 * DEFAULT_GUARD_BAND, int))
+        assert np.array_equal(np.diff(f_band), np.ones(2 * DEFAULT_GUARD_BAND - 1, int))
+        # V_n+ copies W_n's NaN samples
+        assert np.array_equal(fac.V_n_plus.singular_mask, fac.W_n.values.singular_mask)

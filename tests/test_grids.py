@@ -101,15 +101,6 @@ class TestMaskRule:
         assert np.array_equal(f.values[~f.singular_mask], [0.0, 2.0, 3.0, 5.0, 7.0])
         assert np.isinf(vals[1])  # the caller's array is left alone
 
-    def test_flagged_finite_node_is_stored_as_nan(self):
-        g = Grid(0.0, 1.0, 8)
-        mask = np.zeros(8, bool)
-        mask[[0, 3]] = True
-        f = SampledFunction(g, np.ones(8), mask)
-        assert np.array_equal(f.singular_mask, mask)
-        assert np.array_equal(np.isnan(f.values), mask)
-        assert np.all(f.values[~mask] == 1.0)
-
     def test_clean_array_is_kept_bit_for_bit(self):
         g = Grid(0.0, 1.0, 8)
         vals = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.5, 1e-300, 3.0])
@@ -122,18 +113,31 @@ class TestMaskRule:
         assert f.values is not vals and vals.flags.writeable
         assert vals.tobytes() == before
 
-    def test_mask_shape_checked(self):
+    def test_mask_is_read_from_the_values(self):
+        # the NaN samples are the only record: there is no mask to set, and
+        # the stored values cannot be written after construction
+        g = Grid(0.0, 1.0, 8)
+        vals = np.ones(8)
+        vals[[2, 5]] = np.nan
+        f = SampledFunction(g, vals)
+        assert np.flatnonzero(f.singular_mask).tolist() == [2, 5]
+        assert f.is_singular
+        with pytest.raises(AttributeError):
+            f.singular_mask = np.zeros(8, bool)
+        with pytest.raises(ValueError):
+            f.values[2] = 1.0
+
+    def test_values_length_checked(self):
         with pytest.raises(ConfigurationError):
-            SampledFunction(Grid(0.0, 1.0, 8), np.ones(8), np.zeros(7, bool))
+            SampledFunction(Grid(0.0, 1.0, 8), np.ones(7))
 
     @pytest.mark.parametrize("node", [0, 2, 4, 30, 59, 61, 63])
     def test_derivative_flags_match_values(self, node):
         # edge stencils reach five nodes, central ones two on each side
         g = Grid(0.0, 1.0, 64)
-        mask = np.zeros(64, bool)
-        mask[node] = True
-        d = derivative(SampledFunction(g, np.ones(64), mask))
-        assert np.array_equal(d.singular_mask, np.isnan(d.values))
+        values = np.ones(64)
+        values[node] = np.nan
+        d = derivative(SampledFunction(g, values))
         reach = np.zeros(64, bool)
         reach[max(0, node - 2) : node + 3] = True
         if node < 5:
@@ -230,9 +234,9 @@ class TestDerivative:
 
     def test_mask_propagates_to_stencil_reach(self):
         g = Grid(0.0, 1.0, 64)
-        mask = np.zeros(64, bool)
-        mask[30] = True
-        d = derivative(SampledFunction(g, np.ones(64), mask))
+        values = np.ones(64)
+        values[30] = np.nan
+        d = derivative(SampledFunction(g, values))
         assert d.singular_mask[28:33].all()
         assert not d.singular_mask[27] and not d.singular_mask[33]
 
@@ -284,9 +288,9 @@ class TestQuadrature:
 
     def test_masked_input_rejected(self):
         g = Grid(0.0, 1.0, 32)
-        mask = np.zeros(32, bool)
-        mask[3] = True
-        f = SampledFunction(g, np.ones(32), mask)
+        values = np.ones(32)
+        values[3] = np.nan
+        f = SampledFunction(g, values)
         with pytest.raises(DomainError):
             cumulative_integral(f)
         with pytest.raises(DomainError):
@@ -333,17 +337,14 @@ def reference_write_csv(f, path):
 class TestCsv:
     def test_roundtrip(self, tmp_path):
         g = Grid(-1.0, 2.0, 64)
-        mask = np.zeros(64, bool)
-        mask[10] = True
         vals = np.sin(g.points())
         vals[10] = np.nan
-        f = SampledFunction(g, vals, mask)
+        f = SampledFunction(g, vals)
         path = tmp_path / "f.csv"
         write_csv(f, path)
         back = read_csv(path)
-        ok = ~mask
-        assert np.array_equal(back.singular_mask, mask)
-        assert np.array_equal(back.values[ok], f.values[ok])
+        assert np.flatnonzero(back.singular_mask).tolist() == [10]
+        assert np.array_equal(back.values, f.values, equal_nan=True)
 
     def test_header(self, tmp_path):
         g = Grid(0.0, 1.0, 8)
@@ -362,7 +363,7 @@ class TestCsv:
         vals[rng.integers(0, n, len(special))] = special
         mask = rng.random(n) < 0.25
         g = Grid(-1.0 / 3.0, 1e5 * math.pi, n)
-        for f in (SampledFunction(g, vals, mask), SampledFunction(g, vals)):
+        for f in (SampledFunction(g, np.where(mask, np.nan, vals)), SampledFunction(g, vals)):
             write_csv(f, tmp_path / "new.csv")
             reference_write_csv(f, tmp_path / "ref.csv")
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -386,15 +387,14 @@ class TestCsv:
 
     def test_singular_rows_at_the_block_edges(self, tmp_path):
         # NaN of either sign at the first and last row of the file and of a
-        # block, and a finite node flagged only through singular_mask
+        # block, and an infinity inside a block
         n = 2 * 4096 + 3
         g = Grid(-1.0, 1.0, n)
         vals = np.cos(g.points())
         vals[[0, 4095, n - 1]] = np.nan
         vals[4096] = -np.nan
-        mask = np.zeros(n, bool)
-        mask[5000] = True
-        f = SampledFunction(g, vals, mask)
+        vals[5000] = -np.inf
+        f = SampledFunction(g, vals)
         self.assert_reference_bytes(f, tmp_path)
         back = read_csv(tmp_path / "new.csv")
         assert np.flatnonzero(back.singular_mask).tolist() == [0, 4095, 4096, 5000, n - 1]

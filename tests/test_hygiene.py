@@ -1,11 +1,12 @@
 """Package hygiene: exported names resolve, no module imports what it does
 not use, every private module-level name is used, only grids.py reads the
 node spacing, only cli.main builds, writes and prints a command's inputs
-and outputs, only cli.py writes JSON, each model is one frozen dataclass,
-cli.py reads the model catalog from models.MODELS, the construction in
-factor.py never reads the eigensolver or the checks built on it, one
-marched auxiliary solution serves every model, and no function, class or
-method is there for the tests alone."""
+and outputs, only cli.py writes JSON, a sampled function stores its values
+alone, each model is one frozen dataclass, cli.py reads the model catalog
+from models.MODELS, the construction in factor.py never reads the
+eigensolver or the checks built on it, one marched auxiliary solution
+serves every model, and no function, class or method is there for the
+tests alone."""
 
 import ast
 import dataclasses
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import pdmfactor
+from pdmfactor.grids import SampledFunction
 from pdmfactor.models import MODELS, PdmModel
 
 SRC = Path(pdmfactor.__file__).resolve().parent
@@ -184,6 +186,12 @@ def test_each_model_is_one_frozen_dataclass():
         assert dataclasses.is_dataclass(model_type)
         assert model_type.__dataclass_params__.frozen
         assert model_type.name == name
+
+
+def test_sampled_function_stores_values_only():
+    # a singular sample is NaN, and the NaN is its only record: no mask is
+    # stored beside the values
+    assert [f.name for f in dataclasses.fields(SampledFunction)] == ["grid", "values"]
 
 
 def test_cli_reads_the_model_catalog():

@@ -75,9 +75,9 @@ class TestDiscretize:
 
     def test_masked_potential_rejected(self, ho):
         g = ho.recommended_grid
-        mask = np.zeros(g.n_points, bool)
-        mask[5] = True
-        v = SampledFunction(g, np.zeros(g.n_points), mask)
+        values = np.zeros(g.n_points)
+        values[5] = np.nan
+        v = SampledFunction(g, values)
         with pytest.raises(DomainError):
             discretize(ho, v)
 
@@ -421,9 +421,9 @@ class TestCountNodes:
         # a crossing whose bracketing samples are NaN still counts once, and a
         # NaN peak does not set the floor
         g = Grid(-1.0, 1.0, 201)
-        mask = np.zeros(201, bool)
-        mask[95:106] = True
-        assert count_nodes(SampledFunction(g, g.points(), mask)) == 1
+        v = g.points().copy()
+        v[95:106] = np.nan
+        assert count_nodes(SampledFunction(g, v)) == 1
         v = np.sin(3.0 * np.pi * g.points())
         v[10] = np.inf
         assert count_nodes(SampledFunction(g, v)) == 5
