@@ -11,18 +11,18 @@ from .errors import (
     SolverError,
 )
 from .factor import (
-    BernoulliTerms,
     DeformationFunction,
     FactorizationResult,
+    ScanReport,
     Superpotential,
     auxiliary_f,
     bernoulli_f,
-    bernoulli_terms,
     deformed_partner,
     factorize,
     map_eigenstate,
     partner_minus,
     partner_plus,
+    scan_lambda,
     superpotential,
     zero_mode,
 )
@@ -44,12 +44,6 @@ from .spectra import (
     lowest_eigenpairs,
     solve_spectrum,
 )
-from .verify import (
-    IsospectralityReport,
-    ScanReport,
-    check_isospectral,
-    riccati_residual,
-    scan_lambda,
-)
+from .verify import IsospectralityReport, check_isospectral, riccati_residual
 
 __version__ = "0.1.0"

@@ -39,11 +39,11 @@ from .errors import (
     NonNormalizableError,
     SolverError,
 )
-from .factor import LAMBDA_SHIFT, factorize, map_eigenstate, zero_mode
+from .factor import LAMBDA_SHIFT, factorize, map_eigenstate, scan_lambda, zero_mode
 from .grids import Grid, SampledFunction, write_csv
 from .models import MODELS, catalog
 from .spectra import solve_spectrum
-from .verify import check_isospectral, riccati_residual, scan_lambda
+from .verify import check_isospectral, riccati_residual
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1

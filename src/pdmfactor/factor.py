@@ -19,9 +19,10 @@ and ``models`` and never reads the eigensolver that checks it.
 Both routes produce f_n = psi_n q / (sqrt(m) D) with D' = psi_n q:
 
 * beta = 0: the constraint reduces to a Bernoulli equation; q = psi_n and
-  D = lambda + F, F the running integral of psi_n^2.  ``bernoulli_terms``
-  builds the lambda-independent part (q, q^2, F, sqrt(m)) once per state,
-  and ``bernoulli_f`` builds the deformation for one lambda from it.
+  D = lambda + F, F the running integral of psi_n^2.  ``bernoulli_f``
+  builds the deformation for one lambda, and ``scan_lambda`` flags a whole
+  lambda sweep from the closed window [-max F, -min F] where lambda + F
+  has a zero; both read F from one private helper.
 * beta != 0: an auxiliary solution ("seed") at energy E_n - beta gives
   q = beta seed and D = chi, the mass-weighted Wronskian of psi_n and the
   seed.  The seed is ``models.seed_solution``, marched from where it decays
@@ -63,14 +64,14 @@ __all__ = [
     "superpotential",
     "partner_minus",
     "partner_plus",
-    "BernoulliTerms",
-    "bernoulli_terms",
+    "ScanReport",
     "bernoulli_f",
     "auxiliary_f",
     "deformed_partner",
     "map_eigenstate",
     "zero_mode",
     "factorize",
+    "scan_lambda",
     "LAMBDA_SHIFT",
     "lambda_shift",
 ]
@@ -135,16 +136,24 @@ class Superpotential:
             return self.state_d2 / self.state.values - r * r
 
 
-def superpotential(psi_n: SampledFunction, model: PdmModel, n: int) -> Superpotential:
-    """Build W_n from the level-n state; raises if the node count is wrong."""
-    x = psi_n.x
+def _level_crossings(psi_n: SampledFunction, n: int) -> list:
+    """The sign changes of the level-n state; by the oscillation theorem
+    there are n of them, and any other count is refused."""
     v = psi_n.values
-    dpsi = derivative(psi_n)
     crossings = _crossings(v, NOISE_FLOOR * np.max(np.abs(v)))
     if len(crossings) != n:
         raise InconsistentInputError(
             f"state has {len(crossings)} sign changes but level {n} was requested"
         )
+    return crossings
+
+
+def superpotential(psi_n: SampledFunction, model: PdmModel, n: int) -> Superpotential:
+    """Build W_n from the level-n state; raises if the node count is wrong."""
+    x = psi_n.x
+    v = psi_n.values
+    dpsi = derivative(psi_n)
+    crossings = _level_crossings(psi_n, n)
     sqm = np.sqrt(model.mass(x))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         w = -dpsi.values / (sqm * v)
@@ -211,20 +220,9 @@ class DeformationFunction:
         return self.values.is_singular
 
 
-@dataclass(frozen=True)
-class BernoulliTerms:
-    """The lambda-independent part of the beta = 0 deformation of one state:
-    q = psi_n, q2 = psi_n^2, its running integral F and sqrt(m)."""
-
-    grid: Grid
-    q: np.ndarray = field(repr=False)
-    q2: np.ndarray = field(repr=False)
-    F: np.ndarray = field(repr=False)
-    sqm: np.ndarray = field(repr=False)
-
-
-def bernoulli_terms(psi_n: SampledFunction, model: PdmModel) -> BernoulliTerms:
-    """Build the lambda-independent terms once per state.
+def _bernoulli_terms(psi_n: SampledFunction, model: PdmModel):
+    """The lambda-independent part of the beta = 0 deformation: q^2 = psi_n^2,
+    its running integral F and sqrt(m).
 
     F runs from 0 at the left edge, so its last value is the norm^2 of
     psi_n, which must be 1.
@@ -235,25 +233,25 @@ def bernoulli_terms(psi_n: SampledFunction, model: PdmModel) -> BernoulliTerms:
         raise InconsistentInputError(
             f"state must be unit-normalized on the grid (got norm^2 = {float(F[-1])})"
         )
-    sqm = np.sqrt(model.mass(psi_n.x))
-    return BernoulliTerms(grid=psi_n.grid, q=psi_n.values, q2=q2, F=F, sqm=sqm)
+    return q2, F, np.sqrt(model.mass(psi_n.x))
 
 
-def bernoulli_f(terms: BernoulliTerms, lam: float) -> DeformationFunction:
+def bernoulli_f(psi_n: SampledFunction, model: PdmModel, lam: float) -> DeformationFunction:
     """beta = 0 deformation: f = psi_n^2 / (sqrt(m) (lambda + F)).
 
     With a normalized state the denominator crosses zero exactly when lambda
     lies in [-1, 0].  Crossings are flagged, with a guard band, as NaN
     samples; nothing is raised.
     """
-    den = lam + terms.F
+    q2, F, sqm = _bernoulli_terms(psi_n, model)
+    den = lam + F
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        f = terms.q2 / (terms.sqm * den)
+        f = q2 / (sqm * den)
     crossings = _crossings(den, 0.0)  # denominator crossings are genuine
     return DeformationFunction(
-        values=_with_bands(terms.grid, f, crossings),
+        values=_with_bands(psi_n.grid, f, crossings),
         den=den,
-        q=terms.q,
+        q=psi_n.values,
         lam=lam,
     )
 
@@ -480,7 +478,7 @@ def factorize(model: PdmModel, n: int, *, beta: float = 0.0,
     v_minus = partner_minus(model.potential_samples(g), model.energy(n))
     v_plus = partner_plus(w, model, v_minus)
     if beta == 0.0:
-        f = bernoulli_f(bernoulli_terms(psi_n, model), lam - shift)
+        f = bernoulli_f(psi_n, model, lam - shift)
     else:
         f = auxiliary_f(seed_solution(model, n, beta, g), model, w, beta)
     v_tilde = deformed_partner(v_minus, f, model, beta)
@@ -492,4 +490,69 @@ def factorize(model: PdmModel, n: int, *, beta: float = 0.0,
         V_n_plus=v_plus,
         V_tilde_minus=v_tilde,
         spectrum_shift=beta,
+    )
+
+
+@dataclass
+class ScanReport:
+    """Singularity flags over a lambda sweep, with the window edges crossed."""
+
+    lambda_values: list[float]
+    singular_flags: list[bool]
+    critical_lambda: Optional[float]
+    boundaries: list[float]
+
+
+def scan_lambda(model: PdmModel, n: int, lambdas, convention: str = "normalized",
+                grid=None) -> ScanReport:
+    """Flag the beta = 0 deformation's singularity over a lambda sweep.
+
+    The level-n state must have n sign changes, as in ``superpotential``.
+    The denominator lambda + F, F the running integral of psi_n^2, has a
+    zero or a sign change on the grid exactly when lambda lies in the closed
+    window [-max F, -min F], so every lambda there is flagged singular.
+    Outside it, IEEE addition keeps the sign of each sum and is monotone, so
+    every |lambda + F_j| is at least the gap to the nearer edge; when
+    max psi_n^2 / (min sqrt(m) gap) is finite, every sample of f is, and the
+    flag is False.  Only a lambda whose bound overflows (within about 1e-305
+    of an edge) runs the per-lambda construction (``bernoulli_f``), whose
+    flag is then the scan's.  Each transition into or out of the window
+    reports the edge it crosses, in closed form from the same F, so a
+    boundary always lies between its two lambdas; a flag change caused by
+    overflow alone reports none.  critical_lambda is the last boundary (the
+    singular-to-nonsingular edge when scanning upward).
+    """
+    shift = lambda_shift(convention)
+    lambdas = [float(v) for v in lambdas]
+    if len(lambdas) == 0:
+        raise ConfigurationError("empty lambda range")
+    g = grid or model.recommended_grid
+    psi_n = normalize_state(model.eigenstate_samples(n, g))
+    _level_crossings(psi_n, n)
+    q2, F, sqm = _bernoulli_terms(psi_n, model)
+    f_min, f_max = float(np.min(F)), float(np.max(F))
+    lam_eff = np.array(lambdas) - shift
+    inside = (-f_max <= lam_eff) & (lam_eff <= -f_min)
+    # outside the window, |lambda + F_j| >= gap to the nearer edge
+    gap = np.abs(lam_eff + np.where(lam_eff < -f_max, f_max, f_min))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        certified = np.isfinite(np.max(q2) / (np.min(sqm) * gap))
+    in_window = inside.tolist()
+    flags = in_window.copy()
+    for i in np.flatnonzero(~inside & ~certified).tolist():
+        flags[i] = bernoulli_f(psi_n, model, float(lam_eff[i])).is_singular
+    # adding the shift (0.0 or 0.5) also turns the edge -F[0] = -0.0 into +0.0
+    lower, upper = -f_max + shift, -f_min + shift
+    # stepping up into the window, or down out of it, crosses its lower edge
+    boundaries = [
+        lower if (b > a) == in_b else upper
+        for a, b, in_a, in_b in zip(lambdas, lambdas[1:], in_window, in_window[1:])
+        if in_a != in_b
+    ]
+    critical = boundaries[-1] if boundaries else None
+    return ScanReport(
+        lambda_values=lambdas,
+        singular_flags=flags,
+        critical_lambda=critical,
+        boundaries=boundaries,
     )

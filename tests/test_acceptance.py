@@ -16,11 +16,12 @@ import pytest
 from pdmfactor.factor import (
     factorize,
     map_eigenstate,
+    scan_lambda,
     zero_mode,
 )
 from pdmfactor.grids import Grid, normalize_state
 from pdmfactor.spectra import count_nodes, solve_spectrum
-from pdmfactor.verify import check_isospectral, riccati_residual, scan_lambda
+from pdmfactor.verify import check_isospectral, riccati_residual
 from tests.conftest import EX1_FINE_GRID, EX2_TAIL_SAFE_GRID, read_csv
 from tests.ladder import intertwining_residual
 from tests.test_factor import (

@@ -335,7 +335,7 @@ class TestScan:
     def test_subnormal_lambda_inside_the_window(self, tmp_path):
         # D = lambda + F is -2.2e-309 at x_min, so f overflows there: a
         # singular sample, not a RuntimeWarning
-        code = run(["scan", "--model", "ho", "--n", "4", "--grid-min", "2",
+        code = run(["scan", "--model", "ho", "--n", "0", "--grid-min", "2",
                     "--grid-points", "215", "--lambda-min=-2.225073858507203e-309",
                     "--lambda-max", "2", "--out", str(tmp_path)])
         assert code == 0
@@ -369,6 +369,18 @@ class TestScan:
              "--lambda-max", "0", "--steps", "10", "--out", str(tmp_path)]
         )
         assert code == 2
+
+    def test_level_the_construction_refuses(self, tmp_path, capsys):
+        # ho's level-40 state keeps 38 sign changes on the default grid; the
+        # scan refuses it as construct and spectrum --which deformed do
+        out = tmp_path / "run"
+        code = run(["scan", "--model", "ho", "--n", "40", "--lambda-min", "-2",
+                    "--lambda-max", "1", "--steps", "7", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: state has 38 sign changes but level 40 was requested\n"
+        )
+        assert not out.exists()
 
 
 class TestUsageErrors:
@@ -562,6 +574,23 @@ class TestPackageErrors:
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert (tmp_path / "afile").read_text() == ""
 
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys):
+        # the disk fills after the temp file is opened: the temp file is
+        # removed and the run exits 2 with one line
+        def full_disk(f, path):
+            with open(path, "w") as fh:
+                fh.write("x")
+            raise OSError(28, os.strerror(28))
+
+        monkeypatch.setattr(pdmfactor.cli, "write_csv", full_disk)
+        out = tmp_path / "run"
+        code = run(["spectrum", "--model", "ho", "--levels", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out / 'eigenstate_0.csv'}: No space left on device\n"
+        )
+        assert list(out.glob("*.tmp")) == []
+
     def test_deformed_partner_that_overflows_at_an_edge(self, tmp_path, capsys):
         # D = lambda + F is 2.2e-308 at x_min, so 2 f' exceeds the double
         # range there: V~ is singular at that node and has no spectrum
@@ -633,6 +662,9 @@ class TestPackageErrors:
         ["verify", "--model", "ex1", "--n", "-1", "--lambda", "1"],
         ["spectrum", "--model", "ho", "--which", "deformed", "--n", "-1", "--beta", "0.5"],
         ["scan", "--model", "ho", "--n", "-1", "--lambda-min", "-1", "--lambda-max", "1"],
+        # a level that is no integer is refused the same way
+        ["construct", "--model", "ho", "--n", "1.5", "--lambda", "1"],
+        ["scan", "--model", "ho", "--n", "x", "--lambda-min", "-1", "--lambda-max", "1"],
     ])
     def test_negative_level_exits_two(self, tmp_path, capsys, argv):
         out = tmp_path / "run"
@@ -640,9 +672,10 @@ class TestPackageErrors:
             run(argv + ["--out", str(out)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
+        level = argv[argv.index("--n") + 1]
         assert [line for line in err.splitlines() if "error:" in line] == [
             f"pdmfactor {argv[0]}: error: argument --n: expected a non-negative integer, "
-            "got '-1'"
+            f"got '{level}'"
         ]
         assert "Traceback" not in err
         assert not out.exists()

@@ -12,7 +12,6 @@ from pdmfactor.errors import (
 from pdmfactor.factor import (
     auxiliary_f,
     bernoulli_f,
-    bernoulli_terms,
     deformed_partner,
     factorize,
     map_eigenstate,
@@ -169,18 +168,18 @@ def _guard_band(den):
 class TestBernoulli:
     def test_large_lambda_kills_f(self, ex1):
         psi1 = normalize_state(ex1.eigenstate_samples(1))
-        f = bernoulli_f(bernoulli_terms(psi1, ex1), 1e6)
+        f = bernoulli_f(psi1, ex1, 1e6)
         scale = np.max(psi1.values**2 / np.sqrt(ex1.mass(psi1.x)))
         assert np.max(np.abs(f.values.values)) <= 2e-6 * scale
 
     def test_unit_lambda_unmasked(self, ex1):
         psi1 = normalize_state(ex1.eigenstate_samples(1))
-        f = bernoulli_f(bernoulli_terms(psi1, ex1), 1.0)
+        f = bernoulli_f(psi1, ex1, 1.0)
         assert not f.is_singular
 
     def test_negative_lambda_masked(self, ex1):
         psi1 = normalize_state(ex1.eigenstate_samples(1))
-        f = bernoulli_f(bernoulli_terms(psi1, ex1), -0.5)
+        f = bernoulli_f(psi1, ex1, -0.5)
         assert f.is_singular
 
     def test_riccati_residual(self, fac_ex1_fine):
@@ -191,17 +190,17 @@ class TestBernoulli:
     def test_requires_normalized_state(self, ex1):
         psi1 = normalize_state(ex1.eigenstate_samples(1))
         with pytest.raises(InconsistentInputError):
-            bernoulli_terms(psi1.with_values(2.0 * psi1.values), ex1)
+            bernoulli_f(psi1.with_values(2.0 * psi1.values), ex1, 1.0)
 
     @pytest.mark.parametrize("name", ["ex1", "ex2", "ho", "box"])
     @pytest.mark.parametrize("lam", [-0.5, -0.0, 5e-324, 1.0, 1e6])
     def test_split_matches_the_formula(self, name, lam):
-        # the per-lambda piece on prebuilt terms gives, bit for bit,
+        # the deformation for one lambda gives, bit for bit,
         # den = lambda + F and f = psi^2/(sqrt(m) den), NaN on the band and
         # wherever f is not finite (the package's one mask rule)
         model = catalog(name)
         psi = normalize_state(model.eigenstate_samples(1))
-        f = bernoulli_f(bernoulli_terms(psi, model), lam)
+        f = bernoulli_f(psi, model, lam)
         F = cumulative_integral(psi.with_values(psi.values**2)).values
         den = lam + F
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -216,7 +215,7 @@ class TestBernoulli:
     def test_factorize_uses_the_split(self, ex1, convention, lam):
         fac = factorize(ex1, 1, lam=lam, convention=convention)
         shift = 0.5 if convention == "paper-ex1" else 0.0
-        f = bernoulli_f(bernoulli_terms(fac.W_n.state, ex1), lam - shift)
+        f = bernoulli_f(fac.W_n.state, ex1, lam - shift)
         assert np.array_equal(fac.f_n.values.values, f.values.values, equal_nan=True)
         assert np.array_equal(fac.f_n.values.singular_mask, f.values.singular_mask)
         assert np.array_equal(fac.f_n.den, f.den)
@@ -251,6 +250,13 @@ class TestAuxiliary:
         fake = SampledFunction(grid, np.exp(-grid.points() ** 2))
         with pytest.raises(InconsistentInputError):
             auxiliary_f(fake, ex2, fac_ex2_n1.W_n, 1.0)
+
+    def test_seed_on_another_grid_rejected(self, ex2, fac_ex2_n1):
+        grid = fac_ex2_n1.grid
+        other = Grid(grid.x_min, grid.x_max, grid.n_points + 2)
+        seed = SampledFunction(other, np.exp(-other.points() ** 2))
+        with pytest.raises(InconsistentInputError, match="different grids"):
+            auxiliary_f(seed, ex2, fac_ex2_n1.W_n, 1.0)
 
     def test_non_finite_seed_rejected(self, ex2, fac_ex2_n1):
         # a NaN residual compares False against the gate; the refusal names
@@ -476,6 +482,13 @@ class TestMapEigenstate:
             assert np.max(np.abs(scaled - mapped[ok])) <= bound * np.max(np.abs(mapped))
 
 
+    def test_singular_deformation_refused(self, ho):
+        fac = factorize(ho, 1, lam=-0.5)
+        assert fac.f_n.is_singular
+        with pytest.raises(DomainError, match="no mapping"):
+            map_eigenstate(0, fac)
+
+
 class TestZeroMode:
     def test_normalization_constant(self, ex1):
         # for the (normalized-convention) lambda = 1 run the closed-form norm
@@ -501,6 +514,11 @@ class TestZeroMode:
     def test_auxiliary_route_non_normalizable(self, fac_ex2_n1):
         with pytest.raises(NonNormalizableError):
             zero_mode(fac_ex2_n1)
+
+    def test_singular_deformation_refused(self, ho):
+        fac = factorize(ho, 1, lam=-0.5)
+        with pytest.raises(DomainError, match="no zero mode"):
+            zero_mode(fac)
 
 
 class TestFactorizeDriver:

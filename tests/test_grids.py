@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdmfactor.errors import ConfigurationError, DomainError
+from pdmfactor.errors import ConfigurationError, DegenerateStateError, DomainError
 from pdmfactor.grids import (
     Grid,
     SampledFunction,
@@ -14,6 +14,7 @@ from pdmfactor.grids import (
     cumulative_integral,
     definite_integral,
     derivative,
+    normalize_state,
     write_csv,
 )
 from tests.conftest import read_csv
@@ -57,6 +58,15 @@ class TestGrid:
         c = g.coarsened()
         assert (c.x_min, c.x_max, c.n_points) == (-2.0, 3.0, 51)
         assert np.array_equal(c.points(), g.points()[::2])
+
+    def test_coarsening_an_even_grid_refused(self):
+        with pytest.raises(ConfigurationError, match="odd number"):
+            Grid(0.0, 1.0, 10).coarsened()
+
+    def test_normalizing_a_zero_state_refused(self):
+        g = Grid(0.0, 1.0, 11)
+        with pytest.raises(DegenerateStateError, match="vanishing norm"):
+            normalize_state(SampledFunction(g, np.zeros(g.n_points)))
 
     def test_divergence_stencil_of_unit_coefficient(self):
         g = Grid(-2.0, 3.0, 101)

@@ -4,7 +4,8 @@ node spacing, only cli.main builds, writes and prints a command's inputs
 and outputs, only cli.py writes JSON, a sampled function stores its values
 alone, each model is one frozen dataclass, cli.py reads the model catalog
 from models.MODELS, the construction in factor.py never reads the
-eigensolver or the checks built on it, one marched auxiliary solution
+eigensolver or the checks built on it, verify.py reads only the finished
+factorization result from factor.py, one marched auxiliary solution
 serves every model, and no function, class or method is there for the
 tests alone."""
 
@@ -165,6 +166,16 @@ def test_factor_never_reads_the_solver():
     # builds only on grids and models, and the caller names each state's level
     tree = ast.parse((SRC / "factor.py").read_text())
     assert _imported_module_parts(tree) & {"spectra", "verify", "cli"} == set()
+
+
+def test_verify_reads_only_the_result_from_factor():
+    # the beta = 0 route, its lambda scan included, lives in factor.py; the
+    # checks in verify.py read a finished FactorizationResult and nothing else
+    tree = ast.parse((SRC / "verify.py").read_text())
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "factor"
+             for alias in node.names}
+    assert names == {"FactorizationResult"}
 
 
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "cli"])

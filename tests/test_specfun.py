@@ -64,6 +64,10 @@ class TestHermite:
         with pytest.raises(ConfigurationError):
             hermite(61, 0.3)
 
+    def test_negative_degree(self):
+        with pytest.raises(DomainError, match="non-negative"):
+            hermite(-1, 0.3)
+
 
 class TestJacobi:
     def test_degree_zero(self):
@@ -89,6 +93,10 @@ class TestJacobi:
             jacobi(2, -1.5, 0.0, 0.1)
         with pytest.raises(DomainError):
             jacobi(2, 0.0, 0.0, 1.5)
+
+    def test_negative_degree(self):
+        with pytest.raises(DomainError, match="non-negative"):
+            jacobi(-1, 0.5, 0.5, 0.2)
 
 
 class TestGauss2F1:

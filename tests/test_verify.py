@@ -8,10 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdmfactor.errors import ConfigurationError, DomainError
-from pdmfactor.factor import LAMBDA_SHIFT, bernoulli_f, bernoulli_terms, factorize
+from pdmfactor.factor import LAMBDA_SHIFT, bernoulli_f, factorize, scan_lambda
 from pdmfactor.grids import Grid, SampledFunction, cumulative_integral, normalize_state
 from pdmfactor.models import catalog
-from pdmfactor.verify import check_isospectral, riccati_residual, scan_lambda
+from pdmfactor.verify import check_isospectral, riccati_residual
 from tests.conftest import EX1_FINE_GRID
 from tests.ladder import intertwining_residual, ladder_pair
 
@@ -126,19 +126,19 @@ class TestScanLambda:
         shift = LAMBDA_SHIFT[convention]
         if at_edges:
             lams = lams + [v + shift for v in _window_points(F)]
-        terms = bernoulli_terms(psi, model)
-        expected = [bernoulli_f(terms, lam - shift).is_singular for lam in lams]
+        expected = [bernoulli_f(psi, model, lam - shift).is_singular for lam in lams]
         assert scan_lambda(model, n, lams, convention=convention).singular_flags == expected
 
     def test_flags_run_bernoulli_f_only_where_the_bound_overflows(self, ex1, monkeypatch):
-        # the lambda-independent terms are built once per scan; counted
-        # through the names that pdmfactor.verify looks up
-        import pdmfactor.verify as verify
+        # the lambda-independent terms are built once per scan, and once more
+        # by each fallback call; counted through the names that
+        # pdmfactor.factor looks up
+        import pdmfactor.factor as factor
 
-        calls = {"bernoulli_terms": 0, "bernoulli_f": 0}
+        calls = {"_bernoulli_terms": 0, "bernoulli_f": 0}
 
         def counting(name):
-            fn = getattr(verify, name)
+            fn = getattr(factor, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
@@ -147,15 +147,15 @@ class TestScanLambda:
             return wrapper
 
         for name in calls:
-            monkeypatch.setattr(verify, name, counting(name))
+            monkeypatch.setattr(factor, name, counting(name))
         rep = scan_lambda(ex1, 1, np.linspace(-2.0, 1.0, 31))
-        assert calls == {"bernoulli_terms": 1, "bernoulli_f": 0}
+        assert calls == {"_bernoulli_terms": 1, "bernoulli_f": 0}
         assert len(rep.singular_flags) == 31
         # 5e-324 lies above the window, but max psi^2 / (min sqrt(m) 5e-324)
         # overflows, so the construction itself decides
-        calls.update(bernoulli_terms=0, bernoulli_f=0)
+        calls.update(_bernoulli_terms=0, bernoulli_f=0)
         assert scan_lambda(ex1, 1, [5e-324]).singular_flags == [True]
-        assert calls == {"bernoulli_terms": 1, "bernoulli_f": 1}
+        assert calls == {"_bernoulli_terms": 2, "bernoulli_f": 1}
 
     @pytest.mark.parametrize("lams, flags", [([5e-324, 1.0], [True, False]),
                                              ([-2.0, 5e-324], [False, True])])
@@ -215,7 +215,7 @@ class TestWindowRule:
     @settings(max_examples=200, deadline=None)
     def test_window_implies_singular(self, name, n, lam):
         model, psi, F = _state_and_running_norm(name, n)
-        singular = bernoulli_f(bernoulli_terms(psi, model), lam).is_singular
+        singular = bernoulli_f(psi, model, lam).is_singular
         if -np.max(F) <= lam <= -np.min(F):
             assert singular
         elif singular:
@@ -227,7 +227,7 @@ class TestWindowRule:
         # lambda = 5e-324 lies just above the window, yet f overflows at x_min
         _, psi, F = _state_and_running_norm("ex1", 1)
         assert 5e-324 > -np.min(F)
-        assert bernoulli_f(bernoulli_terms(psi, ex1), 5e-324).is_singular
+        assert bernoulli_f(psi, ex1, 5e-324).is_singular
 
 
 class TestIntertwining:
