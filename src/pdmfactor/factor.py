@@ -26,9 +26,11 @@ Both routes produce f_n = psi_n q / (sqrt(m) D) with D' = psi_n q:
 * beta != 0: an auxiliary solution ("seed") at energy E_n - beta gives
   q = beta seed and D = chi, the mass-weighted Wronskian of psi_n and the
   seed.  The seed is ``models.seed_solution``, marched from where it decays
-  for any model; a seed that is not finite or does not solve its equation
-  is refused.  chi is built by integrating D' = beta psi_n seed, which stays
-  accurate in tails where the direct Wronskian cancels catastrophically.
+  for any model; a seed that is not finite is refused, and so is one whose
+  direct Wronskian disagrees with chi, as it does unless the seed solves
+  the equation at E_n - beta.  chi is built by integrating
+  D' = beta psi_n seed, which stays accurate in tails where the direct
+  Wronskian cancels catastrophically.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .grids import (
     derivative,
     normalize_state,
 )
-from .models import PdmModel, seed_solution, weighted_defect
+from .models import PdmModel, seed_solution
 
 __all__ = [
     "Superpotential",
@@ -77,7 +79,6 @@ __all__ = [
 ]
 
 DEFAULT_GUARD_BAND = 3
-_SEED_RESIDUAL_GATE = 1e-3
 # lambda conventions of the beta = 0 route: the normalized lambda is the
 # given one minus the shift (paper-ex1 uses the unnormalized first excited
 # state and an odd antiderivative; both fold into this one shift)
@@ -274,7 +275,13 @@ def auxiliary_f(seed: SampledFunction, model: PdmModel, w_n: Superpotential,
     m = model.mass(psi_n.x)
     sqm = np.sqrt(m)
 
-    _check_pdmse_residual(seed, model, model.energy(w_n.n) - beta)
+    # a marched seed overflows on too wide a window
+    if seed.is_singular:
+        raise InconsistentInputError(
+            f"the auxiliary solution at E = {model.energy(w_n.n) - beta} is not finite on"
+            f" the window [{seed.grid.x_min}, {seed.grid.x_max}]; a narrower window keeps"
+            " it within double precision"
+        )
 
     prod = psi_n.values * seed.values
     F = cumulative_integral(SampledFunction(psi_n.grid, prod))
@@ -286,25 +293,25 @@ def auxiliary_f(seed: SampledFunction, model: PdmModel, w_n: Superpotential,
     mu_left = dlog[0] if np.all(prod[:5] > 0.0) or np.all(prod[:5] < 0.0) else np.nan
     dseed = derivative(seed)
     wronskian = (psi_n.values * dseed.values - w_n.state_d1 * seed.values) / m
+    # the direct Wronskian must agree with chi, which it does only for a
+    # solution at E_n - beta.  It is compared at the peak of the integrand,
+    # away from the seed's large tail where its stencil error peaks; when chi
+    # is anchored there instead, at the peak of chi.  A chi that underflows
+    # to zero or to a subnormal (a subnormal beta) gives an infinite mismatch
+    i_ref = int(np.argmax(np.abs(prod)))
     if mu_left > 0.0:
         chi = beta * prod[0] / mu_left + beta * F.values
     else:
-        i0 = int(np.argmax(np.abs(prod)))
-        chi = wronskian[i0] + beta * (F.values - F.values[i0])
-
-    # the direct Wronskian must agree where it is well conditioned; a chi
-    # that underflows to zero or to a subnormal (a subnormal beta) gives an
-    # infinite mismatch
-    i_ref = int(np.argmax(np.abs(chi)))
+        chi = wronskian[i_ref] + beta * (F.values - F.values[i_ref])
+        i_ref = int(np.argmax(np.abs(chi)))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         scale = np.max(np.abs(chi))
         rel = abs(wronskian[i_ref] - chi[i_ref]) / scale
     if not np.isfinite(rel) or rel > 1e-4:
-        # the seed passed its residual check, so a finite mismatch blames the
-        # left-edge tail estimate of chi, and so the window, when that
-        # estimate's share of chi can explain it; else the mismatch is the
-        # direct Wronskian's stencil error, which does not shrink with beta
-        # as chi does
+        # a finite mismatch of a chi started from the left edge blames that
+        # edge's tail estimate, and so the window, when the estimate's share
+        # of chi can explain it; else it is the direct Wronskian's stencil
+        # error, which does not shrink with beta as chi does, but does with h
         mismatch = f"(wronskian mismatch {rel:.2e})"
         if not np.isfinite(rel) or not mu_left > 0.0:
             msg = f"seed is not a solution at E_n - beta {mismatch}"
@@ -313,7 +320,8 @@ def auxiliary_f(seed: SampledFunction, model: PdmModel, w_n: Superpotential,
                    f" {mismatch}; use a smaller --grid-min")
         else:
             msg = (f"chi, which scales with beta = {beta}, is below the stencil error of"
-                   f" the direct Wronskian {mismatch}; use a larger |--beta|")
+                   f" the direct Wronskian {mismatch}; use a larger |--beta| or a finer grid"
+                   " (more --grid-points)")
         raise InconsistentInputError(msg)
 
     noise = 64.0 * np.finfo(float).eps * (
@@ -331,37 +339,6 @@ def auxiliary_f(seed: SampledFunction, model: PdmModel, w_n: Superpotential,
         den=chi,
         q=beta * seed.values,
     )
-
-
-def _check_pdmse_residual(psi: SampledFunction, model: PdmModel, energy: float) -> None:
-    """Refuse psi when a sample is not finite, or when the relative defect of
-    the equation in its m-weighted form exceeds _SEED_RESIDUAL_GATE.
-
-    The raw 1/m form would amplify double-precision stencil noise by 1/m at
-    the truncation wings, where the mass vanishes, and reject exact
-    solutions there.
-    """
-    if psi.grid.n_points <= 8:
-        raise ConfigurationError(
-            "the residual check of an auxiliary solution needs more than 8 grid points,"
-            f" got {psi.grid.n_points}"
-        )
-    # a marched seed overflows on too wide a window
-    if psi.is_singular:
-        raise InconsistentInputError(
-            f"the auxiliary solution at E = {energy} is not finite on the window"
-            f" [{psi.grid.x_min}, {psi.grid.x_max}]; a narrower window keeps it within"
-            " double precision"
-        )
-    res = weighted_defect(model, model.potential_samples(psi.grid), psi, energy)
-    scale = np.max(np.abs(psi.values))
-    worst = float(np.max(np.abs(res[4:-4])) / scale)
-    # a stencil that overflows gives a NaN residual, which fails the gate too
-    if not worst <= _SEED_RESIDUAL_GATE:
-        raise InconsistentInputError(
-            f"input does not solve the mass-weighted equation at E = {energy} "
-            f"(relative residual {worst:.2e})"
-        )
 
 
 def deformed_partner(v_n_minus: SampledFunction, f: DeformationFunction,

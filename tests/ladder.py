@@ -5,6 +5,7 @@ The package maps a state through A~_n- A_n+ in a pole-free reduced form
 A~_n+- are applied as written, on the grid, and the tests check the reduced
 form, the zero mode and the factorization identities against them.  A
 deformed operator takes the deformation function f; the others take None.
+``weighted_defect`` is the m-weighted PDM operator the tests apply.
 """
 
 import numpy as np
@@ -16,7 +17,6 @@ from pdmfactor.errors import (
 )
 from pdmfactor.factor import DEFAULT_GUARD_BAND
 from pdmfactor.grids import NOISE_FLOOR, SampledFunction, _crossings, derivative
-from pdmfactor.models import weighted_defect
 
 _LADDER_KINDS = ("A_plus", "A_minus", "Atilde_plus", "Atilde_minus")
 
@@ -105,6 +105,23 @@ def node_positions(w):
         float(x[lo] + (x[hi] - x[lo]) * v[lo] / (v[lo] - v[hi]))
         for lo, hi in _crossings(v, NOISE_FLOOR * np.max(np.abs(v)))
     ]
+
+
+def weighted_defect(model, potential, psi, energy):
+    """-psi'' + (m'/m) psi' + m (V - E) psi: the PDM equation times m.
+
+    The tests' one application of the operator, with 4th-order stencils.
+    The m-weighted form keeps every coefficient O(1) where the mass vanishes
+    at the truncation wings; divide by m for the residual of
+    -(1/m) psi'' + (m'/m^2) psi' + (V - E) psi.
+    """
+    x = psi.x
+    m = model.mass(x)
+    d1 = derivative(psi)
+    d2 = derivative(d1)
+    return -d2.values + (model.mass_d1(x) / m) * d1.values + m * (
+        potential.values - energy
+    ) * psi.values
 
 
 def intertwining_residual(fac, psi_k, k):

@@ -189,7 +189,7 @@ class TestSpectrum:
     def test_ex2_window_cut_where_the_left_tail_has_not_decayed(self, tmp_path, capsys,
                                                                 grid_min, code, err):
         # chi starts from a one-term tail estimate at x_min; the refusal names
-        # the window, not the seed, which passed its residual check
+        # the window, whose estimate's share of chi explains the mismatch
         out = tmp_path / "run"
         assert run(["spectrum", "--which", "deformed", "--model", "ex2", "--n", "1",
                     "--beta", "1", f"--grid-min={grid_min}", "--grid-max", "14",
@@ -216,17 +216,21 @@ class TestSpectrum:
         )
         assert not out.exists()
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "factor._check_pdmse_residual refuses this correct marched seed with relative"
-        " residual 1.27e-03 at ho's default spacing h = 0.01; the same window at"
-        " 4801 points passes (the open FOUND line on _check_pdmse_residual in CHANGES.md)"))
-    def test_ho_seed_on_a_wide_window_at_the_default_spacing(self, tmp_path):
-        code = run(["spectrum", "--which", "deformed", "--model", "ho", "--n", "1",
-                    "--beta", "1", "--grid-min=-12", "--grid-max", "12",
-                    "--grid-points", "2401", "--levels", "3", "--out", str(tmp_path)])
+    @pytest.mark.parametrize("n, beta, grid_min, grid_max, points, exact", [
+        ("1", "1", "-12", "12", "2401", [-1.0, 3.0, 5.0]),
+        ("1", "1", "-20", "20", "4001", [-1.0, 3.0, 5.0]),
+        ("2", "0.5", "-20", "20", "4001", [-3.5, -1.5, 2.5]),
+    ], ids=["n1-12", "n1-20", "n2-20"])
+    def test_ho_seed_on_a_wide_window_at_the_default_spacing(self, tmp_path, n, beta,
+                                                            grid_min, grid_max, points, exact):
+        # h = 0.01 as on ho's default grid; the seed's large right tail, where
+        # the direct Wronskian's stencil error peaks, is not where it is checked
+        code = run(["spectrum", "--which", "deformed", "--model", "ho", "--n", n,
+                    "--beta", beta, f"--grid-min={grid_min}", "--grid-max", grid_max,
+                    "--grid-points", points, "--levels", "3", "--out", str(tmp_path)])
         assert code == 0
         got = np.array(load_json(tmp_path / "spectrum.json")["eigenvalues"])
-        assert np.max(np.abs(got - np.array([-1.0, 3.0, 5.0]))) <= 1e-5
+        assert np.max(np.abs(got - np.array(exact))) <= 1e-5
 
     @pytest.mark.parametrize("beta, err", [
         # E_1 - beta above the flat floor: the seed would oscillate outside the wall
@@ -531,13 +535,17 @@ class TestPackageErrors:
         # window would not help
         (["spectrum", "--which", "deformed", "--model", "ho", "--beta", "1e-10"],
          "error: chi, which scales with beta = 1e-10, is below the stencil error of the"
-         " direct Wronskian (wronskian mismatch 6.10e-02); use a larger |--beta|\n"),
+         " direct Wronskian (wronskian mismatch 6.01e-02); use a larger |--beta| or a"
+         " finer grid (more --grid-points)\n"),
         (["spectrum", "--which", "deformed", "--model", "ex2", "--beta", "1e-300"],
          "error: chi, which scales with beta = 1e-300, is below the stencil error of the"
-         " direct Wronskian (wronskian mismatch 3.37e+288); use a larger |--beta|\n"),
+         " direct Wronskian (wronskian mismatch 4.09e+287); use a larger |--beta| or a"
+         " finer grid (more --grid-points)\n"),
+        # the stencil error shrinks with h as well as chi grows with beta
         (["construct", "--model", "ex2", "--grid-points", "8", "--n", "0", "--beta", "2"],
-         "error: the residual check of an auxiliary solution needs more than 8 grid"
-         " points, got 8\n"),
+         "error: chi, which scales with beta = 2.0, is below the stencil error of the"
+         " direct Wronskian (wronskian mismatch 3.68e-01); use a larger |--beta| or a"
+         " finer grid (more --grid-points)\n"),
         (["verify", "--model", "box", "--grid-points", "29", "--n", "3", "--lambda", "1",
           "--levels", "1"],
          "error: no node of the 29-point grid lies clear of the edges and of the node"

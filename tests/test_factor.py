@@ -30,7 +30,7 @@ from pdmfactor.grids import (
     derivative,
     normalize_state,
 )
-from pdmfactor.models import catalog
+from pdmfactor.models import catalog, seed_solution
 from pdmfactor.spectra import count_nodes
 from scipy.special import erf
 
@@ -259,8 +259,8 @@ class TestAuxiliary:
             auxiliary_f(seed, ex2, fac_ex2_n1.W_n, 1.0)
 
     def test_non_finite_seed_rejected(self, ex2, fac_ex2_n1):
-        # a NaN residual compares False against the gate; the refusal names
-        # the window, where too wide a one overflows a marched seed
+        # a non-finite sample is refused before chi is built; the refusal
+        # names the window, where too wide a one overflows a marched seed
         grid = fac_ex2_n1.grid
         values = fac_ex2_n1.f_n.q.copy()  # beta * seed, with beta = 1
         values[grid.n_points // 2] = np.inf
@@ -281,6 +281,22 @@ class TestAuxiliary:
         want = [model.energy(k) - model.energy(n) + beta for k in range(5) if k != n]
         assert np.max(np.abs(rep.eigenvalues - want)) <= model.spectrum_tolerance
         assert rep.node_counts == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("name, n, beta, grid", [
+        ("ho", 1, 1.0, None), ("ho", 2, 0.5, None), ("ex1", 2, 1.0, None),
+        ("ex2", 1, 0.5, None), ("ex2", 1, 1.0, Grid(0.0, 14.0, 4001)),
+    ], ids=["ho-n1", "ho-n2", "ex1-n2", "ex2-n1", "ex2-n1-anchored"])
+    def test_seed_at_the_wrong_energy_is_refused(self, monkeypatch, name, n, beta, grid):
+        # chi' = beta psi_n seed holds only at E_n - beta, so the direct
+        # Wronskian disagrees with chi for a seed marched at E_n - 1.01 beta.
+        # On [0, 14] psi_1 seed has not decayed at x_min, chi is anchored at
+        # the integrand's peak, and the two are compared at chi's peak instead
+        model = catalog(name)
+        factorize(model, n, beta=beta, grid=grid)
+        monkeypatch.setattr("pdmfactor.factor.seed_solution",
+                            lambda m, k, b, g: seed_solution(m, k, 1.01 * b, g))
+        with pytest.raises(InconsistentInputError, match="wronskian mismatch"):
+            factorize(model, n, beta=beta, grid=grid)
 
 
 class TestDeformedPartner:

@@ -6,7 +6,6 @@ from pdmfactor.grids import Grid, SampledFunction, definite_integral, derivative
 import pdmfactor.models
 from pdmfactor.models import (
     _integrate_linear2,
-    weighted_defect,
     Box,
     Ex1,
     Ex2,
@@ -16,6 +15,7 @@ from pdmfactor.models import (
 )
 from pdmfactor.spectra import count_nodes, solve_spectrum
 from tests.hypergeometric import ex2_seed_closed_form
+from tests.ladder import weighted_defect
 
 SEED_GRID = Grid(-12.0, 14.0, 32001)
 
