@@ -8,6 +8,7 @@ from .errors import (
     DomainError,
     InconsistentInputError,
     NonNormalizableError,
+    PdmError,
     SolverError,
 )
 from .factor import (

@@ -8,8 +8,8 @@ verify      run the isospectrality / node checks; exit 1 on failure
 scan        sweep lambda and bracket the singularity boundary
 
 Exit codes: 0 success, 1 check failure, 2 usage error (nan or inf in a
-number flag is one, and so is a negative --n); a package error exits 1 or
-2, never with a traceback.
+number flag is one, and so is a negative --n); a package error exits with
+its class's exit_code, never with a traceback.
 Every command builds all its outputs before the first write, so a failed run
 leaves no partial directory, and writes each file atomically (temp file in
 the target directory, then rename).  Numeric output is full precision; the
@@ -31,21 +31,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DegenerateStateError,
-    DomainError,
-    InconsistentInputError,
-    NonNormalizableError,
-    SolverError,
-)
+from .errors import ConfigurationError, NonNormalizableError, PdmError
 from .factor import LAMBDA_SHIFT, factorize, map_eigenstate, scan_lambda, zero_mode
 from .grids import Grid, SampledFunction, write_csv
 from .models import MODELS, catalog
 from .spectra import solve_spectrum
 from .verify import check_isospectral, riccati_residual
 
-USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
 
@@ -98,7 +90,8 @@ def _grid_from_args(args, model) -> Grid:
 
 
 def _deformation_inputs(args) -> dict:
-    """The deformation flags as given, for verify's and a deformed spectrum's report."""
+    """The deformation flags as given, for the construct, verify and deformed
+    spectrum reports."""
     return {"n": args.n, "beta": args.beta, "lambda": args.lambda_,
             "convention": args.convention}
 
@@ -133,10 +126,8 @@ def cmd_construct(args, model, grid, payload):
 
     payload.update(
         {
-            "n": args.n,
-            "beta": args.beta,
-            "lambda": fac.f_n.lam,
-            "convention": args.convention,
+            **_deformation_inputs(args),
+            "lambda": fac.f_n.lam,  # in the normalized convention
             "route": fac.f_n.route,
             "singular": fac.f_n.is_singular,
             "spectrum_shift": fac.spectrum_shift,
@@ -186,8 +177,7 @@ def cmd_verify(args, model, grid, payload):
             "FAIL: deformation function is singular for these parameters "
             f"(lambda={fac.f_n.lam}, convention={args.convention})"
         )
-    tol = model.spectrum_tolerance
-    report = check_isospectral(fac, args.levels, tol)
+    report = check_isospectral(fac, args.levels)
     ric = riccati_residual(fac)
     payload["singular"] = False
     payload["isospectrality"] = vars(report)
@@ -195,7 +185,7 @@ def cmd_verify(args, model, grid, payload):
     payload["passed"] = report.passed
     deformed = ", ".join(f"{b:.6g}" for _, b, _ in report.pairs)
     line = (
-        f"isospectrality: max_gap={report.max_gap:.3e} (tol {tol:g}), "
+        f"isospectrality: max_gap={report.max_gap:.3e} (tol {report.tolerance:g}), "
         f"nodes {'match' if report.node_match else 'MISMATCH'}; "
         f"riccati={ric:.3e}; deformed spectrum: {deformed}"
     )
@@ -342,12 +332,9 @@ def main(argv=None) -> int:
         if stderr is not None:
             print(stderr, file=sys.stderr)
         return code
-    except (ConfigurationError, InconsistentInputError) as exc:
+    except PdmError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (DomainError, NonNormalizableError, DegenerateStateError, SolverError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CHECK_FAILURE
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -114,9 +114,9 @@ class Superpotential:
     """W_n = -psi_n'/(sqrt(m) psi_n) with masked bands around the n poles.
 
     The defining state and its first two derivatives are retained:
-    partner_plus forms W' from them as exact ratios (log_deriv and
-    log_deriv_slope), and map_eigenstate and auxiliary_f take Wronskians
-    with psi_n', so no masked pole is multiplied by a small number.
+    partner_plus forms W' from them as exact ratios, and map_eigenstate and
+    auxiliary_f take Wronskians with psi_n', so no masked pole is multiplied
+    by a small number.
     """
 
     n: int
@@ -129,12 +129,6 @@ class Superpotential:
         """psi_n'/psi_n; infinite at the exact nodes."""
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return self.state_d1 / self.state.values
-
-    def log_deriv_slope(self) -> np.ndarray:
-        """(psi_n'/psi_n)' = psi_n''/psi_n - (psi_n'/psi_n)^2."""
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            r = self.state_d1 / self.state.values
-            return self.state_d2 / self.state.values - r * r
 
 
 def _level_crossings(psi_n: SampledFunction, n: int) -> list:
@@ -184,8 +178,8 @@ def partner_plus(w: Superpotential, model: PdmModel, v_n_minus: SampledFunction)
     mpp = model.mass_d2(x)
     sqm = np.sqrt(m)
     r = w.log_deriv()
-    rp = w.log_deriv_slope()
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rp = w.state_d2 / w.state.values - r * r  # (psi_n'/psi_n)'
         w_prime = -rp / sqm + r * mp / (2.0 * m * sqm)
         curvature_term = -mpp / (2.0 * m * m) + 3.0 * mp * mp / (4.0 * m ** 3)
         vals = v_n_minus.values + 2.0 * w_prime / sqm - curvature_term
@@ -291,8 +285,10 @@ def auxiliary_f(seed: SampledFunction, model: PdmModel, w_n: Superpotential,
     with np.errstate(divide="ignore"):
         dlog = derivative(SampledFunction(psi_n.grid, np.log(np.abs(prod)))).values
     mu_left = dlog[0] if np.all(prod[:5] > 0.0) or np.all(prod[:5] < 0.0) else np.nan
-    dseed = derivative(seed)
-    wronskian = (psi_n.values * dseed.values - w_n.state_d1 * seed.values) / m
+    # psi_n seed' and psi_n' seed, for the direct Wronskian and its noise floor
+    left = psi_n.values * derivative(seed).values
+    right = w_n.state_d1 * seed.values
+    wronskian = (left - right) / m
     # the direct Wronskian must agree with chi, which it does only for a
     # solution at E_n - beta.  It is compared at the peak of the integrand,
     # away from the seed's large tail where its stencil error peaks; when chi
@@ -324,9 +320,7 @@ def auxiliary_f(seed: SampledFunction, model: PdmModel, w_n: Superpotential,
                    " (more --grid-points)")
         raise InconsistentInputError(msg)
 
-    noise = 64.0 * np.finfo(float).eps * (
-        np.abs(psi_n.values * dseed.values) + np.abs(w_n.state_d1 * seed.values)
-    ) / m
+    noise = 64.0 * np.finfo(float).eps * (np.abs(left) + np.abs(right)) / m
     crossings = [
         (lo, hi)
         for lo, hi in _crossings(chi, 0.0)

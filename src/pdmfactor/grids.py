@@ -175,12 +175,9 @@ def derivative(f: SampledFunction) -> SampledFunction:
     stencil skips its own node, so NaN is written at every node whose own
     sample is NaN.  A stencil that overflows gives a singular node too.
     """
-    n = f.grid.n_points
-    if n < 5:
-        raise ConfigurationError("derivative needs at least 5 nodes")
     h12 = 12.0 * f.grid.h
     y = f.values
-    dy = np.empty(n)
+    dy = np.empty(f.grid.n_points)
     with np.errstate(over="ignore", invalid="ignore"):
         dy[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / h12
         dy[0] = (-25.0 * y[0] + 48.0 * y[1] - 36.0 * y[2] + 16.0 * y[3] - 3.0 * y[4]) / h12

@@ -70,7 +70,8 @@ def discretize(model: PdmModel, v: SampledFunction) -> SturmLiouvilleProblem:
     g = v.grid
     if v.is_singular:
         raise DomainError("cannot discretize a singular-flagged potential")
-    im = 1.0 / model.mass(g.midpoints())
+    with np.errstate(divide="ignore", over="ignore"):
+        im = 1.0 / model.mass(g.midpoints())
     if np.any(~np.isfinite(im)) or np.any(im <= 0.0):
         raise DomainError("inverse mass must be positive and finite at all midpoints")
     with np.errstate(over="ignore", invalid="ignore"):

@@ -39,12 +39,11 @@ class IsospectralityReport:
     passed: bool  # max_gap <= tolerance and node_match
 
 
-def check_isospectral(fac: FactorizationResult, k_levels: int,
-                      tol: float) -> IsospectralityReport:
+def check_isospectral(fac: FactorizationResult, k_levels: int) -> IsospectralityReport:
     """Solve (m, V_n-) and (m, V~_n-) and compare E_k + beta with E~_k.
 
-    A gap above tol produces a failed report, not an exception; a singular
-    deformation violates the precondition and raises.
+    A gap above the model's spectrum_tolerance produces a failed report, not
+    an exception; a singular deformation violates the precondition and raises.
     """
     if fac.f_n.is_singular:
         raise DomainError("deformation function is singular; isospectrality is undefined")
@@ -58,6 +57,7 @@ def check_isospectral(fac: FactorizationResult, k_levels: int,
         pairs.append((a, b, abs(a - b)))
     max_gap = max(g for _, _, g in pairs)
     node_match = original.node_counts == deformed.node_counts
+    tol = fac.model.spectrum_tolerance
     return IsospectralityReport(
         levels_checked=k_levels,
         pairs=pairs,

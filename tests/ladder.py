@@ -37,8 +37,8 @@ def _ladder_values(kind, w, f, model, v, dv, ddv):
     B = -mp / (2.0 * m * sqm)  # (1/sqrt(m))'
     Bp = -mpp / (2.0 * m * sqm) + 3.0 * mp * mp / (4.0 * m * m * sqm)
     r = w.log_deriv()
-    rp = w.log_deriv_slope()
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rp = w.state_d2 / w.state.values - r * r  # (psi_n'/psi_n)'
         if kind in ("A_plus", "Atilde_plus"):
             u = (dv - r * v) * g
             du = None if ddv is None else (ddv - r * dv - rp * v) * g + B * (dv - r * v)

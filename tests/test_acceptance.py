@@ -51,7 +51,7 @@ class TestAcceptance:
         assert elapsed <= 10.0
 
     def test_02_deformed_spectrum(self, fac_ex1):
-        rep = check_isospectral(fac_ex1, 6, 1e-3)
+        rep = check_isospectral(fac_ex1, 6)
         deformed = np.array([b for _, b, _ in rep.pairs])
         errs = np.abs(deformed - (2.0 * np.arange(6) - 2.0))
         ok = bool(np.max(errs) <= 1e-3 and rep.max_gap <= 1e-3)
@@ -184,7 +184,7 @@ class TestAcceptance:
         assert ok
 
     def test_09_constant_mass_limit(self, fac_ho):
-        rep = check_isospectral(fac_ho, 4, 1e-4)
+        rep = check_isospectral(fac_ho, 4)
         deformed = np.array([b for _, b, _ in rep.pairs])
         errs = np.abs(deformed - np.array([-2.0, 0.0, 2.0, 4.0]))
         ric = riccati_residual(fac_ho)

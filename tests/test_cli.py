@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import pdmfactor
 import pdmfactor.cli
+import pdmfactor.errors
 import pdmfactor.spectra
 from pdmfactor.cli import main
 from pdmfactor.errors import DegenerateStateError, SolverError
@@ -455,7 +456,39 @@ class TestUsageErrors:
             "auxiliary", None, "paper-ex1")
 
 
+# each error class's exit status: usage errors 2, the rest 1
+EXIT_CODES = {
+    "ConfigurationError": 2,
+    "InconsistentInputError": 2,
+    "DomainError": 1,
+    "DegenerateStateError": 1,
+    "NonNormalizableError": 1,
+    "SolverError": 1,
+}
+
+
 class TestPackageErrors:
+    def test_every_error_class_derives_from_the_base(self):
+        classes = {name for name, value in vars(pdmfactor.errors).items()
+                   if isinstance(value, type) and issubclass(value, Exception)
+                   and value.__module__ == "pdmfactor.errors"}
+        assert classes == set(EXIT_CODES) | {"PdmError"}
+        value_errors = {"ConfigurationError", "DomainError", "InconsistentInputError"}
+        for name in EXIT_CODES:
+            cls = getattr(pdmfactor.errors, name)
+            assert issubclass(cls, pdmfactor.errors.PdmError)
+            assert issubclass(cls, ValueError if name in value_errors else RuntimeError)
+
+    @pytest.mark.parametrize("name, code", sorted(EXIT_CODES.items()))
+    def test_exit_code_follows_the_class(self, tmp_path, monkeypatch, capsys, name, code):
+        def refuse(*args):
+            raise getattr(pdmfactor.errors, name)("refused")
+
+        monkeypatch.setattr(pdmfactor.cli, "cmd_spectrum", refuse)
+        assert run(["spectrum", "--model", "ho", "--out", str(tmp_path)]) == code
+        assert capsys.readouterr() == ("", "error: refused\n")
+        assert not any(tmp_path.iterdir())
+
     def test_solver_error_exits_one_with_one_line(self, tmp_path, monkeypatch, capsys):
         def refuse(*args, **kwargs):
             raise SolverError("eigenvector residual above cap")

@@ -5,6 +5,7 @@ import pytest
 
 from pdmfactor.errors import (
     ConfigurationError,
+    DegenerateStateError,
     DomainError,
     InconsistentInputError,
     NonNormalizableError,
@@ -30,7 +31,7 @@ from pdmfactor.grids import (
     derivative,
     normalize_state,
 )
-from pdmfactor.models import catalog, seed_solution
+from pdmfactor.models import HarmonicOscillator, catalog, seed_solution
 from pdmfactor.spectra import count_nodes
 from scipy.special import erf
 
@@ -502,6 +503,18 @@ class TestMapEigenstate:
         fac = factorize(ho, 1, lam=-0.5)
         assert fac.f_n.is_singular
         with pytest.raises(DomainError, match="no mapping"):
+            map_eigenstate(0, fac)
+
+    def test_collapsed_state_refused(self):
+        # a level-0 closed form that is all zeros maps to zero for k != n
+        @dataclasses.dataclass(frozen=True)
+        class Model(HarmonicOscillator):
+            def eigenstate(self, k, x):
+                return 0.0 * x if k == 0 else super().eigenstate(k, x)
+
+        fac = factorize(Model(), 1, lam=1.0)
+        with pytest.raises(DegenerateStateError,
+                           match="mapped state is numerically zero for k != n"):
             map_eigenstate(0, fac)
 
 

@@ -259,12 +259,12 @@ class TestDerivative:
         assert np.flatnonzero(d.singular_mask).tolist() == [0, 1, 2]
 
     def test_too_small_grid(self):
-        g = Grid(0.0, 1.0, 8)
-        f = sample(lambda x: x, g)
-        # 8 nodes is fine; the guard triggers below 5
-        derivative(f)
-        with pytest.raises(ConfigurationError):
-            Grid(0.0, 1.0, 3)
+        # Grid refuses fewer than 8 nodes, so every grid covers the 5-node
+        # edge stencils of derivative, which checks no size of its own
+        with pytest.raises(ConfigurationError, match="n_points must be >= 8, got 7"):
+            Grid(0.0, 1.0, 7)
+        d = derivative(sample(lambda x: x, Grid(0.0, 1.0, 8)))
+        np.testing.assert_allclose(d.values, 1.0, rtol=1e-12)
 
 
 class TestQuadrature:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +82,19 @@ class TestDiscretize:
         v = SampledFunction(g, values)
         with pytest.raises(DomainError):
             discretize(ho, v)
+
+    @pytest.mark.parametrize("profile", [lambda x: x * x, lambda x: x * x - 0.25],
+                             ids=["zero", "negative"])
+    def test_non_positive_mass_rejected(self, profile):
+        # the midpoints of this grid are the integers -4 .. 4; the zero mass
+        # at x = 0 raises only the DomainError, with no division warning
+        @dataclasses.dataclass(frozen=True)
+        class Model(HarmonicOscillator):
+            mass = staticmethod(profile)
+
+        v = SampledFunction(Grid(-4.5, 4.5, 10), np.zeros(10))
+        with pytest.raises(DomainError, match="inverse mass must be positive and finite"):
+            discretize(Model(), v)
 
     @pytest.mark.parametrize("x_min, x_max", [(-700.0, 700.0), (0.0, 1.8e-136)])
     def test_matrix_beyond_the_double_range_rejected(self, ex2, x_min, x_max):

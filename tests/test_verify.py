@@ -18,7 +18,8 @@ from tests.ladder import intertwining_residual, ladder_pair
 
 class TestCheckIsospectral:
     def test_ex1_level_one(self, fac_ex1):
-        rep = check_isospectral(fac_ex1, 5, 1e-3)
+        rep = check_isospectral(fac_ex1, 5)
+        assert rep.tolerance == fac_ex1.model.spectrum_tolerance
         assert rep.passed
         assert rep.max_gap <= 1e-3
         deformed = [b for _, b, _ in rep.pairs]
@@ -27,23 +28,23 @@ class TestCheckIsospectral:
 
     def test_huge_lambda_gaps_tiny(self, ex1):
         fac = factorize(ex1, 1, lam=1e6)
-        rep = check_isospectral(fac, 4, 1e-4)
+        rep = check_isospectral(fac, 4)
         assert rep.max_gap <= 1e-4
 
     def test_singular_precondition(self, ex1):
         fac = factorize(ex1, 1, lam=-0.5)
         with pytest.raises(DomainError):
-            check_isospectral(fac, 4, 1e-3)
+            check_isospectral(fac, 4)
 
     def test_ex2_beta_zero_fully_isospectral(self, ex2):
         fac = factorize(ex2, 1, lam=1.0)
-        rep = check_isospectral(fac, 4, 1e-2)
+        rep = check_isospectral(fac, 4)
         assert rep.passed
 
     def test_ex2_shifted_factorization_deletes_level_n(self, ex2, fac_ex2_n1):
         # with a nonzero shift the deformed problem loses exactly the level
         # used in the factorization: its spectrum is {E_k - E_n + beta, k != n}
-        rep = check_isospectral(fac_ex2_n1, 4, 1e-2)
+        rep = check_isospectral(fac_ex2_n1, 4)
         assert not rep.passed  # the full shifted ladder comparison must fail
         deformed = [b for _, b, _ in rep.pairs]
         expected = [ex2.energy(k) - ex2.energy(1) + 1.0 for k in (0, 2, 3, 4)]
@@ -264,13 +265,13 @@ class TestIntertwining:
 
 class TestConstantMassLimit:
     def test_shifted_ladder(self, fac_ho):
-        rep = check_isospectral(fac_ho, 4, 1e-4)
+        rep = check_isospectral(fac_ho, 4)
         assert rep.passed
         deformed = [b for _, b, _ in rep.pairs]
         assert np.max(np.abs(np.array(deformed) - np.array([-2.0, 0.0, 2.0, 4.0]))) <= 1e-4
 
     def test_node_preservation(self, fac_ho):
-        rep = check_isospectral(fac_ho, 4, 1e-4)
+        rep = check_isospectral(fac_ho, 4)
         assert rep.node_match
 
     def test_riccati(self, fac_ho):
