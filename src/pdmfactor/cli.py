@@ -259,9 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, func, summary, takes_beta_lambda=True):
+    def add_command(name, summary, takes_beta_lambda=True):
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(func=func)
         p.add_argument("--model", required=True, choices=list(MODELS))
         # a parameter flag reaches catalog only when given, so the model
         # supplies its defaults and refuses another model's parameter
@@ -285,16 +284,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         return p
 
-    add_command("construct", cmd_construct, "build a factorization and export its profiles")
+    add_command("construct", "build a factorization and export its profiles")
 
-    p = add_command("spectrum", cmd_spectrum, "solve the original or deformed potential")
+    p = add_command("spectrum", "solve the original or deformed potential")
     p.add_argument("--which", choices=["original", "deformed"], default="original")
     p.add_argument("--levels", type=int, default=4)
 
-    p = add_command("verify", cmd_verify, "check isospectrality and node structure")
+    p = add_command("verify", "check isospectrality and node structure")
     p.add_argument("--levels", type=int, default=5)
 
-    p = add_command("scan", cmd_scan, "sweep lambda and bracket the singular window",
+    p = add_command("scan", "sweep lambda and bracket the singular window",
                     takes_beta_lambda=False)
     p.add_argument("--lambda-min", type=_finite_float, required=True)
     p.add_argument("--lambda-max", type=_finite_float, required=True)
@@ -303,8 +302,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: every parse_args call returns a new Namespace, so
+# no flag of one main call reaches the next
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    # looked up by name at call time, so the parser binds no function
+    command = {"construct": cmd_construct, "spectrum": cmd_spectrum,
+               "verify": cmd_verify, "scan": cmd_scan}[args.command]
     try:
         # a parameter flag that was not given is no attribute of args
         given = {f.name: getattr(args, f.name) for model_type in MODELS.values()
@@ -319,7 +326,7 @@ def main(argv=None) -> int:
         # a command only computes and returns (exit code, {file name: report
         # dict or SampledFunction}, stdout line, stderr line); every output is
         # built before the first write, so a failure leaves no partial directory
-        code, outputs, stdout, stderr = args.func(args, model, grid, payload)
+        code, outputs, stdout, stderr = command(args, model, grid, payload)
         for name, content in outputs.items():
             path = Path(args.out) / name
             try:

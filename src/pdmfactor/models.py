@@ -120,9 +120,10 @@ class Ex1(PdmModel):
         # u_k the standard normalized oscillator state, for every alpha.
         al = self.alpha
         al2 = al * al
-        norm = math.sqrt(1.0 / (2.0 ** k * math.factorial(k))) * math.pi ** -0.25
         s = np.arcsinh(al * x) / al
-        return norm * np.exp(-0.5 * s * s) / (1.0 + al2 * x * x) ** 0.25 * hermite(k, s)
+        h = hermite(k, s)  # refuses k before 2^k k! overflows
+        norm = math.sqrt(1.0 / (2.0 ** k * math.factorial(k))) * math.pi ** -0.25
+        return norm * np.exp(-0.5 * s * s) / (1.0 + al2 * x * x) ** 0.25 * h
 
 
 @dataclass(frozen=True)
@@ -209,8 +210,9 @@ class HarmonicOscillator(PdmModel):
         return 2.0 * k
 
     def eigenstate(self, k: int, x):
+        h = hermite(k, np.asarray(x, dtype=float))  # refuses k before 2^k k! overflows
         norm = (2.0 ** k * math.factorial(k) * math.sqrt(math.pi)) ** -0.5
-        return norm * np.exp(-0.5 * x * x) * hermite(k, np.asarray(x, dtype=float))
+        return norm * np.exp(-0.5 * x * x) * h
 
 
 @dataclass(frozen=True)

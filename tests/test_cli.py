@@ -429,9 +429,9 @@ class TestUsageErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    def test_calls_in_one_process_are_independent(self, tmp_path, capsys):
-        # main can run many times in one process; a flag given to one call,
-        # or a refused call, must not reach the next
+    def test_calls_in_one_process_are_independent(self, tmp_path, capsys, monkeypatch):
+        # main can run many times in one process, all on one parser; a flag
+        # given to one call, or a refused call, must not reach the next
         base = ["spectrum", "--model", "ex1", "--levels", "2"]
         assert run(base + ["--alpha", "2", "--out", str(tmp_path / "a")]) == 0
         with pytest.raises(SystemExit) as exc:
@@ -444,6 +444,55 @@ class TestUsageErrors:
             assert data["parameters"] == {"alpha": alpha}
             assert np.max(np.abs(np.array(data["eigenvalues"]) - [1.0, 3.0])) <= 1e-2
         assert "expected a finite number, got 'nan'" in capsys.readouterr().err
+
+        construct = ["construct", "--model", "ho", "--out"]
+        assert run(construct + [str(tmp_path / "d"), "--lambda", "1"]) == 0
+        assert run(construct + [str(tmp_path / "e")]) == 2
+        assert capsys.readouterr().err == "error: --lambda is required when --beta is 0\n"
+        assert not (tmp_path / "e").exists()
+
+        scan = ["scan", "--model", "ex2", "--lambda-min", "-2", "--lambda-max", "1",
+                "--steps", "3", "--out"]
+        assert run(scan + [str(tmp_path / "f"), "--a", "2"]) == 0
+        assert run(scan + [str(tmp_path / "g")]) == 0
+        assert load_json(tmp_path / "f" / "scan.json")["parameters"]["a"] == 2.0
+        assert load_json(tmp_path / "g" / "scan.json")["parameters"]["a"] == pdmfactor.Ex2().a
+
+        # the scan just run set --steps and --lambda-min; verify's namespace
+        # must hold neither
+        seen = []
+
+        def record(args, *rest):
+            seen.append(set(vars(args)))
+            return 0, {}, None, None
+
+        monkeypatch.setattr(pdmfactor.cli, "cmd_verify", record)
+        assert run(["verify", "--model", "ho", "--lambda", "1", "--out", str(tmp_path)]) == 0
+        assert len(seen) == 1 and not seen[0] & {"steps", "lambda_min"}
+
+    def test_main_builds_no_parser(self, tmp_path, monkeypatch):
+        # the parser is built once, at import; main only parses
+        def refuse():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(pdmfactor.cli, "build_parser", refuse)
+        assert run(["scan", "--model", "ho", "--lambda-min", "-2", "--lambda-max", "1",
+                    "--steps", "3", "--out", str(tmp_path / "a")]) == 0
+        assert run(["spectrum", "--model", "ho", "--levels", "1",
+                    "--out", str(tmp_path / "b")]) == 0
+
+    @pytest.mark.parametrize("model", ["ho", "ex1"])
+    @pytest.mark.parametrize("n", ["171", "500"])
+    @pytest.mark.parametrize("command", [["scan", "--lambda-min", "-2", "--lambda-max", "1"],
+                                         ["construct", "--lambda", "1"]])
+    def test_level_beyond_the_hermite_bound(self, tmp_path, capsys, model, n, command):
+        # from n = 171 the normalization's 2^n n! overflows a float; hermite
+        # refuses the degree before it is formed
+        out = tmp_path / "run"
+        code = run(command + ["--model", model, "--n", n, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: degree {n} beyond recurrence bound 60\n")
+        assert not out.exists()
 
     def test_auxiliary_route_echoes_the_convention(self, tmp_path):
         # the convention shifts only lambda, but result.json reports the flag

@@ -5,9 +5,9 @@ and outputs, only cli.py writes JSON, a sampled function stores its values
 alone, each model is one frozen dataclass, cli.py reads the model catalog
 from models.MODELS, the construction in factor.py never reads the
 eigensolver or the checks built on it, verify.py reads only the finished
-factorization result from factor.py, one marched auxiliary solution
-serves every model, and no function, class or method is there for the
-tests alone."""
+factorization result from factor.py, the package import leaves out cli.py,
+one marched auxiliary solution serves every model, and no function, class
+or method is there for the tests alone."""
 
 import ast
 import dataclasses
@@ -159,6 +159,13 @@ def test_only_main_runs_the_command_pipeline():
     ]
     assert [call for call in calls if call[0] != "main"] == []
     assert {callee for _, callee, _ in calls} == pipeline
+
+
+def test_package_import_leaves_out_the_cli():
+    # cli.py builds its argparse parser at import; "import pdmfactor" must
+    # not pay for it
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    assert "cli" not in _imported_module_parts(tree)
 
 
 def test_factor_never_reads_the_solver():
