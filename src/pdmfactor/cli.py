@@ -89,16 +89,16 @@ def _grid_from_args(args, model) -> Grid:
     return grid
 
 
-def _deformation_inputs(args) -> dict:
-    """The deformation flags as given, for the construct, verify and deformed
-    spectrum reports."""
-    return {"n": args.n, "beta": args.beta, "lambda": args.lambda_,
-            "convention": args.convention}
+def _factorize(args, model, grid, payload):
+    """Record the deformation flags as given in the report, then factorize."""
+    payload.update({"n": args.n, "beta": args.beta, "lambda": args.lambda_,
+                    "convention": args.convention})
+    return factorize(model, args.n, beta=args.beta, lam=args.lambda_,
+                     convention=args.convention, grid=grid)
 
 
 def cmd_construct(args, model, grid, payload):
-    fac = factorize(model, args.n, beta=args.beta, lam=args.lambda_,
-                    convention=args.convention, grid=grid)
+    fac = _factorize(args, model, grid, payload)
     profiles = {
         "W_n": fac.W_n.values,
         "f_n": fac.f_n.values,
@@ -126,7 +126,6 @@ def cmd_construct(args, model, grid, payload):
 
     payload.update(
         {
-            **_deformation_inputs(args),
             "lambda": fac.f_n.lam,  # in the normalized convention
             "route": fac.f_n.route,
             "singular": fac.f_n.is_singular,
@@ -147,19 +146,18 @@ def cmd_construct(args, model, grid, payload):
 
 def cmd_spectrum(args, model, grid, payload):
     if args.which == "original":
+        # the original spectrum has no deformation for these flags to select
+        if args.lambda_ is not None or args.beta != 0.0:
+            raise ConfigurationError("--which original takes no --lambda and no nonzero --beta")
         potential = model.potential_samples(grid)
     else:
-        fac = factorize(model, args.n, beta=args.beta, lam=args.lambda_,
-                        convention=args.convention, grid=grid)
+        fac = _factorize(args, model, grid, payload)
         if fac.f_n.is_singular:
             return CHECK_FAILURE, {}, None, "deformed potential is singular for these parameters"
         potential = fac.V_tilde_minus
     report = solve_spectrum(model, potential, args.levels)
-    payload.update({"which": args.which, "levels": args.levels})
-    if args.which == "deformed":
-        payload.update(_deformation_inputs(args))
-    payload.update(eigenvalues=report.eigenvalues, node_counts=report.node_counts,
-                   residuals=report.residuals)
+    payload.update(which=args.which, levels=args.levels, eigenvalues=report.eigenvalues,
+                   node_counts=report.node_counts, residuals=report.residuals)
     outputs = {f"eigenstate_{j}.csv": state for j, state in enumerate(report.eigenstates)}
     outputs["spectrum.json"] = payload
     evals = ", ".join(f"{e:.10g}" for e in report.eigenvalues)
@@ -167,10 +165,8 @@ def cmd_spectrum(args, model, grid, payload):
 
 
 def cmd_verify(args, model, grid, payload):
-    payload.update(_deformation_inputs(args))
     outputs = {"verify.json": payload}
-    fac = factorize(model, args.n, beta=args.beta, lam=args.lambda_,
-                    convention=args.convention, grid=grid)
+    fac = _factorize(args, model, grid, payload)
     if fac.f_n.is_singular:
         payload.update(singular=True, passed=False)
         return CHECK_FAILURE, outputs, None, (

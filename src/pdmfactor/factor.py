@@ -125,11 +125,6 @@ class Superpotential:
     state_d1: np.ndarray = field(repr=False)
     state_d2: np.ndarray = field(repr=False)
 
-    def log_deriv(self) -> np.ndarray:
-        """psi_n'/psi_n; infinite at the exact nodes."""
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return self.state_d1 / self.state.values
-
 
 def _level_crossings(psi_n: SampledFunction, n: int) -> list:
     """The sign changes of the level-n state; by the oscillation theorem
@@ -177,8 +172,8 @@ def partner_plus(w: Superpotential, model: PdmModel, v_n_minus: SampledFunction)
     mp = model.mass_d1(x)
     mpp = model.mass_d2(x)
     sqm = np.sqrt(m)
-    r = w.log_deriv()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r = w.state_d1 / w.state.values  # psi_n'/psi_n
         rp = w.state_d2 / w.state.values - r * r  # (psi_n'/psi_n)'
         w_prime = -rp / sqm + r * mp / (2.0 * m * sqm)
         curvature_term = -mpp / (2.0 * m * m) + 3.0 * mp * mp / (4.0 * m ** 3)

@@ -429,6 +429,25 @@ class TestUsageErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", [["--lambda", "5"], ["--beta", "3"], ["--beta=-0.5"]],
+                             ids=["lambda", "beta", "negative-beta"])
+    def test_original_spectrum_refuses_deformation_flags(self, tmp_path, capsys, flag):
+        # the original spectrum has no deformation for them to select, and
+        # its report would not record them
+        out = tmp_path / "run"
+        code = run(["spectrum", "--model", "ho", "--which", "original", "--levels", "2",
+                    *flag, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --which original takes no --lambda and no nonzero --beta\n")
+        assert not out.exists()
+
+    def test_original_spectrum_takes_beta_zero(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(["spectrum", "--model", "ho", "--levels", "2", "--beta", "0",
+                    "--out", str(out)]) == 0
+        assert load_json(out / "spectrum.json")["which"] == "original"
+
     def test_calls_in_one_process_are_independent(self, tmp_path, capsys, monkeypatch):
         # main can run many times in one process, all on one parser; a flag
         # given to one call, or a refused call, must not reach the next

@@ -1,5 +1,7 @@
 """Smoke tests of tools/compare_outputs.py on the small benchmark decks."""
 
+import importlib.util
+import json
 import shutil
 import subprocess
 import sys
@@ -51,3 +53,33 @@ def test_several_decks_in_one_run(tmp_path):
     assert lines[0] == "construct tiny: 2 of 2 ops identical"
     assert "stdout differ" in lines[1]
     assert lines[2:] == ["scan tiny: 0 of 1 ops identical"]
+
+
+def test_changed_json_key_is_named(tmp_path):
+    # each differing key of a JSON file is named with both values
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "pdmfactor" / "cli.py"
+    text = cli.read_text()
+    assert '{"n": args.n, "convention"' in text
+    cli.write_text(text.replace('{"n": args.n, "convention"', '{"n": args.n + 1, "convention"'))
+    out = compare(ROOT, tmp_path, "scan")
+    assert out.returncode == 1
+    lines = out.stdout.splitlines()
+    assert lines[0].endswith(": scan.json differ")
+    assert lines[1:] == ["  scan.json: n 1 != 2", "scan tiny: 0 of 1 ops identical"]
+
+
+def test_json_details_cap_and_nan():
+    # equal NaNs are no difference; past five keys a file gets a count
+    spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    a = {"k": list(range(7)), "nan": float("nan"), "only_a": 1}
+    b = {"k": [v + 1 for v in range(7)], "nan": float("nan")}
+    files = [{"files": {"r.json": json.dumps(d).encode(), "x.csv": bytes([i])}}
+             for i, d in enumerate((a, b))]
+    assert tool.json_details(*files) == [
+        "  r.json: k[0] 0 != 1", "  r.json: k[1] 1 != 2", "  r.json: k[2] 2 != 3",
+        "  r.json: k[3] 3 != 4", "  r.json: k[4] 4 != 5", "  r.json: and 3 more keys",
+    ]

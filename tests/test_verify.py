@@ -280,12 +280,33 @@ class TestConstantMassLimit:
 
 class TestRiccatiResidual:
     def test_w_band_is_excluded(self, ex1):
-        # W_n's log-derivative is finite inside its guard band, but on this
-        # coarse ex1 grid the largest defect sits there; W_n's flags are the
-        # only thing that keeps the band out of the maximum
+        # -psi_n'/(sqrt(m) psi_n) is finite in W_n's guard band apart from
+        # the exact node at x = 0, and on this coarse ex1 grid the largest
+        # defect sits there; the NaN that W_n writes over the band is the only
+        # thing that keeps it out of the maximum
         grid = Grid(-100.0, 100.0, 2001)
         fac = factorize(ex1, 1, lam=-1.27598, grid=grid)
-        unflagged = SampledFunction(grid, np.zeros(grid.n_points))
-        no_band = dataclasses.replace(fac, W_n=dataclasses.replace(fac.W_n, values=unflagged))
-        assert fac.W_n.values.singular_mask.any()
+        w = fac.W_n
+        band = w.values.singular_mask
+        sqm = np.sqrt(ex1.mass(grid.points()))
+        with np.errstate(divide="ignore"):
+            exact = -w.state_d1 / (sqm * w.state.values)
+        unflagged = SampledFunction(grid, np.where(band, exact, w.values.values))
+        no_band = dataclasses.replace(fac, W_n=dataclasses.replace(w, values=unflagged))
+        assert band.sum() == 7
+        assert np.flatnonzero(unflagged.singular_mask).tolist() == [grid.n_points // 2]
         assert riccati_residual(fac) < riccati_residual(no_band)
+
+    @pytest.mark.parametrize("name, kwargs", [
+        pytest.param("ho", {"lam": 1.0}, id="ho-lambda-1"),
+        pytest.param("ex2", {"lam": 1.0}, id="ex2-lambda-1"),
+        pytest.param("ex2", {"beta": 0.5}, id="ex2-beta-0.5"),
+    ])
+    def test_residual_reads_the_exported_w(self, name, kwargs):
+        # the constraint is checked against the W_n that construct writes to
+        # W_n.csv, so a 1 % error in it shows (by 1e5 to 1e6 on these runs)
+        fac = factorize(catalog(name), 1, **kwargs)
+        w = fac.W_n
+        wrong = dataclasses.replace(
+            fac, W_n=dataclasses.replace(w, values=w.values.with_values(1.01 * w.values.values)))
+        assert riccati_residual(wrong) >= 100.0 * riccati_residual(fac)

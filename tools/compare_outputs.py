@@ -14,14 +14,18 @@ same argv lists.  Every op runs ``pdmfactor.cli.main`` of each tree in a
 fresh interpreter, in its own empty working directory, with ``--out out``.
 The two runs must agree on the exit code, on stdout, on stderr and on every
 output file byte for byte; in JSON files the value of the ``timestamp`` key
-is ignored.  Each difference is printed, then one summary line per deck,
-and the exit code is 1 when there is any difference, 0 otherwise.
+is ignored.  Each op that differs is printed with what differs; for a JSON
+file, up to five key paths follow, each with both values, so a change that
+expects one value to move can show that nothing else did.  One summary line
+per deck follows, and the exit code is 1 when there is any difference, 0
+otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -36,6 +40,7 @@ _RUN_OP = (
     "sys.exit(main(sys.argv[2:]))\n"
 )
 _TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
+_KEYS_PER_FILE = 5
 
 
 def _load_workloads():
@@ -75,6 +80,38 @@ def differences(a: dict, b: dict) -> list[str]:
     return found
 
 
+def key_differences(a, b, path: str = "") -> list[str]:
+    """The key paths at which two parsed JSON values differ, with both values."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        found = []
+        for key in sorted(a.keys() | b.keys()):
+            sub = f"{path}.{key}" if path else key
+            if key not in a or key not in b:
+                found.append(f"{sub} (in one tree only)")
+            else:
+                found += key_differences(a[key], b[key], sub)
+        return found
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [d for i, (u, v) in enumerate(zip(a, b))
+                for d in key_differences(u, v, f"{path}[{i}]")]
+    # compared as text, so that NaN equals NaN
+    return [] if json.dumps(a) == json.dumps(b) else [f"{path} {a!r} != {b!r}"]
+
+
+def json_details(a: dict, b: dict) -> list[str]:
+    """One line per differing key path of each JSON file that both trees
+    wrote, at most _KEYS_PER_FILE per file."""
+    lines = []
+    for name in sorted(a["files"].keys() & b["files"].keys()):
+        if not name.endswith(".json") or a["files"][name] == b["files"][name]:
+            continue
+        found = key_differences(json.loads(a["files"][name]), json.loads(b["files"][name]))
+        lines += [f"  {name}: {d}" for d in found[:_KEYS_PER_FILE]]
+        if len(found) > _KEYS_PER_FILE:
+            lines.append(f"  {name}: and {len(found) - _KEYS_PER_FILE} more keys")
+    return lines
+
+
 def compare_deck(trees: list[Path], ops: list[dict], tmp: Path) -> int:
     """Run one deck on both trees; print each op that differs and return
     how many do."""
@@ -89,6 +126,8 @@ def compare_deck(trees: list[Path], ops: list[dict], tmp: Path) -> int:
         if diff:
             failed += 1
             print(f"op {i} ({' '.join(op['argv'])}): {', '.join(diff)} differ")
+            for line in json_details(*results):
+                print(line)
     return failed
 
 
