@@ -101,14 +101,12 @@ class Grid:
         """One ``x,%.17g,0`` row template per ``_CSV_ROWS`` block of nodes.
 
         Built on first use and kept for the life of this Grid, so every file
-        written on it formats the x column once.  x is finite, so its text
-        holds no ``%``.
+        written on it formats the x column once, with one ``%`` per block.
+        x is finite, so its text holds no ``%``.
         """
         x = self.points()
-        return [
-            "".join(["%.17g,%%.17g,0\r\n" % xi for xi in x[s:s + _CSV_ROWS].tolist()])
-            for s in range(0, self.n_points, _CSV_ROWS)
-        ]
+        blocks = (x[s:s + _CSV_ROWS].tolist() for s in range(0, self.n_points, _CSV_ROWS))
+        return [("%.17g,%%.17g,0\r\n" * len(xs)) % tuple(xs) for xs in blocks]
 
 
 @dataclass
@@ -248,11 +246,14 @@ def write_csv(f: SampledFunction, path) -> None:
     ``%`` operation, so the text of the whole file is never held at once.
     The flag needs no array of its own: a singular sample is NaN, which
     ``%.17g`` prints as ``nan`` whatever its sign, and that row's flag is
-    set to 1 in the block's text.
+    set to 1 in the text of each block that holds a NaN.
     """
     v = f.values
     with open(path, "w", newline="") as fh:
         fh.write("x,value,singular\r\n")
         for s, template in zip(range(0, f.grid.n_points, _CSV_ROWS), f.grid._csv_templates):
-            block = template % tuple(v[s:s + _CSV_ROWS].tolist())
-            fh.write(block.replace(",nan,0\r", ",nan,1\r"))
+            values = v[s:s + _CSV_ROWS]
+            block = template % tuple(values.tolist())
+            if np.isnan(values).any():
+                block = block.replace(",nan,0\r", ",nan,1\r")
+            fh.write(block)

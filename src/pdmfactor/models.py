@@ -243,44 +243,62 @@ _MARCH_BLOCK = 1024
 _SEED_DAMPING = -math.log(np.finfo(float).eps)
 
 
+def _rk4_step(y, dy, hs, a0, b0, am, bm, a1, b1):
+    """One RK4 step of u'' = a u + b u' from (y, dy), with (a, b) at the
+    step's start (a0, b0), midpoint (am, bm) and end (a1, b1)."""
+    hh = 0.5 * hs
+    k1d = a0 * y + b0 * dy
+    y2 = y + hh * dy
+    d2 = dy + hh * k1d
+    k2d = am * y2 + bm * d2
+    y3 = y + hh * d2
+    d3 = dy + hh * k2d
+    k3d = am * y3 + bm * d3
+    y4 = y + hs * d3
+    d4 = dy + hs * k3d
+    k4d = a1 * y4 + b1 * d4
+    return (y + hs * (dy + 2.0 * d2 + 2.0 * d3 + d4) / 6.0,
+            dy + hs * (k1d + 2.0 * k2d + 2.0 * k3d + k4d) / 6.0)
+
+
 def _integrate_linear2(y0, dy0, hs, c1, c2, nsub, n_nodes):
     """RK4 march of u'' = c1(x) u + c2(x) u' from node 0 to node n_nodes-1,
     with nsub substeps per interval.
 
     c1 and c2 are sampled on the half-substep lattice along the marching
     direction: index 2*s is the start of substep s, 2*s + 1 its midpoint.
-    The march runs on Python floats, which round exactly as numpy float64
-    scalars do but cost far less per operation.  The tables are converted
-    _MARCH_BLOCK nodes at a time, so their Python floats never all exist at
-    once.
+    An RK4 step of this linear equation maps (u, u') by a 2x2 matrix, so
+    each node interval has a transfer matrix: its nsub substeps applied, in
+    numpy over all intervals at once, to the columns (1, 0) and (0, 1).
+    Only the node-to-node products run on Python floats.  The work goes
+    _MARCH_BLOCK nodes at a time, so its temporaries stay small.  The
+    result agrees with a substep-by-substep march to rounding, not bit for
+    bit: the products round in another order.
     """
-    hh = 0.5 * hs
     out = np.empty(n_nodes)
     y = float(y0)
     dy = float(dy0)
     out[0] = y0
+    # lattice entries per interval
+    per = 2 * nsub
     for lo in range(1, n_nodes, _MARCH_BLOCK):
         hi = min(lo + _MARCH_BLOCK, n_nodes)
-        block = slice(2 * nsub * (lo - 1), 2 * nsub * (hi - 1) + 1)
-        p0, pm = c1[block][0::2].tolist(), c1[block][1::2].tolist()
-        q0, qm = c2[block][0::2].tolist(), c2[block][1::2].tolist()
+        p = c1[per * (lo - 1):per * (hi - 1) + 1]
+        q = c2[per * (lo - 1):per * (hi - 1) + 1]
+        # column j of every interval's matrix, from the identity: u in ty[j], u' in td[j]
+        ty = np.repeat([[1.0], [0.0]], hi - lo, axis=1)
+        td = ty[::-1].copy()
+        # an entry may overflow, as a Python float does, without a warning
+        with np.errstate(all="ignore"):
+            for k in range(0, per, 2):
+                ty, td = _rk4_step(ty, td, hs, p[k:-1:per], q[k:-1:per], p[k + 1::per],
+                                   q[k + 1::per], p[k + 2::per], q[k + 2::per])
         ys = []
-        # (start, midpoint, end) coefficients of each substep
-        for a0, b0, am, bm, a1, b1 in zip(p0, q0, pm, qm, p0[1:], q0[1:]):
-            k1d = a0 * y + b0 * dy
-            y2 = y + hh * dy
-            d2 = dy + hh * k1d
-            k2d = am * y2 + bm * d2
-            y3 = y + hh * d2
-            d3 = dy + hh * k2d
-            k3d = am * y3 + bm * d3
-            y4 = y + hs * d3
-            d4 = dy + hs * k3d
-            k4d = a1 * y4 + b1 * d4
-            y = y + hs * (dy + 2.0 * d2 + 2.0 * d3 + d4) / 6.0
-            dy = dy + hs * (k1d + 2.0 * k2d + 2.0 * k3d + k4d) / 6.0
+        for t11, t12, t21, t22 in zip(ty[0].tolist(), ty[1].tolist(),
+                                      td[0].tolist(), td[1].tolist()):
+            y, dy = t11 * y + t12 * dy, t21 * y + t22 * dy
             ys.append(y)
-        out[lo:hi] = ys[nsub - 1::nsub]
+        out[lo:hi] = ys
     return out
 
 

@@ -636,11 +636,11 @@ class TestPackageErrors:
         # window would not help
         (["spectrum", "--which", "deformed", "--model", "ho", "--beta", "1e-10"],
          "error: chi, which scales with beta = 1e-10, is below the stencil error of the"
-         " direct Wronskian (wronskian mismatch 6.01e-02); use a larger |--beta| or a"
+         " direct Wronskian (wronskian mismatch 6.02e-02); use a larger |--beta| or a"
          " finer grid (more --grid-points)\n"),
         (["spectrum", "--which", "deformed", "--model", "ex2", "--beta", "1e-300"],
          "error: chi, which scales with beta = 1e-300, is below the stencil error of the"
-         " direct Wronskian (wronskian mismatch 4.09e+287); use a larger |--beta| or a"
+         " direct Wronskian (wronskian mismatch 4.33e+287); use a larger |--beta| or a"
          " finer grid (more --grid-points)\n"),
         # the stencil error shrinks with h as well as chi grows with beta
         (["construct", "--model", "ex2", "--grid-points", "8", "--n", "0", "--beta", "2"],

@@ -409,6 +409,16 @@ class TestCsv:
         back = read_csv(tmp_path / "new.csv")
         assert np.flatnonzero(back.singular_mask).tolist() == [0, 4095, 4096, 5000, n - 1]
 
+    @pytest.mark.parametrize("flagged", [[17, 2 * 4096 + 50], []])
+    def test_flags_set_only_in_blocks_with_nan(self, tmp_path, flagged):
+        # three blocks, with NaN in the first and last but not the middle
+        # one, or in none
+        g = Grid(-2.0, 5.0, 2 * 4096 + 100)
+        vals = np.exp(-g.points())
+        vals[flagged] = np.nan
+        self.assert_reference_bytes(SampledFunction(g, vals), tmp_path)
+        assert np.flatnonzero(read_csv(tmp_path / "new.csv").singular_mask).tolist() == flagged
+
     @pytest.mark.parametrize("x_min, x_max, first", [(-3e-7, -1e-7, "-2.9999999999999999e-07"),
                                                      (-1e20, 1e21, "-1e+20")])
     def test_x_text_with_exponent_and_sign(self, tmp_path, x_min, x_max, first):

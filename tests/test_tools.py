@@ -21,6 +21,13 @@ def compare(tree_a, tree_b, *workloads):
     )
 
 
+def load_tool():
+    spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 @pytest.mark.parametrize("workload", ["solve", "construct", "scan"])
 def test_tree_matches_itself(workload):
     out = compare(ROOT, ROOT, workload)
@@ -72,9 +79,7 @@ def test_changed_json_key_is_named(tmp_path):
 
 def test_json_details_cap_and_nan():
     # equal NaNs are no difference; past five keys a file gets a count
-    spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = load_tool()
     a = {"k": list(range(7)), "nan": float("nan"), "only_a": 1}
     b = {"k": [v + 1 for v in range(7)], "nan": float("nan")}
     files = [{"files": {"r.json": json.dumps(d).encode(), "x.csv": bytes([i])}}
@@ -82,4 +87,43 @@ def test_json_details_cap_and_nan():
     assert tool.json_details(*files) == [
         "  r.json: k[0] 0 != 1", "  r.json: k[1] 1 != 2", "  r.json: k[2] 2 != 3",
         "  r.json: k[3] 3 != 4", "  r.json: k[4] 4 != 5", "  r.json: and 3 more keys",
+    ]
+
+
+def test_changed_csv_values_are_measured(tmp_path):
+    # one value per CSV file doubled: one row differs in each, and its
+    # x and flag do not
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    grids = tmp_path / "src" / "pdmfactor" / "grids.py"
+    text = grids.read_text()
+    assert "    v = f.values\n" in text
+    doubled = "    v = f.values.copy()\n    v[3] *= 2.0\n"
+    grids.write_text(text.replace("    v = f.values\n", doubled))
+    out = compare(ROOT, tmp_path, "construct")
+    assert out.returncode == 1
+    lines = out.stdout.splitlines()
+    details = [line for line in lines if line.startswith("  ")]
+    assert "  mass.csv: 1 of 401 rows differ, max |dvalue|/max|value| 5.00e-01 at row 3" in details
+    assert all(".csv: 1 of 401 rows differ, max |dvalue|/max|value| " in line
+               and line.endswith(" at row 3") for line in details)
+    assert lines[-1] == "construct tiny: 0 of 2 ops identical"
+
+
+def test_csv_details_flags_and_cap():
+    # rows whose flag or x differs are listed, at most five per file; a NaN
+    # against a number counts as a differing row but not as a value change
+    tool = load_tool()
+    header = "x,value,singular\r\n"
+    rows_a = [f"{i},{float(i)},0\r\n" for i in range(10)]
+    rows_b = [f"{i},nan,1\r\n" if i < 7 else f"{i},{i * 1.5},0\r\n" for i in range(10)]
+    files = [{"files": {"f.csv": (header + "".join(rows)).encode(),
+                        "g.csv": (header + "".join(rows[:n])).encode()}}
+             for rows, n in ((rows_a, 2), (rows_b, 3))]
+    assert tool.csv_details(*files) == [
+        "  f.csv: 10 of 10 rows differ, max |dvalue|/max|value| 3.33e-01 at row 9",
+        "  f.csv: row 0 0,0.0,0 != 0,nan,1", "  f.csv: row 1 1,1.0,0 != 1,nan,1",
+        "  f.csv: row 2 2,2.0,0 != 2,nan,1", "  f.csv: row 3 3,3.0,0 != 3,nan,1",
+        "  f.csv: row 4 4,4.0,0 != 4,nan,1", "  f.csv: and 2 more rows with x or flag differences",
+        "  g.csv: 2 != 3 rows",
     ]

@@ -16,9 +16,12 @@ The two runs must agree on the exit code, on stdout, on stderr and on every
 output file byte for byte; in JSON files the value of the ``timestamp`` key
 is ignored.  Each op that differs is printed with what differs; for a JSON
 file, up to five key paths follow, each with both values, so a change that
-expects one value to move can show that nothing else did.  One summary line
-per deck follows, and the exit code is 1 when there is any difference, 0
-otherwise.
+expects one value to move can show that nothing else did.  For a CSV file
+follow how many rows differ, the largest |difference| of a value relative
+to the file's largest |value|, with its row, and up to five rows whose x
+or singular flag differs, so a change that expects values to move by
+rounding can show by how much.  One summary line per deck follows, and the
+exit code is 1 when there is any difference, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import re
 import subprocess
 import sys
@@ -112,6 +116,40 @@ def json_details(a: dict, b: dict) -> list[str]:
     return lines
 
 
+def csv_details(a: dict, b: dict) -> list[str]:
+    """For each CSV file that both trees wrote and that differs: one line
+    with the number of differing rows and the largest |value difference|
+    over the file's max |value|, then one line per row whose x or flag
+    differs, at most _KEYS_PER_FILE per file."""
+    lines = []
+    for name in sorted(a["files"].keys() & b["files"].keys()):
+        if not name.endswith(".csv") or a["files"][name] == b["files"][name]:
+            continue
+        # the x, value and flag fields of each row after the header
+        rows_a, rows_b = ([row.split(",") for row in side["files"][name].decode().splitlines()[1:]]
+                          for side in (a, b))
+        if len(rows_a) != len(rows_b):
+            lines.append(f"  {name}: {len(rows_a)} != {len(rows_b)} rows")
+            continue
+        differ = [i for i, (u, v) in enumerate(zip(rows_a, rows_b)) if u != v]
+        summary = f"  {name}: {len(differ)} of {len(rows_a)} rows differ"
+        va, vb = ([float(r[1]) for r in rows] for rows in (rows_a, rows_b))
+        scale = max((abs(v) for v in va + vb if math.isfinite(v)), default=0.0)
+        # a NaN on either side is a flag difference, not a value difference
+        deltas = [(abs(va[i] - vb[i]), i) for i in differ if math.isfinite(va[i] - vb[i])]
+        if deltas and scale > 0.0:
+            delta, row = max(deltas)
+            summary += f", max |dvalue|/max|value| {delta / scale:.2e} at row {row}"
+        lines.append(summary)
+        moved = [i for i in differ if rows_a[i][0::2] != rows_b[i][0::2]]
+        lines += [f"  {name}: row {i} {','.join(rows_a[i])} != {','.join(rows_b[i])}"
+                  for i in moved[:_KEYS_PER_FILE]]
+        if len(moved) > _KEYS_PER_FILE:
+            lines.append(f"  {name}: and {len(moved) - _KEYS_PER_FILE} more rows with x or"
+                         " flag differences")
+    return lines
+
+
 def compare_deck(trees: list[Path], ops: list[dict], tmp: Path) -> int:
     """Run one deck on both trees; print each op that differs and return
     how many do."""
@@ -126,7 +164,7 @@ def compare_deck(trees: list[Path], ops: list[dict], tmp: Path) -> int:
         if diff:
             failed += 1
             print(f"op {i} ({' '.join(op['argv'])}): {', '.join(diff)} differ")
-            for line in json_details(*results):
+            for line in json_details(*results) + csv_details(*results):
                 print(line)
     return failed
 
