@@ -113,17 +113,16 @@ def lambda_shift(convention: str) -> float:
 class Superpotential:
     """W_n = -psi_n'/(sqrt(m) psi_n) with masked bands around the n poles.
 
-    The defining state and its first two derivatives are retained:
-    partner_plus forms W' from them as exact ratios, and map_eigenstate and
-    auxiliary_f take Wronskians with psi_n', so no masked pole is multiplied
-    by a small number.
+    The defining state psi_n and its derivative psi_n' are retained:
+    partner_plus forms psi_n'' from psi_n' and W' from them as exact ratios,
+    and map_eigenstate and auxiliary_f take Wronskians with psi_n', so no
+    masked pole is multiplied by a small number.
     """
 
     n: int
     values: SampledFunction
     state: SampledFunction = field(repr=False)
     state_d1: np.ndarray = field(repr=False)
-    state_d2: np.ndarray = field(repr=False)
 
 
 def _level_crossings(psi_n: SampledFunction, n: int) -> list:
@@ -147,13 +146,11 @@ def superpotential(psi_n: SampledFunction, model: PdmModel, n: int) -> Superpote
     sqm = np.sqrt(model.mass(x))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         w = -dpsi.values / (sqm * v)
-    d2 = derivative(dpsi)
     return Superpotential(
         n=n,
         values=_with_bands(psi_n.grid, w, crossings),
         state=psi_n,
         state_d1=dpsi.values,
-        state_d2=d2.values,
     )
 
 
@@ -172,9 +169,10 @@ def partner_plus(w: Superpotential, model: PdmModel, v_n_minus: SampledFunction)
     mp = model.mass_d1(x)
     mpp = model.mass_d2(x)
     sqm = np.sqrt(m)
+    d2 = derivative(w.state.with_values(w.state_d1)).values  # psi_n''
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         r = w.state_d1 / w.state.values  # psi_n'/psi_n
-        rp = w.state_d2 / w.state.values - r * r  # (psi_n'/psi_n)'
+        rp = d2 / w.state.values - r * r  # (psi_n'/psi_n)'
         w_prime = -rp / sqm + r * mp / (2.0 * m * sqm)
         curvature_term = -mpp / (2.0 * m * m) + 3.0 * mp * mp / (4.0 * m ** 3)
         vals = v_n_minus.values + 2.0 * w_prime / sqm - curvature_term

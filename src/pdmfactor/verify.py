@@ -2,11 +2,11 @@
 
 Isospectrality is verified spectrally: both the shifted original potential
 and its deformed partner are solved numerically and compared level by level.
-The Riccati residual checks the deformation function against its
-constraint.  Both read a finished FactorizationResult; the lambda scan of
-the beta = 0 route lives beside that route, in ``factor``.  The
-intertwining relation is checked in the tests, where tests/ladder.py
-composes the ladder operators literally on the grid.
+The Riccati residual checks the exported W_n, f_n and V~_n- against the
+deformation constraint; nothing here takes a derivative.  Both read a
+finished FactorizationResult; the lambda scan of the beta = 0 route lives
+beside that route, in ``factor``.  The intertwining relation is checked in
+the tests, where tests/ladder.py composes the ladder operators literally.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .factor import FactorizationResult
-from .grids import derivative
 from .spectra import solve_spectrum
 
 __all__ = [
@@ -69,19 +68,19 @@ def check_isospectral(fac: FactorizationResult, k_levels: int) -> Isospectrality
 
 
 def riccati_residual(fac: FactorizationResult) -> float:
-    """Max |defect| of the deformation constraint with the exported W_n and f_n."""
+    """Max |defect| of the deformation constraint with the exported W_n, f_n
+    and V~_n-, reading f'/sqrt(m) as (V_n- + beta - V~_n-)/2; its rounding
+    floor is about eps |V_n-| where that deformation term is tiny."""
     f = fac.f_n.values
-    x = f.x
     model = fac.model
-    m = model.mass(x)
-    mp = model.mass_d1(x)
+    m = model.mass(f.x)
+    mp = model.mass_d1(f.x)
     sqm = np.sqrt(m)
-    df = derivative(f)
+    beta = fac.spectrum_shift
     w = fac.W_n.values.values  # NaN in its guard bands
     with np.errstate(over="ignore", invalid="ignore"):
-        res = df.values / sqm + (2.0 * w + mp / (2.0 * m * sqm)) * f.values + (
-            f.values**2
-        ) - fac.spectrum_shift
+        df_sqm = 0.5 * (fac.V_n_minus.values + beta - fac.V_tilde_minus.values)
+        res = df_sqm + (2.0 * w + mp / (2.0 * m * sqm)) * f.values + f.values**2 - beta
     # the NaN bands of W_n and f drop out, and so do the 4 nodes at each edge
     ok = np.isfinite(res)
     ok[:4] = False

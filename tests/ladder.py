@@ -36,9 +36,10 @@ def _ladder_values(kind, w, f, model, v, dv, ddv):
     g = 1.0 / sqm
     B = -mp / (2.0 * m * sqm)  # (1/sqrt(m))'
     Bp = -mpp / (2.0 * m * sqm) + 3.0 * mp * mp / (4.0 * m * m * sqm)
+    d2 = derivative(w.state.with_values(w.state_d1)).values  # psi_n'', as partner_plus
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         r = w.state_d1 / w.state.values  # psi_n'/psi_n
-        rp = w.state_d2 / w.state.values - r * r  # (psi_n'/psi_n)'
+        rp = d2 / w.state.values - r * r  # (psi_n'/psi_n)'
         if kind in ("A_plus", "Atilde_plus"):
             u = (dv - r * v) * g
             du = None if ddv is None else (ddv - r * dv - rp * v) * g + B * (dv - r * v)

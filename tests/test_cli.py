@@ -789,6 +789,22 @@ class TestPackageErrors:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, levels", [
+        (["spectrum", "--model", "ho", "--levels", "0"], 0),
+        (["spectrum", "--model", "ho", "--which", "deformed", "--lambda", "1", "--levels", "0"], 0),
+        (["verify", "--model", "ho", "--lambda", "1", "--levels", "0"], 0),
+        (["verify", "--model", "ex1", "--lambda", "1", "--levels=-2"], -2),
+    ])
+    def test_levels_below_one_exit_two(self, tmp_path, capsys, argv, levels):
+        # the eigensolver refuses the count before it solves anything
+        out = tmp_path / "run"
+        code = run(argv + ["--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: requested {levels} eigenpairs; need at least 1\n"
+        )
+        assert not out.exists()
+
     def test_overflowing_lambda_range_exits_two(self, tmp_path, capsys):
         # each end is finite, but the width and so the linspace step are inf
         out = tmp_path / "run"

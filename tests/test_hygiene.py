@@ -5,9 +5,9 @@ and outputs, only cli.py writes JSON, a sampled function stores its values
 alone, each model is one frozen dataclass, cli.py reads the model catalog
 from models.MODELS, the construction in factor.py never reads the
 eigensolver or the checks built on it, verify.py reads only the finished
-factorization result from factor.py, the package import leaves out cli.py,
-one marched auxiliary solution serves every model, and no function, class
-or method is there for the tests alone."""
+factorization result from factor.py and nothing from grids.py, the package
+import leaves out cli.py, one marched auxiliary solution serves every
+model, and no function, class or method is there for the tests alone."""
 
 import ast
 import dataclasses
@@ -183,6 +183,13 @@ def test_verify_reads_only_the_result_from_factor():
              if isinstance(node, ast.ImportFrom) and node.module == "factor"
              for alias in node.names}
     assert names == {"FactorizationResult"}
+
+
+def test_verify_takes_no_derivative():
+    # each derivative is taken once, in the construction stage that uses it:
+    # the Riccati residual reads f'/sqrt(m) back from the exported V~_n-
+    tree = ast.parse((SRC / "verify.py").read_text())
+    assert "grids" not in _imported_module_parts(tree)
 
 
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "cli"])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pdmfactor.errors import ConfigurationError, DomainError
 from pdmfactor.factor import LAMBDA_SHIFT, bernoulli_f, factorize, scan_lambda
-from pdmfactor.grids import Grid, SampledFunction, cumulative_integral, normalize_state
+from pdmfactor.grids import Grid, SampledFunction, cumulative_integral, derivative, normalize_state
 from pdmfactor.models import catalog
 from pdmfactor.verify import check_isospectral, riccati_residual
 from tests.conftest import EX1_FINE_GRID
@@ -297,16 +297,45 @@ class TestRiccatiResidual:
         assert np.flatnonzero(unflagged.singular_mask).tolist() == [grid.n_points // 2]
         assert riccati_residual(fac) < riccati_residual(no_band)
 
+    @pytest.mark.parametrize("profile", ["W_n", "V_tilde_minus"])
     @pytest.mark.parametrize("name, kwargs", [
         pytest.param("ho", {"lam": 1.0}, id="ho-lambda-1"),
         pytest.param("ex2", {"lam": 1.0}, id="ex2-lambda-1"),
         pytest.param("ex2", {"beta": 0.5}, id="ex2-beta-0.5"),
     ])
-    def test_residual_reads_the_exported_w(self, name, kwargs):
-        # the constraint is checked against the W_n that construct writes to
-        # W_n.csv, so a 1 % error in it shows (by 1e5 to 1e6 on these runs)
+    def test_residual_reads_the_exported_profiles(self, name, kwargs, profile):
+        # the constraint is checked against the W_n and V~_n- that construct
+        # writes, so a 1 % error in W_n shows, and so does V~_n- built with
+        # 2.01 f'/sqrt(m) in place of 2 f'/sqrt(m) (by 1e4 to 1e6 on these runs)
         fac = factorize(catalog(name), 1, **kwargs)
-        w = fac.W_n
-        wrong = dataclasses.replace(
-            fac, W_n=dataclasses.replace(w, values=w.values.with_values(1.01 * w.values.values)))
+        if profile == "W_n":
+            w = fac.W_n.values
+            wrong = dataclasses.replace(
+                fac, W_n=dataclasses.replace(fac.W_n, values=w.with_values(1.01 * w.values)))
+        else:
+            base = fac.V_n_minus.values + fac.spectrum_shift
+            scaled = base + 1.005 * (fac.V_tilde_minus.values - base)
+            wrong = dataclasses.replace(fac, V_tilde_minus=fac.V_tilde_minus.with_values(scaled))
         assert riccati_residual(wrong) >= 100.0 * riccati_residual(fac)
+
+    @pytest.mark.parametrize("name, kwargs", [
+        pytest.param("ho", {"lam": 1.0}, id="ho-lambda-1"),
+        pytest.param("ex1", {"lam": 1.0}, id="ex1-lambda-1"),
+        pytest.param("ex2", {"lam": 1.0}, id="ex2-lambda-1"),
+        pytest.param("ex2", {"beta": 0.5}, id="ex2-beta-0.5"),
+        pytest.param("ex2", {"lam": 1.0, "grid": Grid(-20.0, 20.0, 4001)}, id="ex2-wide"),
+    ])
+    def test_exported_deformation_term_is_the_stencil_derivative(self, name, kwargs):
+        # the residual reads f'/sqrt(m) back from V~_n- as (V_n- + beta - V~_n-)/2;
+        # it is the 4th-order stencil derivative of f to the rounding of the
+        # two sums that built V~_n- and the two that take it apart
+        fac = factorize(catalog(name), 1, **kwargs)
+        beta = fac.spectrum_shift
+        v, vt = fac.V_n_minus.values, fac.V_tilde_minus.values
+        sqm = np.sqrt(fac.model.mass(fac.grid.points()))
+        reference = derivative(fac.f_n.values).values / sqm
+        read_back = 0.5 * (v + beta - vt)
+        both = np.isfinite(reference) & np.isfinite(read_back)
+        assert both.sum() > fac.grid.n_points // 2
+        bound = 2.0 * np.finfo(float).eps * (np.abs(v) + np.abs(vt) + abs(beta))
+        assert np.all(np.abs(read_back - reference)[both] <= bound[both])
