@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, NonNormalizableError, PdmError
-from .factor import LAMBDA_SHIFT, factorize, map_eigenstate, scan_lambda, zero_mode
+from .factor import LAMBDA_SHIFT, factorize, map_eigenstate, scan_lambda
 from .grids import Grid, SampledFunction, write_csv
 from .models import MODELS, catalog
 from .spectra import solve_spectrum
@@ -111,18 +111,16 @@ def cmd_construct(args, model, grid, payload):
     outputs = {files[name]: profile for name, profile in profiles.items()}
     states = {}
     if not fac.f_n.is_singular:
-        try:
-            name = "psi_tilde_zero_mode.csv"
-            outputs[name] = zero_mode(fac)
-            states["zero_mode"] = name
-        except NonNormalizableError:
-            states["zero_mode"] = "non-normalizable"
+        # level n maps to the zero mode annihilated by A~_n+
         for k in range(max(2, args.n + 1) + 1):
-            if k == args.n:
-                continue
-            name = f"psi_tilde_{k}.csv"
-            outputs[name] = map_eigenstate(k, fac)
-            states[f"psi_tilde_{k}"] = name
+            key = "zero_mode" if k == args.n else f"psi_tilde_{k}"
+            name = "psi_tilde_zero_mode.csv" if k == args.n else f"{key}.csv"
+            try:
+                outputs[name] = map_eigenstate(k, fac)
+            except NonNormalizableError:
+                states[key] = "non-normalizable"
+            else:
+                states[key] = name
 
     payload.update(
         {
@@ -147,8 +145,9 @@ def cmd_construct(args, model, grid, payload):
 def cmd_spectrum(args, model, grid, payload):
     if args.which == "original":
         # the original spectrum has no deformation for these flags to select
-        if args.lambda_ is not None or args.beta != 0.0:
-            raise ConfigurationError("--which original takes no --lambda and no nonzero --beta")
+        if args.lambda_ is not None or args.beta != 0.0 or args.convention != "normalized":
+            raise ConfigurationError("--which original takes no --lambda, no nonzero --beta"
+                                     " and no --convention other than normalized")
         potential = model.potential_samples(grid)
     else:
         fac = _factorize(args, model, grid, payload)

@@ -37,4 +37,6 @@ class NonNormalizableError(PdmError, RuntimeError):
 
 
 class SolverError(PdmError, RuntimeError):
-    """The eigensolver failed to converge within its iteration cap."""
+    """The eigensolver failed: an eigenvalue not certified within the
+    iteration cap, an eigenvector that overflows or whose residual is above
+    the cap, or a spectrum that does not strictly increase."""

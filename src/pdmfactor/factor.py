@@ -369,7 +369,8 @@ def map_eigenstate(k: int, fac: FactorizationResult) -> SampledFunction:
     k, which sets both psi_k (sampled here from the closed form on the
     factorization's grid) and E_k; nothing is inferred from the samples,
     whose node count a truncated window can cut short.  For k = n the
-    composite vanishes identically and the zero mode is returned instead.
+    composite vanishes identically and the zero mode is returned instead;
+    ``construct`` takes the zero mode through this route.
     """
     n = fac.W_n.n
     if k == n:

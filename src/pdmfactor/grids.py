@@ -223,8 +223,8 @@ def normalize_state(psi: SampledFunction) -> SampledFunction:
     """Unit L2 norm by ``definite_integral``; the first lobe above 1e-8 of the
     peak is made positive.
 
-    The package's one normalization rule: the eigensolver's states and the
-    closed-form states of the factorization are both scaled by it.
+    The package's one normalization rule and one sign rule: every state,
+    solved, closed-form or mapped, is scaled and signed by it alone.
     """
     norm2 = definite_integral(psi.with_values(psi.values**2))
     if norm2 <= 0.0:

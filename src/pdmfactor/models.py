@@ -130,9 +130,9 @@ class Ex1(PdmModel):
 class Ex2(PdmModel):
     """Model with m(x) = sech^2(x/2)/4 and E_n = n^2 + n(a+b) + c(a+b-c+1)/2.
 
-    Bound states carry a Jacobi polynomial in t = (1 - e^x)/(1 + e^x); the
-    overall sign is fixed so each state decays to zero from above as
-    x -> +infinity.  Normalization is left to quadrature downstream.
+    Bound states carry a Jacobi polynomial in t = (1 - e^x)/(1 + e^x), with
+    the polynomial's own sign.  ``grids.normalize_state`` alone fixes every
+    state's norm and sign downstream.
     """
 
     a: float = 1.0
@@ -177,12 +177,9 @@ class Ex2(PdmModel):
     def eigenstate(self, n: int, x):
         a, b, c = self.a, self.b, self.c
         t = (1.0 - np.exp(x)) / (1.0 + np.exp(x))
-        v = np.exp(0.5 * c * x) / (1.0 + np.exp(x)) ** (0.5 * (a + b + 1.0)) * jacobi(
+        return np.exp(0.5 * c * x) / (1.0 + np.exp(x)) ** (0.5 * (a + b + 1.0)) * jacobi(
             n, c - 1.0, a + b - c, t
         )
-        # Jacobi value at t -> -1 carries sign (-1)^n; flip so the
-        # right-hand tail approaches zero from positive values
-        return v if n % 2 == 0 else -v
 
 
 def _unit_mass(x):

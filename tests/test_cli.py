@@ -429,8 +429,9 @@ class TestUsageErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", [["--lambda", "5"], ["--beta", "3"], ["--beta=-0.5"]],
-                             ids=["lambda", "beta", "negative-beta"])
+    @pytest.mark.parametrize("flag", [["--lambda", "5"], ["--beta", "3"], ["--beta=-0.5"],
+                                      ["--convention", "paper-ex1"]],
+                             ids=["lambda", "beta", "negative-beta", "convention"])
     def test_original_spectrum_refuses_deformation_flags(self, tmp_path, capsys, flag):
         # the original spectrum has no deformation for them to select, and
         # its report would not record them
@@ -439,7 +440,8 @@ class TestUsageErrors:
                     *flag, "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: --which original takes no --lambda and no nonzero --beta\n")
+            "error: --which original takes no --lambda, no nonzero --beta and no"
+            " --convention other than normalized\n")
         assert not out.exists()
 
     def test_original_spectrum_takes_beta_zero(self, tmp_path):

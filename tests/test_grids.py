@@ -68,6 +68,23 @@ class TestGrid:
         with pytest.raises(DegenerateStateError, match="vanishing norm"):
             normalize_state(SampledFunction(g, np.zeros(g.n_points)))
 
+    @pytest.mark.parametrize("lead, lead_sign", [(1e-3, 1.0), (1e-9, -1.0)],
+                             ids=["lobe-above-threshold", "lobe-below-threshold"])
+    def test_sign_set_by_the_first_sample_above_threshold(self, lead, lead_sign):
+        # a negative leading lobe of height lead on [0, 1], then a positive
+        # lobe of height 1: the leading lobe decides the sign only when it
+        # rises above 1e-8 of the peak
+        g = Grid(0.0, 2.0, 201)
+        x = g.points()
+        values = np.where(x < 1.0, -lead, 1.0) * np.abs(np.sin(np.pi * x))
+        out = normalize_state(SampledFunction(g, values)).values
+        assert np.sign(out[50]) == lead_sign
+        assert np.sign(out[150]) == -lead_sign
+        big = np.abs(out) > 1e-8 * np.max(np.abs(out))
+        assert out[np.argmax(big)] > 0.0
+        negated = normalize_state(SampledFunction(g, -values)).values
+        assert np.array_equal(negated, out)
+
     def test_divergence_stencil_of_unit_coefficient(self):
         g = Grid(-2.0, 3.0, 101)
         diag, off = g.divergence_stencil(np.ones(g.n_points - 1))

@@ -192,6 +192,13 @@ def test_verify_takes_no_derivative():
     assert "grids" not in _imported_module_parts(tree)
 
 
+def test_construct_maps_every_state():
+    # construct exports each deformed state, the zero mode included, through
+    # factor.map_eigenstate, whose level-n route is the zero mode
+    tree = ast.parse((SRC / "cli.py").read_text())
+    assert "zero_mode" not in _imported_names(tree)
+
+
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "cli"])
 def test_only_cli_writes_json(name):
     # the report format is one decision: cli._atomic_write serializes the

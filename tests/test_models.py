@@ -80,12 +80,6 @@ class TestEx2:
         assert ex2.energy(1) == 13.0
         assert ex2.energy(2) == 22.0
 
-    def test_right_tail_sign_convention(self, ex2):
-        x = ex2.recommended_grid.points()
-        for n in range(4):
-            tail = ex2.eigenstate(n, x[-50:])
-            assert np.all(tail > 0.0)
-
     def test_states_solve_equation(self, ex2):
         for n in range(4):
             psi = ex2.eigenstate_samples(n)
