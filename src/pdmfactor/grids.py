@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -97,16 +97,26 @@ class Grid:
         return Grid(self.x_min, self.x_max, (self.n_points + 1) // 2)
 
     @cached_property
-    def _csv_templates(self) -> list[str]:
-        """One ``x,%.17g,0`` row template per ``_CSV_ROWS`` block of nodes.
+    def _x_text(self) -> np.ndarray:
+        """The ``%.17g,`` text of every node, one NUL-padded row of 8-byte
+        words per node.
 
-        Built on first use and kept for the life of this Grid, so every file
-        written on it formats the x column once, with one ``%`` per block.
-        x is finite, so its text holds no ``%``.
+        Built on first use, ``_CSV_ROWS`` nodes at a time, and kept for the
+        life of this Grid, so every file written on it formats the x column
+        once.  Byte columns that are NUL on every node are dropped.
         """
         x = self.points()
-        blocks = (x[s:s + _CSV_ROWS].tolist() for s in range(0, self.n_points, _CSV_ROWS))
-        return [("%.17g,%%.17g,0\r\n" * len(xs)) % tuple(xs) for xs in blocks]
+        words = np.empty((self.n_points, 4), np.uint64)
+        for s in range(0, self.n_points, _CSV_ROWS):
+            _g17_text(x[s:s + _CSV_ROWS], words[s:s + _CSV_ROWS])
+        text = words.view(np.uint8)
+        text = text[:, text.any(axis=0)]
+        used = text.shape[1]
+        # whole words, with room for the comma
+        rows = np.zeros((self.n_points, used // 8 * 8 + 8), np.uint8)
+        rows[:, :used] = text
+        rows[:, used] = ord(",")
+        return rows.view(np.uint64)
 
 
 @dataclass
@@ -236,24 +246,219 @@ def normalize_state(psi: SampledFunction) -> SampledFunction:
     return psi.with_values(values)
 
 
+# decimal exponents k = floor(log10|v|) the kernel can try, one past the
+# double range on each side
+_K_MIN, _K_MAX = -325, 309
+# |v| with |k| > _K_SCALED is pre-scaled by 2^-+_SCALE_BITS, so that its
+# split and 10^(16 - k) stay finite
+_K_SCALED, _SCALE_BITS = 280, 970
+# a remainder within _TIE of 1/2 cannot be rounded from the double-double
+_TIE = 1e-6
+
+
+def _word(text: bytes) -> int:
+    """Up to 8 bytes of text as a little-endian 64-bit word, NUL-padded."""
+    return int.from_bytes(text.ljust(8, b"\0"), "little")
+
+
+# the four words of "nan"
+_NAN_TEXT = (0, _word(b"nan"), 0, 0)
+# ",0\r\n", the flag at byte 1
+_ROW_END = _word(b",0\r\n")
+
+
+def _split(a: np.ndarray) -> np.ndarray:
+    """The high half of Veltkamp's split: 26 bits, so a product of two
+    halves is exact."""
+    c = 134217729.0 * a
+    return c - (c - a)
+
+
+@cache
+def _powers_of_ten() -> tuple[np.ndarray, ...]:
+    """10^(16 - k) 2^s for k = _K_MIN ... _K_MAX as the double-double
+    (hi, lo), with hi's split (hi_hi, hi_lo), and the pre-scale 2^-s of |v|;
+    s is +-_SCALE_BITS for |k| > _K_SCALED, else 0.
+
+    Built on first use.  hi and lo are correctly rounded from exact integer
+    ratios, as Python's int / int is.
+    """
+    hi, lo, scale = [], [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        s = _SCALE_BITS * ((k > _K_SCALED) - (k < -_K_SCALED))
+        num = 10 ** max(16 - k, 0) << max(s, 0)
+        den = 10 ** max(k - 16, 0) << max(-s, 0)
+        h = num / den
+        m, r = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * r - m * den) / (den * r))
+        scale.append(2.0 ** -s)
+    hi = np.array(hi)
+    hi_hi = _split(hi)
+    return hi, hi_hi, hi - hi_hi, np.array(lo), np.array(scale)
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer part N and remainder r of a 10^(16 - k), r in [0, 1).
+
+    The product is Dekker's double-double (1971) with the table's
+    double-double power of ten; N + r is within about 1e-14 of the exact
+    value.
+    """
+    hi, hi_hi, hi_lo, lo, scale = _powers_of_ten()
+    i = k - _K_MIN
+    a = a * scale.take(i)
+    hi, hi_hi, hi_lo = hi.take(i), hi_hi.take(i), hi_lo.take(i)
+    a_hi = _split(a)
+    a_lo = a - a_hi
+    p = a * hi
+    err = (((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo) + a * lo.take(i)
+    p_int = np.floor(p)
+    r = (p - p_int) + err
+    r_int = np.floor(r)
+    return p_int.astype(np.int64) + r_int.astype(np.int64), r - r_int
+
+
+@cache
+def _text_tables() -> tuple[np.ndarray, ...]:
+    """Byte tables of ``_g17_text``, built on first use.
+
+    Per 4-digit group: its ASCII text and its count of trailing zeros.
+
+    Per k = _K_MIN ... _K_MAX: the "0.000" prefix at bytes 1-5 of a word,
+    the "e+XX" exponent at bytes 2-6, and 17 times the layout class of
+    ``%g``.  Class c <= 16 puts the point after digit c (exponent notation
+    is class 0), and class 17 puts it in the prefix (fixed notation below 1).
+
+    Per mantissa word and per 17 c + (index of the last nonzero digit):
+    masks that keep the digits before the point, the digits after it moved
+    on one byte, and the point.  All three drop every byte past the last
+    digit ``%g`` keeps: trailing zeros after the point go, and so does a
+    point with no digit after it.
+    """
+    g = np.arange(10000)
+    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
+    group_text = (ord("0") + digits).astype(np.uint8).view(np.uint32)[:, 0].astype(np.uint64)
+    trailing_zeros = sum((g % 10 ** m == 0).astype(np.int64) for m in range(1, 5))
+
+    prefix, exponent, layout = [], [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        below_one = -4 <= k < 0
+        prefix.append(_word(b"\0" b"0." + b"0" * (-k - 1)) if below_one else 0)
+        exponent.append(0 if -4 <= k < 17 else _word(b"\0\0e%+03d" % k))
+        layout.append(17 * (17 if below_one else k if 0 <= k < 17 else 0))
+
+    def first(m):
+        return (1 << 8 * min(max(m, 0), 8)) - 1
+
+    keep, moved, point = [], [], []
+    for c in range(18):
+        at, integer_digits = (c + 1, c) if c < 17 else (17, -1)
+        for last in range(17):
+            last = max(last, integer_digits)
+            end = last + 1 + (last >= at)
+            for j in range(3):
+                tail = first(end - 8 * j)
+                keep.append(first(at - 8 * j) & tail)
+                moved.append(~first(at + 1 - 8 * j) & tail & (2**64 - 1))
+                point.append(ord(".") << 8 * (at - 8 * j) & tail if 0 <= at - 8 * j < 8 else 0)
+    masks = [np.array(m, np.uint64).reshape(-1, 3).T.copy() for m in (keep, moved, point)]
+    return (group_text, trailing_zeros, np.array(prefix, np.uint64),
+            np.array(exponent, np.uint64), np.array(layout), *masks)
+
+
+def _exact_text(v: float) -> bytes:
+    """``%.17g`` by Python itself, for a value the kernel cannot round."""
+    return b"%.17g" % v
+
+
+def _g17_text(v: np.ndarray, out: np.ndarray) -> None:
+    """Write the ``%.17g`` text of each double of v into its row of out, an
+    (n, 4) array of 64-bit words.
+
+    Each row holds its text with NUL bytes among it, in fixed slots: word 0
+    the sign and a "0.000" prefix, words 1-3 the 17 digits with their point
+    and then "e+XX".  Dropping the NULs leaves exactly Python's text; NaN of
+    either sign is "nan" (v holds no infinity).  The digits are
+    |v| 10^(16 - k) rounded to an integer in [10^16, 10^17), with k picked
+    from the unrounded product; a row whose remainder is too close to 1/2
+    to round is formatted by ``_exact_text``.
+    """
+    nan = np.isnan(v)
+    a = np.abs(v)
+    zero = a == 0.0
+    special = nan | zero
+    if special.any():
+        a[special] = 1.0
+    k = np.floor(np.log10(a)).astype(np.int64)
+    N, r = _scaled(a, k)
+    # log10 can miss k by one near a power of ten; a product a hair below
+    # 10^16 is taken as 10^16
+    below = (N < 10**16 - 1) | ((N == 10**16 - 1) & (r < 1.0 - _TIE))
+    above = N >= 10**17
+    redo = np.flatnonzero(below | above)
+    if len(redo):
+        k[redo] += above[redo].astype(np.int64) - below[redo]
+        N[redo], r[redo] = _scaled(a[redo], k[redo])
+    N += r > 0.5
+    carry = N == 10**17
+    N[carry] = 10**16
+    k += carry
+
+    group_text, trailing_zeros, prefix, exponent, layout, keep, moved, point = _text_tables()
+    # N = lead 10^16 + high 10^8 + low, split into 4-digit groups
+    lead = N // 10**16
+    low = N - lead * 10**16
+    high = low // 10**8
+    low -= high * 10**8
+    g0, g2 = high // 10**4, low // 10**4
+    groups = (g0, high - g0 * 10**4, g2, low - g2 * 10**4)
+    zeros = trailing_zeros.take(groups[3])
+    all_zero = groups[3] == 0
+    for g in groups[2::-1]:
+        zeros += all_zero * trailing_zeros.take(g)
+        all_zero &= g == 0
+    # the 17 digits, 8 to a word, and the same moved on one byte
+    high = group_text.take(groups[0]) | group_text.take(groups[1]) << 32
+    low = group_text.take(groups[2]) | group_text.take(groups[3]) << 32
+    words = ((ord("0") + lead).astype(np.uint64) | high << 8, high >> 56 | low << 8, low >> 56)
+    i = k - _K_MIN
+    m = layout.take(i) + (16 - zeros)
+    for j, word in enumerate(words):
+        moved_on = word << 8 | words[j - 1] >> 56 if j else word << 8
+        out[:, j + 1] = (word & keep[j].take(m)) | (moved_on & moved[j].take(m)) | point[j].take(m)
+    out[:, 3] |= exponent.take(i)
+    out[:, 0] = prefix.take(i) | np.signbit(v) * np.uint64(ord("-"))
+    if zero.any():
+        out[zero, 1] = ord("0")
+    if nan.any():
+        out[nan] = _NAN_TEXT
+    for row in np.flatnonzero(np.abs(r - 0.5) < _TIE):
+        out[row] = np.frombuffer(_exact_text(float(v[row])).ljust(32, b"\0"), np.uint64)
+
+
 def write_csv(f: SampledFunction, path) -> None:
     """Serialize as ``x,value,singular`` rows at full precision.
 
     Fields are ``%.17g`` (the same bytes as ``f"{v:.17g}"``), the flag is 0
-    or 1, and rows end in CRLF, as ``csv.writer`` writes them.  The x column
-    is formatted once per Grid into one row template per block of
-    ``_CSV_ROWS`` nodes, and each block of values fills its template with one
-    ``%`` operation, so the text of the whole file is never held at once.
-    The flag needs no array of its own: a singular sample is NaN, which
-    ``%.17g`` prints as ``nan`` whatever its sign, and that row's flag is
-    set to 1 in the text of each block that holds a NaN.
+    or 1, and rows end in CRLF, as ``csv.writer`` writes them.  The text is
+    made in numpy, ``_CSV_ROWS`` rows at a time: each block is one matrix of
+    NUL-padded rows, the Grid's x text, the value text of ``_g17_text``
+    and the ",flag\r\n" tail, and one ``bytes.translate`` drops the NULs.
+    The kernel rounds from Dekker's double-double product, which settles
+    every digit except where the remainder lies within 1e-6 of a half; those
+    rows, exact ties among them, are formatted by Python's own ``%.17g``.
+    A singular sample is NaN, written ``nan`` with the flag 1.
     """
+    x = f.grid._x_text
+    width = x.shape[1]
     v = f.values
-    with open(path, "w", newline="") as fh:
-        fh.write("x,value,singular\r\n")
-        for s, template in zip(range(0, f.grid.n_points, _CSV_ROWS), f.grid._csv_templates):
+    with open(path, "wb") as fh:
+        fh.write(b"x,value,singular\r\n")
+        for s in range(0, f.grid.n_points, _CSV_ROWS):
             values = v[s:s + _CSV_ROWS]
-            block = template % tuple(values.tolist())
-            if np.isnan(values).any():
-                block = block.replace(",nan,0\r", ",nan,1\r")
-            fh.write(block)
+            rows = np.empty((len(values), width + 5), np.uint64)
+            rows[:, :width] = x[s:s + _CSV_ROWS]
+            _g17_text(values, rows[:, width:width + 4])
+            rows[:, -1] = _ROW_END + (np.isnan(values) << 8)
+            fh.write(rows.tobytes().translate(None, b"\0"))

@@ -1,11 +1,15 @@
 import csv
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from pdmfactor import grids
 from pdmfactor.errors import ConfigurationError, DegenerateStateError, DomainError
 from pdmfactor.grids import (
     Grid,
@@ -361,6 +365,14 @@ def reference_write_csv(f, path):
             w.writerow([f"{x[i]:.17g}", f"{f.values[i]:.17g}", int(f.singular_mask[i])])
 
 
+def exact_tie(v):
+    """Whether the 17-digit %.17g rounding of v is an exact tie."""
+    if not math.isfinite(v) or v == 0.0:
+        return False
+    scaled = Fraction(abs(v)) * Fraction(10) ** (16 - Decimal(v).adjusted())
+    return scaled - math.floor(scaled) == Fraction(1, 2)
+
+
 class TestCsv:
     def test_roundtrip(self, tmp_path):
         g = Grid(-1.0, 2.0, 64)
@@ -444,19 +456,53 @@ class TestCsv:
         assert (tmp_path / "new.csv").read_text().splitlines()[1].startswith(first + ",")
 
     def test_x_text_built_once_per_grid(self, tmp_path, monkeypatch):
-        # write_csv takes x from the Grid's templates alone, and builds them
-        # on the first write
-        builds = []
-        points = Grid.points
+        # write_csv takes x from the Grid's text cache alone and builds it on
+        # the first write; x and values are formatted in 4096-row blocks
+        builds, kernel_rows = [], []
+        points, kernel = Grid.points, grids._g17_text
         monkeypatch.setattr(Grid, "points", lambda self: builds.append(self) or points(self))
+        monkeypatch.setattr(grids, "_g17_text",
+                            lambda v, out: kernel_rows.append(len(v)) or kernel(v, out))
         g = Grid(0.0, 1.0, 3 * 4096)
         funcs = [SampledFunction(g, np.full(g.n_points, c)) for c in (1.0, 2.0, np.nan)]
         write_csv(funcs[0], tmp_path / "a.csv")
-        templates = g._csv_templates
+        x_text = g._x_text
         for k, f in enumerate(funcs[1:]):
             write_csv(f, tmp_path / f"{k}.csv")
         assert builds == [g]
-        assert g._csv_templates is templates and len(templates) == 3
+        assert g._x_text is x_text and len(x_text) == 3 * 4096
+        assert kernel_rows == [4096] * (3 + 3 * 3)
         write_csv(SampledFunction(Grid(0.0, 1.0, 3 * 4096), funcs[0].values), tmp_path / "b.csv")
         assert len(builds) == 2
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_edge_doubles_match_the_csv_module(self, tmp_path, monkeypatch):
+        # 10^k and its two neighbours for every decimal exponent, the ends of
+        # the double range, integers near 2^53 and 2^62, and two exact ties,
+        # each with both signs; only exact ties are formatted by Python
+        exact = []
+        monkeypatch.setattr(grids, "_exact_text",
+                            lambda v, text=grids._exact_text: exact.append(v) or text(v))
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        ties = [1.0 + 2.0**-17, 0.5 + 2.0**-18]
+        edges = np.concatenate([
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+            [0.0, 5e-324, 1.7976931348623157e308, np.nan],
+            2.0**53 + np.arange(-3.0, 4.0), 2.0**62 + 1024.0 * np.arange(-3.0, 4.0), ties,
+        ])
+        vals = np.concatenate([edges, -edges])
+        self.assert_reference_bytes(SampledFunction(Grid(-1.0, 1.0, len(vals)), vals), tmp_path)
+        assert set(ties) <= set(exact)
+        assert sorted(exact) == sorted(v for v in vals if exact_tie(v))
+
+    @given(values=arrays(np.float64, st.integers(4096 - 8, 4096 + 8), elements=st.floats(),
+                         fill=st.floats()),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_doubles_match_the_csv_module(self, tmp_path, values, seed):
+        # hypothesis's doubles in every odd row, random bit patterns in every
+        # even one; NaN and infinities are stored as NaN
+        bits = np.random.default_rng(seed).integers(0, 2**64, len(values), np.uint64)
+        values[::2] = bits.view(np.float64)[::2]
+        self.assert_reference_bytes(SampledFunction(Grid(-3.0, 7.0, len(values)), values), tmp_path)
