@@ -368,7 +368,7 @@ def _text_tables() -> tuple[np.ndarray, ...]:
 
 
 def _exact_text(v: float) -> bytes:
-    """``%.17g`` by Python itself, for a value the kernel cannot round."""
+    """``%.17g`` by Python itself, for a value the kernel cannot settle."""
     return b"%.17g" % v
 
 
@@ -380,9 +380,10 @@ def _g17_text(v: np.ndarray, out: np.ndarray) -> None:
     the sign and a "0.000" prefix, words 1-3 the 17 digits with their point
     and then "e+XX".  Dropping the NULs leaves exactly Python's text; NaN of
     either sign is "nan" (v holds no infinity).  The digits are
-    |v| 10^(16 - k) rounded to an integer in [10^16, 10^17), with k picked
-    from the unrounded product; a row whose remainder is too close to 1/2
-    to round is formatted by ``_exact_text``.
+    N + r = |v| 10^(16 - k), k = floor(log10|v|), rounded to an integer.
+    ``_exact_text`` is the one path for a row this cannot settle: N
+    outside [10^16, 10^17) (log10 missed k), rounding up to 10^17, or r
+    within _TIE of 1/2.
     """
     nan = np.isnan(v)
     a = np.abs(v)
@@ -392,18 +393,9 @@ def _g17_text(v: np.ndarray, out: np.ndarray) -> None:
         a[special] = 1.0
     k = np.floor(np.log10(a)).astype(np.int64)
     N, r = _scaled(a, k)
-    # log10 can miss k by one near a power of ten; a product a hair below
-    # 10^16 is taken as 10^16
-    below = (N < 10**16 - 1) | ((N == 10**16 - 1) & (r < 1.0 - _TIE))
-    above = N >= 10**17
-    redo = np.flatnonzero(below | above)
-    if len(redo):
-        k[redo] += above[redo].astype(np.int64) - below[redo]
-        N[redo], r[redo] = _scaled(a[redo], k[redo])
-    N += r > 0.5
-    carry = N == 10**17
-    N[carry] = 10**16
-    k += carry
+    up = r > 0.5
+    unsettled = np.flatnonzero((N < 10**16) | (N + up >= 10**17) | (np.abs(r - 0.5) < _TIE))
+    N += up
 
     group_text, trailing_zeros, prefix, exponent, layout, keep, moved, point = _text_tables()
     # N = lead 10^16 + high 10^8 + low, split into 4-digit groups
@@ -433,7 +425,7 @@ def _g17_text(v: np.ndarray, out: np.ndarray) -> None:
         out[zero, 1] = ord("0")
     if nan.any():
         out[nan] = _NAN_TEXT
-    for row in np.flatnonzero(np.abs(r - 0.5) < _TIE):
+    for row in unsettled:
         out[row] = np.frombuffer(_exact_text(float(v[row])).ljust(32, b"\0"), np.uint64)
 
 
@@ -445,18 +437,18 @@ def write_csv(f: SampledFunction, path) -> None:
     made in numpy, ``_CSV_ROWS`` rows at a time: each block is one matrix of
     NUL-padded rows, the Grid's x text, the value text of ``_g17_text``
     and the ",flag\r\n" tail, and one ``bytes.translate`` drops the NULs.
-    The kernel rounds from Dekker's double-double product, which settles
-    every digit except where the remainder lies within 1e-6 of a half; those
-    rows, exact ties among them, are formatted by Python's own ``%.17g``.
+    The kernel rounds from Dekker's double-double product.  Python's own
+    ``%.17g`` formats each row it cannot settle: log10 missed the decimal
+    exponent, rounding carries to 10^17, or the remainder lies within 1e-6
+    of a half (exact ties among them).
     A singular sample is NaN, written ``nan`` with the flag 1.
     """
     x = f.grid._x_text
     width = x.shape[1]
-    v = f.values
     with open(path, "wb") as fh:
         fh.write(b"x,value,singular\r\n")
         for s in range(0, f.grid.n_points, _CSV_ROWS):
-            values = v[s:s + _CSV_ROWS]
+            values = f.values[s:s + _CSV_ROWS]
             rows = np.empty((len(values), width + 5), np.uint64)
             rows[:, :width] = x[s:s + _CSV_ROWS]
             _g17_text(values, rows[:, width:width + 4])

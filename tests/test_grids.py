@@ -1,7 +1,11 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pdmfactor import grids
+from pdmfactor.cli import main
 from pdmfactor.errors import ConfigurationError, DegenerateStateError, DomainError
 from pdmfactor.grids import (
     Grid,
@@ -373,6 +378,14 @@ def exact_tie(v):
     return scaled - math.floor(scaled) == Fraction(1, 2)
 
 
+def near_power_of_ten(v, ulps=2):
+    """Whether |v| lies within ulps units in the last place of a power of ten."""
+    a = abs(v)
+    k = Decimal(a).adjusted()
+    return any(abs(Fraction(a) - Fraction(10) ** j) <= ulps * Fraction(math.ulp(a))
+               for j in (k, k + 1))
+
+
 class TestCsv:
     def test_roundtrip(self, tmp_path):
         g = Grid(-1.0, 2.0, 64)
@@ -479,7 +492,8 @@ class TestCsv:
     def test_edge_doubles_match_the_csv_module(self, tmp_path, monkeypatch):
         # 10^k and its two neighbours for every decimal exponent, the ends of
         # the double range, integers near 2^53 and 2^62, and two exact ties,
-        # each with both signs; only exact ties are formatted by Python
+        # each with both signs; Python formats every exact tie, and otherwise
+        # only values within 2 ulps of a power of ten
         exact = []
         monkeypatch.setattr(grids, "_exact_text",
                             lambda v, text=grids._exact_text: exact.append(v) or text(v))
@@ -493,7 +507,57 @@ class TestCsv:
         vals = np.concatenate([edges, -edges])
         self.assert_reference_bytes(SampledFunction(Grid(-1.0, 1.0, len(vals)), vals), tmp_path)
         assert set(ties) <= set(exact)
-        assert sorted(exact) == sorted(v for v in vals if exact_tie(v))
+        assert {v for v in vals if exact_tie(v)} <= set(exact)
+        assert all(exact_tie(v) or near_power_of_ten(v) for v in exact)
+
+    @pytest.mark.parametrize("miss", [-1e-9, 1e-9])
+    def test_missed_exponents_match_the_csv_module(self, tmp_path, monkeypatch, miss):
+        # a log10 a hair off picks k one too high just below a power of ten,
+        # or one too low at it, where rounding reaches 10^17; Python formats
+        # those rows
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + miss)
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        vals = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+        self.assert_reference_bytes(SampledFunction(Grid(-1.0, 1.0, len(vals)), vals), tmp_path)
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "ex2", "--n", "2", "--lambda", "1"],
+        ["--model", "ex1", "--n", "1", "--convention", "paper-ex1", "--lambda", "1"],
+        ["--model", "ex2", "--n", "1", "--beta", "1"],
+        ["--model", "ho", "--n", "2", "--lambda", "0.3"],
+    ])
+    def test_profiles_take_no_exact_fallback(self, tmp_path, monkeypatch, argv):
+        # the kernel settles every row of the construction's profiles on the
+        # default grids, x column included
+        exact = []
+        monkeypatch.setattr(grids, "_exact_text",
+                            lambda v, text=grids._exact_text: exact.append(v) or text(v))
+        assert main(["construct", *argv, "--out", str(tmp_path)]) == 0
+        assert any(tmp_path.glob("*.csv"))
+        assert exact == []
+
+    def test_tables_built_on_first_write(self, tmp_path):
+        # importing the command line builds no table of the kernel; the first
+        # CSV write builds each once
+        src = str(Path(grids.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import sys\n"
+            "import pdmfactor.cli\n"
+            "from pdmfactor import grids\n"
+            "def sizes():\n"
+            "    print(grids._powers_of_ten.cache_info().currsize,\n"
+            "          grids._text_tables.cache_info().currsize)\n"
+            "sizes()\n"
+            "g = grids.Grid(0.0, 1.0, 8)\n"
+            "grids.write_csv(grids.SampledFunction(g, g.points()), sys.argv[1])\n"
+            "sizes()\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "f.csv")], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == ["0 0", "1 1"]
 
     @given(values=arrays(np.float64, st.integers(4096 - 8, 4096 + 8), elements=st.floats(),
                          fill=st.floats()),

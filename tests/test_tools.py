@@ -96,10 +96,13 @@ def test_changed_csv_values_are_measured(tmp_path):
     shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     grids = tmp_path / "src" / "pdmfactor" / "grids.py"
-    text = grids.read_text()
-    assert "    v = f.values\n" in text
-    doubled = "    v = f.values.copy()\n    v[3] *= 2.0\n"
-    grids.write_text(text.replace("    v = f.values\n", doubled))
+    grids.write_text(grids.read_text() + (
+        "\n\n_write_csv = write_csv\n\n\n"
+        "def write_csv(f, path):\n"
+        "    v = f.values.copy()\n"
+        "    v[3] *= 2.0\n"
+        "    _write_csv(f.with_values(v), path)\n"
+    ))
     out = compare(ROOT, tmp_path, "construct")
     assert out.returncode == 1
     lines = out.stdout.splitlines()
