@@ -152,10 +152,20 @@ class Ex2(PdmModel):
                 f"a={self.a}, b={self.b}, c={self.c} overflow double precision "
                 "(the squares of a + b, a + b - c and c must be finite)"
             )
-        if not self.c > 0.5:
-            raise DomainError(f"need c > 1/2, got c={self.c}")
-        if not self.a + self.b - self.c + 0.5 > 0.0:
-            raise DomainError("need a + b - c + 1/2 > 0")
+        # In y = 2 atan(tanh(x/4)) each end is Bessel-like with index nu, and
+        # Dirichlet windows converge to the closed form only where it is the
+        # principal branch at both ends with nu > 0, that is c > 1 and a + b > c
+        ends = (("c > 1", "left end (x -> -inf)", "|c - 1|", self.c - 1.0),
+                ("a + b > c", "right end (x -> +inf)", "|a + b - c|", self.a + self.b - self.c))
+        for need, end, nu, margin in ends:
+            if not margin > 0.0:
+                why = ("Dirichlet windows approach the closed form only like 1/ln(1/delta)"
+                       if margin == 0.0 else "the closed form is not the principal solution"
+                       " there, the one Dirichlet windows approach")
+                raise DomainError(
+                    f"need {need}, got a={self.a}, b={self.b}, c={self.c}: at the {end}"
+                    f" nu = {nu} = {abs(margin):g}, and {why}"
+                )
 
     def mass(self, x):
         return 0.25 / np.cosh(0.5 * x) ** 2

@@ -11,17 +11,23 @@ every-second-node subgrid; it Richardson extrapolates the two sets,
 removing the leading h^2 error while leaving the base discretization
 untouched.
 
-The eigensolver runs one LDL^T pivot recurrence on Python floats.  Its Sturm
-counts bracket each eigenvalue, and Rayleigh-quotient iteration on Fernando's
-twisted factorization converges to it (on the fine grid from the coarse
-eigenvalue, each twist's own count narrowing the bracket); one more count
-certifies it, and one more twist gives an O(N) eigenvector per level.
+The eigensolver runs one LDL^T pivot recurrence on Python floats, over
+lists built once per matrix.  Its Sturm counts bracket each eigenvalue, the
+first of them at min(diag), which bounds the lowest level from above.
+Rayleigh-quotient iteration on Fernando's twisted factorization converges to
+it (on the fine grid from the coarse eigenvalue).  A level's first twist runs
+both pivot passes in full; each later step twists at the index where the
+previous twist's vector peaks, which takes one pass, and its count is the
+inertia of that twisted factorization.  Every twist's count narrows the
+bracket; one more count certifies the level, and one more full twist gives an
+O(N) eigenvector per level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -116,10 +122,22 @@ def _gershgorin(prob: SturmLiouvilleProblem) -> tuple[float, float, float]:
     return lo, hi, max(hi - lo, 1.0) * 4e-15 + 1e-13
 
 
-def _pivots(shifted, off2):
-    """Top-down LDL^T pivots (off2 led by a 0.0), zero pivots nudged to _TINY."""
+def _rows(prob: SturmLiouvilleProblem):
+    """The Python-float lists every count and twist of prob reads: the diagonal
+    and the squared off-diagonal led by a 0.0, top-down and bottom-up."""
+    diag = prob.diag.tolist()
+    off2 = (prob.off * prob.off).tolist()
+    return diag, [0.0] + off2, diag[::-1], [0.0] + off2[::-1]
+
+
+def _pivots(diag, off2, lam: float, stop: int) -> np.ndarray:
+    """The first stop LDL^T pivots of diag - lam (off2 led by a 0.0), zero
+    pivots nudged to _TINY."""
     d = 1.0
-    return [(d := a - b2 / d or _TINY) for a, b2 in zip(shifted, off2)]
+    return np.fromiter(
+        ((d := a - lam - b2 / d or _TINY) for a, b2 in zip(islice(diag, stop), off2)),
+        float, stop,
+    )
 
 
 def _count(diag, off2, x: float) -> int:
@@ -133,39 +151,59 @@ def _count(diag, off2, x: float) -> int:
     return n
 
 
-def _twisted_vector(prob: SturmLiouvilleProblem, off2, lam: float):
+def _twisted_vector(prob: SturmLiouvilleProblem, rows, lam: float, r=None):
     """Fernando's twisted factorization of T - lam (Dhillon & Parlett, LAA 387, 2004).
 
-    The pivots D+ of LDL^T and D- of UDU^T meet at the twist r minimizing
-    |gamma_r| = |D+_r + D-_r - (a_r - lam)|; z grows outward from z_r = 1,
-    so that (T - lam) z = gamma_r e_r up to rounding.  Returns (z, gamma_r,
-    count), where count, the negatives among D+, is the eigenvalues below lam.
+    The pivots D+ of LDL^T and D- of UDU^T meet at the twist r, where
+    gamma_r = D+_r + D-_r - (a_r - lam); z grows outward from z_r = 1, so
+    that (T - lam) z = gamma_r e_r up to rounding.  Without r, both pivot
+    passes run in full, r minimizes |gamma_r|, and count is the negatives
+    among D+.  Given r, one pass runs D+ down to r and D- up to r, and count
+    is the negatives among D+_0 .. D+_(r-1), gamma_r, D-_(r+1) .. D-_(n-1),
+    the inertia of the twisted factorization.  Either count is the
+    eigenvalues below lam.  Returns (z, gamma_r, count); rows is _rows(prob).
     """
-    shifted = prob.diag - lam
-    values = shifted.tolist()
-    dp = np.array(_pivots(values, [0.0] + off2))
-    dm = np.array(_pivots(values[::-1], [0.0] + off2[::-1])[::-1])
-    gamma = dp + dm - shifted
-    r = int(np.argmin(np.abs(gamma)))
-    z = np.ones(shifted.size)
+    diag, lead, rdiag, rlead = rows
+    n = len(diag)
+    full = r is None
+    if full:
+        dp = _pivots(diag, lead, lam, n)
+        dm = _pivots(rdiag, rlead, lam, n)[::-1]
+        r = int(np.argmin(np.abs(dp + dm - (prob.diag - lam))))
+        count = int(np.count_nonzero(dp < 0.0))
+        dm = dm[r:]
+    else:
+        dp = _pivots(diag, lead, lam, r + 1)
+        dm = _pivots(rdiag, rlead, lam, n - r)[::-1]
+    # dp[:r + 1] holds D+_0 .. D+_r and dm holds D-_r .. D-_(n-1)
+    gamma = float(dp[r]) + float(dm[0]) - (diag[r] - lam)
+    if not full:
+        count = int(np.count_nonzero(dp[:r] < 0.0) + np.count_nonzero(dm[1:] < 0.0))
+        count += gamma < 0.0
+    z = np.ones(n)
     # far from every eigenvalue z can exceed the double range; lowest_eigenpairs
     # refuses a z @ z that is not finite
     with np.errstate(over="ignore", invalid="ignore"):
         z[:r] = np.cumprod((-prob.off[:r] / dp[:r])[::-1])[::-1]
-        z[r + 1:] = np.cumprod(-prob.off[r:] / dm[r + 1:])
-    return z, float(gamma[r]), int(np.count_nonzero(dp < 0.0))
+        z[r + 1:] = np.cumprod(-prob.off[r:] / dm[1:])
+    return z, gamma, count
 
 
-def _eigenvalues_only(prob: SturmLiouvilleProblem, k: int, hints=None) -> np.ndarray:
+def _eigenvalues_only(prob: SturmLiouvilleProblem, k: int, hints=None,
+                      rows=None) -> np.ndarray:
     """The k lowest eigenvalues, each within tol / 2 of the matrix's; refuses
-    k outside 1 .. n_points // 10.
+    k outside 1 .. n_points // 10.  rows, _rows(prob) by default, serve every
+    count and twist.
 
     Every Sturm count of the matrix, the twists' included, is kept as a
     (shift, count) pair, and target j's bracket is the tightest the pairs
     give.  Rayleigh-quotient iteration on the twisted factorization starts at
-    hints[j] when it lies inside that bracket.  Without a hint, after a step
-    that leaves the bracket or after a failed certificate, bisection isolates
-    target j and the iteration restarts from the midpoint.  A converged value
+    hints[j] when it lies inside that bracket.  Each level's first twist is a
+    full one; every later twist of the level is one-sided, at the index where
+    the previous twist's |z| peaks.  Without a hint, after a step that leaves
+    the bracket or after a failed certificate, bisection isolates target j
+    (its first cut at min(diag) when that lies in the lower half of the
+    bracket) and the iteration restarts from the midpoint.  A converged value
     lam is returned only when count(lam - tol / 2) <= j < count(lam + tol / 2),
     one side of which the last twist's count settles, or a bracket at most
     tol wide certifies its midpoint.
@@ -176,9 +214,9 @@ def _eigenvalues_only(prob: SturmLiouvilleProblem, k: int, hints=None) -> np.nda
         )
     lo, hi, tol = _gershgorin(prob)
     half = 0.5 * tol
-    diag = prob.diag.tolist()
-    off2 = (prob.off * prob.off).tolist()
-    lead = [0.0] + off2
+    rows = rows or _rows(prob)
+    diag, lead = rows[:2]
+    low_diag = min(diag)
     pairs = [(lo, 0), (hi, len(diag))]
 
     def count(x):
@@ -189,6 +227,7 @@ def _eigenvalues_only(prob: SturmLiouvilleProblem, k: int, hints=None) -> np.nda
     eigs = np.empty(k)
     for j in range(k):
         sigma = math.nan if hints is None else float(hints[j])
+        r = None
         for _ in range(_MAX_STEPS):
             # the tightest bracket with count(l) <= j < count(u) the pairs give
             l, cl = max(p for p in pairs if p[1] <= j)
@@ -199,10 +238,12 @@ def _eigenvalues_only(prob: SturmLiouvilleProblem, k: int, hints=None) -> np.nda
                 break
             if not l < sigma < u:  # NaN, or a hint or step outside the bracket
                 if cl < j or cu > j + 1:
-                    count(mid)
+                    # lambda_0 <= min(diag), so that count is a tight first cut
+                    count(low_diag if l < low_diag < mid else mid)
                     continue
                 sigma = mid
-            z, gamma, c = _twisted_vector(prob, off2, sigma)
+            z, gamma, c = _twisted_vector(prob, rows, sigma, r)
+            r = int(np.argmax(np.abs(z)))
             pairs.append((sigma, c))
             step = gamma / float(z @ z)
             sigma += step
@@ -223,19 +264,19 @@ def lowest_eigenpairs(prob: SturmLiouvilleProblem, k: int, *, _hints=None) -> Sp
     """k lowest eigenpairs by certified Rayleigh-quotient iteration plus a twist.
 
     _hints (private) start the iteration, see _eigenvalues_only.
-    One final twist at each certified eigenvalue gives the vector, and its
+    One final full twist at each certified eigenvalue gives the vector, and its
     Rayleigh quotient, kept within tol / 2 of the certified value, is the
     eigenvalue.  States are normalized by ``grids.normalize_state``; a
     residual above _RESIDUAL_SCALE * |diag|_inf raises SolverError.
     """
-    eigs = _eigenvalues_only(prob, k, _hints)
+    rows = _rows(prob)
+    eigs = _eigenvalues_only(prob, k, _hints, rows)
     lo, hi, tol = _gershgorin(prob)
     half = 0.5 * tol
     cap = _RESIDUAL_SCALE * float(np.max(np.abs(prob.diag)))
-    off2 = (prob.off * prob.off).tolist()
     states, nodes, residuals = [], [], []
     for j in range(k):
-        z, gamma, _ = _twisted_vector(prob, off2, float(eigs[j]))
+        z, gamma, _ = _twisted_vector(prob, rows, float(eigs[j]))
         # a matrix whose whole spectrum lies far inside tol leaves the twist
         # unresolved
         with np.errstate(over="ignore"):

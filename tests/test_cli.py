@@ -863,6 +863,16 @@ class TestPackageErrors:
         assert err.startswith("error: a=") and "overflow double precision" in err
         assert not out.exists()
 
+    def test_ex2_parameters_no_window_answers_exit_one(self, tmp_path, capsys):
+        # a + b = c = 4: the spectrum read 2.332, 7.547, 14.77 with exit 0,
+        # against 2, 7, 14 and a tolerance of 1e-2
+        out = tmp_path / "run"
+        assert run(["spectrum", "--model", "ex2", "--a=-1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: need a + b > c, got a=-1.0, b=5.0, c=4.0")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, start, reason", [
         (["spectrum", "--model", "ex1", "--alpha", "1e300"], "error: alpha=", "overflow"),
         (["construct", "--model", "ex2", "--beta=-1e300"], "error: seed energy 1e+300",

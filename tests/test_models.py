@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,36 @@ class TestEx2:
             Ex2(a=1.0, b=5.0, c=0.4)
         with pytest.raises(DomainError):
             Ex2(a=-3.0, b=1.0, c=4.0)
+
+    @pytest.mark.parametrize("c", [0.4, 0.9, 1.0, 1.0 + 2**-52, 1.25, 4.0])
+    @pytest.mark.parametrize("a, b", [(-3.0, 1.0), (-1.0, 5.0), (0.5, 0.5), (1.0, 1.0),
+                                      (0.5, 2.0), (1.0, 5.0)])
+    def test_refused_exactly_where_no_window_answers(self, a, b, c):
+        if c > 1.0 and a + b > c:
+            assert Ex2(a=a, b=b, c=c).c == c
+        else:
+            need = "need c > 1," if c <= 1.0 else "need a + b > c,"
+            with pytest.raises(DomainError, match=re.escape(need)):
+                Ex2(a=a, b=b, c=c)
+
+    @pytest.mark.parametrize("a, b, c, message", [
+        (1.0, 1.0, 1.0, "need c > 1, got a=1.0, b=1.0, c=1.0: at the left end (x -> -inf)"
+         " nu = |c - 1| = 0, and Dirichlet windows approach the closed form only like"
+         " 1/ln(1/delta)"),
+        (1.0, 1.0, 0.75, "need c > 1, got a=1.0, b=1.0, c=0.75: at the left end (x -> -inf)"
+         " nu = |c - 1| = 0.25, and the closed form is not the principal solution there, the"
+         " one Dirichlet windows approach"),
+        (-1.0, 5.0, 4.0, "need a + b > c, got a=-1.0, b=5.0, c=4.0: at the right end"
+         " (x -> +inf) nu = |a + b - c| = 0, and Dirichlet windows approach the closed form"
+         " only like 1/ln(1/delta)"),
+        (1.0, 1.0, 2.25, "need a + b > c, got a=1.0, b=1.0, c=2.25: at the right end"
+         " (x -> +inf) nu = |a + b - c| = 0.25, and the closed form is not the principal"
+         " solution there, the one Dirichlet windows approach"),
+    ])
+    def test_refusal_names_the_end_and_nu(self, a, b, c, message):
+        with pytest.raises(DomainError) as exc:
+            Ex2(a=a, b=b, c=c)
+        assert str(exc.value) == message
 
     def test_energies(self, ex2):
         assert ex2.energy(0) == 6.0

@@ -16,6 +16,7 @@ from pdmfactor.spectra import (
     _eigenvalues_only,
     _gershgorin,
     _pivots,
+    _rows,
     _twisted_vector,
     count_nodes,
     discretize,
@@ -266,13 +267,55 @@ class TestSturmCount:
         # its Gershgorin bracket
         for prob in (discretize(box, box.potential_samples()),
                      tridiagonal_problem(diag, np.sqrt(off2))):
-            diag, off2 = prob.diag.tolist(), (prob.off * prob.off).tolist()
+            rows = _rows(prob)
+            diag, lead = rows[:2]
             lo, hi, _ = _gershgorin(prob)
             for x in [0.5 * (lo + hi), *rng.uniform(lo, lo + 0.1 * (hi - lo), 20).tolist()]:
-                pivots = _pivots((prob.diag - x).tolist(), [0.0] + off2)
-                negatives = sum(d < 0.0 for d in pivots)
-                assert _count(diag, [0.0] + off2, x) == negatives
-                assert _twisted_vector(prob, off2, x)[2] == negatives
+                negatives = int(np.count_nonzero(_pivots(diag, lead, x, len(diag)) < 0.0))
+                assert _count(diag, lead, x) == negatives
+                assert _twisted_vector(prob, rows, x)[2] == negatives
+
+
+def twist_problems(rng):
+    """The box, whose first pivot is an exact zero at its Gershgorin midpoint,
+    and three random tridiagonals."""
+    box = Box()
+    yield discretize(box, box.potential_samples())
+    for _ in range(3):
+        diag, off2 = random_tridiagonal(rng, 150)
+        yield tridiagonal_problem(diag, np.sqrt(off2))
+
+
+def twist_shifts(rng, prob):
+    lo, hi, _ = _gershgorin(prob)
+    return [0.5 * (lo + hi), *rng.uniform(lo, hi, 20).tolist()]
+
+
+class TestOneSidedTwist:
+    """A twist at a given index r runs one pivot pass, D+ down to r and D- up
+    to r; its count is the inertia of the twisted factorization."""
+
+    def test_count_is_the_sturm_count(self, rng):
+        for prob in twist_problems(rng):
+            rows = _rows(prob)
+            diag, lead = rows[:2]
+            n = len(diag)
+            for x in twist_shifts(rng, prob):
+                for r in (0, int(rng.integers(n)), n - 1):
+                    assert _twisted_vector(prob, rows, x, r)[2] == _count(diag, lead, x)
+
+    def test_full_twist_index_gives_the_same_bits(self, rng):
+        for prob in twist_problems(rng):
+            rows = _rows(prob)
+            n = len(rows[0])
+            for x in twist_shifts(rng, prob):
+                dp = _pivots(rows[0], rows[1], x, n)
+                dm = _pivots(rows[2], rows[3], x, n)[::-1]
+                r = int(np.argmin(np.abs(dp + dm - (prob.diag - x))))
+                z, gamma, _ = _twisted_vector(prob, rows, x)
+                z_r, gamma_r, _ = _twisted_vector(prob, rows, x, r)
+                assert z_r.tobytes() == z.tobytes()
+                assert np.float64(gamma_r).tobytes() == np.float64(gamma).tobytes()
 
 
 class TestCertifiedIteration:
@@ -323,8 +366,9 @@ class TestCertifiedIteration:
         prob = discretize(model, model.potential_samples(Grid(g.x_min, g.x_max, 401)))
         cold = _eigenvalues_only(prob, 4)
 
-        def sabotaged(prob, off2, lam):
-            z, gamma, count = _twisted_vector(prob, off2, lam)
+        # every twist, full or one-sided, goes through the one twist function
+        def sabotaged(prob, rows, lam, r=None):
+            z, gamma, count = _twisted_vector(prob, rows, lam, r)
             return z, factor * gamma, count
 
         monkeypatch.setattr(pdmfactor.spectra, "_twisted_vector", sabotaged)
@@ -345,22 +389,42 @@ class TestCertifiedIteration:
 
     @pytest.mark.parametrize("name", ["ex1", "ex2", "ho", "box"])
     def test_good_hints_bound_the_pivot_passes(self, name, monkeypatch):
-        # a pass is one pivot recurrence over the matrix: a count takes one, a
-        # twist two; with the coarse eigenvalues as hints, a level takes a few
-        # twists, whose counts bracket it, one certifying count and a final twist
+        # a pass is one pivot recurrence over the matrix: a count and a
+        # one-sided twist take one, a full twist two; with the coarse
+        # eigenvalues as hints, a level takes one full twist, a one-sided one
+        # or two, whose counts bracket it, one certifying count and a final
+        # full twist
         model = catalog(name)
         v = model.potential_samples()
         coarse = _eigenvalues_only(
             discretize(model, SampledFunction(v.grid.coarsened(), v.values[::2])), 5
         )
-        passes = []
+        counts, twists = [], []
+
+        def twist(prob, rows, lam, r=None):
+            twists.append(2 if r is None else 1)
+            return _twisted_vector(prob, rows, lam, r)
+
         monkeypatch.setattr(pdmfactor.spectra, "_count",
-                            lambda *a: passes.append(1) or _count(*a))
-        monkeypatch.setattr(pdmfactor.spectra, "_twisted_vector",
-                            lambda *a: passes.append(2) or _twisted_vector(*a))
+                            lambda *a: counts.append(1) or _count(*a))
+        monkeypatch.setattr(pdmfactor.spectra, "_twisted_vector", twist)
         lowest_eigenpairs(discretize(model, v), 5, _hints=coarse)
-        assert passes.count(1) == 5
-        assert sum(passes) <= 10 * 5
+        assert len(counts) == 5
+        assert twists.count(2) == 2 * 5
+        assert len(counts) + sum(twists) <= 7 * 5
+
+    @pytest.mark.parametrize("name, most", [("ex1", 16), ("ex2", 22)])
+    def test_cold_start_counts_at_the_smallest_diagonal(self, name, most, monkeypatch):
+        # lambda_0 <= min(diag), so one count there cuts the Gershgorin bracket,
+        # whose top lies 1e4 to 1e9 above the lowest levels
+        model = catalog(name)
+        prob = discretize(model, model.potential_samples())
+        shifts = []
+        monkeypatch.setattr(pdmfactor.spectra, "_count",
+                            lambda *a: shifts.append(a[2]) or _count(*a))
+        _eigenvalues_only(prob, 4)
+        assert float(np.min(prob.diag)) in shifts
+        assert len(shifts) <= most
 
 
 class TestTwistedVectors:
@@ -403,6 +467,23 @@ class TestWarmBrackets:
         for hints in (cold + 10.0 * spacing, cold - 3.0 * spacing, cold[::-1].copy()):
             warm = _eigenvalues_only(prob, 4, hints)
             assert np.max(np.abs(warm - cold)) <= tol
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ho", "box"])
+    def test_hints_one_level_up(self, name):
+        # level j's first twist lands on level j + 1, so the carried twist
+        # index starts at that level's peak; the counts still decide each level
+        model = catalog(name)
+        prob = discretize(model, model.potential_samples())
+        tol = _gershgorin(prob)[2]
+        cold = _eigenvalues_only(prob, 5)
+        hints = cold[1:]
+        warm = _eigenvalues_only(prob, 4, hints)
+        assert np.max(np.abs(warm - cold[:4])) <= tol
+        assert all(certified(prob, j, lam) for j, lam in enumerate(warm))
+        rep = lowest_eigenpairs(prob, 4, _hints=hints)
+        assert np.max(np.abs(rep.eigenvalues - cold[:4])) <= tol
+        assert all(certified(prob, j, lam) for j, lam in enumerate(rep.eigenvalues))
+        assert rep.node_counts == [0, 1, 2, 3]
 
     def test_zero_level_of_ho(self):
         # the deformed oscillator's ground level is 0; its bracket must not
