@@ -10,10 +10,12 @@ scan        sweep lambda and bracket the singularity boundary
 Exit codes: 0 success, 1 check failure, 2 usage error (nan or inf in a
 number flag is one, and so is a negative --n); a package error exits with
 its class's exit_code, never with a traceback.
-Every command builds all its outputs before the first write, so a failed run
-leaves no partial directory, and writes each file atomically (temp file in
-the target directory, then rename).  Numeric output is full precision; the
-only non-deterministic JSON field is the isolated "timestamp" key.
+Every command builds all its outputs before the first write, writes each file
+once through the descriptor of a temp file in the target directory, and
+renames the temps only after every write has succeeded: a failed run leaves
+no output.  Only this module creates, writes, renames or removes a file;
+grids.write_csv formats into the file it is handed.  Numeric output is full
+precision; the only non-deterministic JSON field is the isolated "timestamp" key.
 """
 
 from __future__ import annotations
@@ -41,24 +43,32 @@ from .verify import check_isospectral, riccati_residual
 CHECK_FAILURE = 1
 
 
-def _atomic_write(path: Path, content) -> None:
-    """Write a report dict as JSON (numpy values through tolist()), or a
-    SampledFunction as CSV, via a temp file and a rename."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    os.close(fd)
+def _atomic_write(out: Path, outputs: dict) -> None:
+    """Write every output to a temp file in out, through the descriptor
+    mkstemp returns, then rename them all: a report dict as JSON (numpy values
+    through tolist()), a SampledFunction as CSV.  A failed write renames
+    nothing, unlinks every temp and raises ConfigurationError."""
+    temps = {}  # target path -> its temp file
     try:
-        if isinstance(content, dict):
-            with open(tmp, "w") as fh:
-                fh.write(json.dumps(content, indent=2, sort_keys=True,
-                                    default=lambda v: v.tolist()))
-        else:
-            write_csv(content, tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        for name, content in outputs.items():
+            path = out / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, temps[path] = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+            with open(fd, "wb") as fh:
+                if isinstance(content, dict):
+                    fh.write(json.dumps(content, indent=2, sort_keys=True,
+                                        default=lambda v: v.tolist()).encode())
+                else:
+                    write_csv(content, fh)
+        for path, tmp in list(temps.items()):
+            os.replace(tmp, path)
+            del temps[path]
+    except OSError as exc:
+        # --out names a file, or a path through one, or no permission
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from None
+    finally:
+        for tmp in temps.values():
             os.unlink(tmp)
-        raise
 
 
 def _grid_from_args(args, model) -> Grid:
@@ -322,13 +332,7 @@ def main(argv=None) -> int:
         # dict or SampledFunction}, stdout line, stderr line); every output is
         # built before the first write, so a failure leaves no partial directory
         code, outputs, stdout, stderr = command(args, model, grid, payload)
-        for name, content in outputs.items():
-            path = Path(args.out) / name
-            try:
-                _atomic_write(path, content)
-            except OSError as exc:
-                # --out names a file, or a path through one, or no permission
-                raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from None
+        _atomic_write(Path(args.out), outputs)
         if stdout is not None:
             print(stdout)
         if stderr is not None:

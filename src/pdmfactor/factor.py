@@ -300,7 +300,8 @@ def auxiliary_f(seed: SampledFunction, model: PdmModel, w_n: Superpotential,
         # a finite mismatch of a chi started from the left edge blames that
         # edge's tail estimate, and so the window, when the estimate's share
         # of chi can explain it; else it is the direct Wronskian's stencil
-        # error, which does not shrink with beta as chi does, but does with h
+        # error, which does not shrink with beta as chi does, but does with h,
+        # or a seed at the wrong energy, which these samples cannot tell apart
         mismatch = f"(wronskian mismatch {rel:.2e})"
         if not np.isfinite(rel) or not mu_left > 0.0:
             msg = f"seed is not a solution at E_n - beta {mismatch}"
@@ -309,8 +310,9 @@ def auxiliary_f(seed: SampledFunction, model: PdmModel, w_n: Superpotential,
                    f" {mismatch}; use a smaller --grid-min")
         else:
             msg = (f"chi, which scales with beta = {beta}, is below the stencil error of"
-                   f" the direct Wronskian {mismatch}; use a larger |--beta| or a finer grid"
-                   " (more --grid-points)")
+                   " the direct Wronskian, or the seed is not a solution at E_n - beta"
+                   f" {mismatch}; a larger |--beta| or a finer grid (more --grid-points)"
+                   " mends only the first")
         raise InconsistentInputError(msg)
 
     noise = 64.0 * np.finfo(float).eps * (np.abs(left) + np.abs(right)) / m
@@ -357,6 +359,20 @@ class FactorizationResult:
     @property
     def grid(self) -> Grid:
         return self.V_n_minus.grid
+
+    @property
+    def deleted_level(self) -> Optional[int]:
+        """Level n when the deformed problem has lost it, else None.
+
+        The deformed partner keeps E_n - E_n + beta = beta as its level only
+        if the zero mode is normalizable; when ``zero_mode`` refuses it as
+        growing toward an edge, level n is deleted from the spectrum.
+        """
+        try:
+            zero_mode(self)
+        except NonNormalizableError:
+            return self.W_n.n
+        return None
 
 
 def map_eigenstate(k: int, fac: FactorizationResult) -> SampledFunction:

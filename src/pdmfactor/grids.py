@@ -1,4 +1,4 @@
-"""Uniform grids, sampled functions, numerical differentiation and quadrature.
+"""Uniform grids, sampled functions, differentiation, quadrature and CSV text.
 
 The grid owns its coordinate: only this module reads the node spacing ``Grid.h``.
 
@@ -429,8 +429,8 @@ def _g17_text(v: np.ndarray, out: np.ndarray) -> None:
         out[row] = np.frombuffer(_exact_text(float(v[row])).ljust(32, b"\0"), np.uint64)
 
 
-def write_csv(f: SampledFunction, path) -> None:
-    """Serialize as ``x,value,singular`` rows at full precision.
+def write_csv(f: SampledFunction, fh) -> None:
+    """Write ``x,value,singular`` rows at full precision into the binary file fh.
 
     Fields are ``%.17g`` (the same bytes as ``f"{v:.17g}"``), the flag is 0
     or 1, and rows end in CRLF, as ``csv.writer`` writes them.  The text is
@@ -445,12 +445,11 @@ def write_csv(f: SampledFunction, path) -> None:
     """
     x = f.grid._x_text
     width = x.shape[1]
-    with open(path, "wb") as fh:
-        fh.write(b"x,value,singular\r\n")
-        for s in range(0, f.grid.n_points, _CSV_ROWS):
-            values = f.values[s:s + _CSV_ROWS]
-            rows = np.empty((len(values), width + 5), np.uint64)
-            rows[:, :width] = x[s:s + _CSV_ROWS]
-            _g17_text(values, rows[:, width:width + 4])
-            rows[:, -1] = _ROW_END + (np.isnan(values) << 8)
-            fh.write(rows.tobytes().translate(None, b"\0"))
+    fh.write(b"x,value,singular\r\n")
+    for s in range(0, f.grid.n_points, _CSV_ROWS):
+        values = f.values[s:s + _CSV_ROWS]
+        rows = np.empty((len(values), width + 5), np.uint64)
+        rows[:, :width] = x[s:s + _CSV_ROWS]
+        _g17_text(values, rows[:, width:width + 4])
+        rows[:, -1] = _ROW_END + (np.isnan(values) << 8)
+        fh.write(rows.tobytes().translate(None, b"\0"))

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from pdmfactor import Ex1, Ex2, HarmonicOscillator, factorize
-from pdmfactor.grids import Grid, SampledFunction
+from pdmfactor.grids import Grid, SampledFunction, write_csv
 
 EX1_FINE_GRID = Grid(-250.0, 250.0, 32001)
 EX2_TAIL_SAFE_GRID = Grid(-12.0, 14.0, 32001)
+
+
+def save_csv(f: SampledFunction, path) -> None:
+    """Write f into a new file at path; ``grids.write_csv`` opens no file itself."""
+    with open(path, "wb") as fh:
+        write_csv(f, fh)
 
 
 def read_csv(path) -> SampledFunction:

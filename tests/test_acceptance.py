@@ -22,7 +22,7 @@ from pdmfactor.factor import (
 from pdmfactor.grids import Grid, normalize_state
 from pdmfactor.spectra import count_nodes, solve_spectrum
 from pdmfactor.verify import check_isospectral, riccati_residual
-from tests.conftest import EX1_FINE_GRID, EX2_TAIL_SAFE_GRID, read_csv
+from tests.conftest import EX1_FINE_GRID, EX2_TAIL_SAFE_GRID, read_csv, save_csv
 from tests.ladder import intertwining_residual
 from tests.test_factor import (
     _closed_form_states_ex1,
@@ -197,14 +197,12 @@ class TestAcceptance:
         assert ric <= 1e-6
 
     def test_10_figure_data(self, ex1, ex2, fac_ex2_n1, fac_ex2_n2, tmp_path):
-        from pdmfactor.grids import write_csv
-
         worst = 0.0
         for lam_paper in (1.0, 0.7):
             fac = factorize(ex1, 1, lam=lam_paper, convention="paper-ex1",
                             grid=EX1_FINE_GRID)
             path = tmp_path / f"vtilde_{lam_paper}.csv"
-            write_csv(fac.V_tilde_minus, path)
+            save_csv(fac.V_tilde_minus, path)
             back = read_csv(path)
             assert np.all(np.isfinite(back.values))
             ref = _reference_deformed_potential_ex1(EX1_FINE_GRID, lam_paper)

@@ -284,8 +284,11 @@ class TestVerify:
         assert data["passed"] is True
         iso = data["isospectrality"]
         assert set(iso) == {
-            "levels_checked", "pairs", "max_gap", "node_match", "tolerance", "passed",
+            "levels_checked", "deleted_level", "original_levels", "pairs", "max_gap",
+            "node_match", "tolerance", "passed",
         }
+        assert iso["deleted_level"] is None
+        assert iso["original_levels"] == [0, 1, 2, 3, 4]
         assert iso["max_gap"] <= 1e-3
         assert iso["max_gap"] == max(gap for _, _, gap in iso["pairs"])
 
@@ -303,18 +306,20 @@ class TestVerify:
         assert data["passed"] is False
 
     def test_failed_check_reports_on_both_streams(self, tmp_path, capsys):
-        # beta != 0 deletes level n, so the check fails: the summary still
-        # goes to stdout and the verdict to stderr
-        code = run(["verify", "--model", "ex2", "--n", "1", "--beta", "0.5",
+        # at the edge beta = -(E_2 - E_1) of ho's window the deformed level
+        # that should sit at 0 reads -0.0215, so the check fails: the summary
+        # still goes to stdout and the verdict to stderr
+        code = run(["verify", "--model", "ho", "--n", "1", "--beta", "-2",
                     "--levels", "4", "--out", str(tmp_path)])
         assert code == 1
         captured = capsys.readouterr()
         assert len(captured.out.splitlines()) == 1
-        assert captured.out.startswith("isospectrality: max_gap=1.300e+01 ")
+        assert captured.out.startswith("isospectrality: max_gap=2.150e-02 ")
         assert captured.err == "FAIL: isospectrality check failed\n"
         data = load_json(tmp_path / "verify.json")
         assert data["passed"] is False
         assert data["isospectrality"]["passed"] is False
+        assert data["isospectrality"]["deleted_level"] == 1
 
     @pytest.mark.parametrize("lam,singular", [("1", False), ("0", True)])
     def test_report_records_the_convention(self, tmp_path, lam, singular):
@@ -638,17 +643,20 @@ class TestPackageErrors:
         # window would not help
         (["spectrum", "--which", "deformed", "--model", "ho", "--beta", "1e-10"],
          "error: chi, which scales with beta = 1e-10, is below the stencil error of the"
-         " direct Wronskian (wronskian mismatch 6.02e-02); use a larger |--beta| or a"
-         " finer grid (more --grid-points)\n"),
+         " direct Wronskian, or the seed is not a solution at E_n - beta (wronskian"
+         " mismatch 6.02e-02); a larger |--beta| or a finer grid (more --grid-points)"
+         " mends only the first\n"),
         (["spectrum", "--which", "deformed", "--model", "ex2", "--beta", "1e-300"],
          "error: chi, which scales with beta = 1e-300, is below the stencil error of the"
-         " direct Wronskian (wronskian mismatch 4.33e+287); use a larger |--beta| or a"
-         " finer grid (more --grid-points)\n"),
+         " direct Wronskian, or the seed is not a solution at E_n - beta (wronskian"
+         " mismatch 4.33e+287); a larger |--beta| or a finer grid (more --grid-points)"
+         " mends only the first\n"),
         # the stencil error shrinks with h as well as chi grows with beta
         (["construct", "--model", "ex2", "--grid-points", "8", "--n", "0", "--beta", "2"],
          "error: chi, which scales with beta = 2.0, is below the stencil error of the"
-         " direct Wronskian (wronskian mismatch 3.68e-01); use a larger |--beta| or a"
-         " finer grid (more --grid-points)\n"),
+         " direct Wronskian, or the seed is not a solution at E_n - beta (wronskian"
+         " mismatch 3.68e-01); a larger |--beta| or a finer grid (more --grid-points)"
+         " mends only the first\n"),
         (["verify", "--model", "box", "--grid-points", "29", "--n", "3", "--lambda", "1",
           "--levels", "1"],
          "error: no node of the 29-point grid lies clear of the edges and of the node"
@@ -686,21 +694,29 @@ class TestPackageErrors:
         assert (tmp_path / "afile").read_text() == ""
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys):
-        # the disk fills after the temp file is opened: the temp file is
-        # removed and the run exits 2 with one line
-        def full_disk(f, path):
-            with open(path, "w") as fh:
-                fh.write("x")
-            raise OSError(28, os.strerror(28))
+        # the disk fills while the first, then while the second CSV file is
+        # written: every temp file is removed, no file of the run is renamed
+        # into --out, and the run exits 2 with one line
+        write_csv = pdmfactor.cli.write_csv
+        for failing in (1, 2):
+            written = []
 
-        monkeypatch.setattr(pdmfactor.cli, "write_csv", full_disk)
-        out = tmp_path / "run"
-        code = run(["spectrum", "--model", "ho", "--levels", "1", "--out", str(out)])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"error: cannot write {out / 'eigenstate_0.csv'}: No space left on device\n"
-        )
-        assert list(out.glob("*.tmp")) == []
+            def full_disk(f, fh):
+                written.append(f)
+                fh.write(b"x")
+                if len(written) == failing:
+                    raise OSError(28, os.strerror(28))
+                write_csv(f, fh)
+
+            monkeypatch.setattr(pdmfactor.cli, "write_csv", full_disk)
+            out = tmp_path / f"run{failing}"
+            code = run(["spectrum", "--model", "ho", "--levels", "2", "--out", str(out)])
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f"error: cannot write {out / f'eigenstate_{failing - 1}.csv'}:"
+                " No space left on device\n"
+            )
+            assert list(out.iterdir()) == []
 
     def test_deformed_partner_that_overflows_at_an_edge(self, tmp_path, capsys):
         # D = lambda + F is 2.2e-308 at x_min, so 2 f' exceeds the double

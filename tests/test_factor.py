@@ -312,21 +312,35 @@ class TestAuxiliary:
         assert np.max(np.abs(rep.eigenvalues - want)) <= model.spectrum_tolerance
         assert rep.node_counts == [0, 1, 2, 3]
 
-    @pytest.mark.parametrize("name, n, beta, grid", [
-        ("ho", 1, 1.0, None), ("ho", 2, 0.5, None), ("ex1", 2, 1.0, None),
-        ("ex2", 1, 0.5, None), ("ex2", 1, 1.0, Grid(0.0, 14.0, 4001)),
+    @pytest.mark.parametrize("name, n, beta, grid, mismatch", [
+        ("ho", 1, 1.0, None, "1.42e-03"), ("ho", 2, 0.5, None, "5.35e-03"),
+        ("ex1", 2, 1.0, None, "3.08e-03"), ("ex2", 1, 0.5, None, "3.04e-03"),
+        ("ex2", 1, 1.0, Grid(0.0, 14.0, 4001), "3.12e-03"),
     ], ids=["ho-n1", "ho-n2", "ex1-n2", "ex2-n1", "ex2-n1-anchored"])
-    def test_seed_at_the_wrong_energy_is_refused(self, monkeypatch, name, n, beta, grid):
+    def test_seed_at_the_wrong_energy_is_refused(self, monkeypatch, name, n, beta, grid,
+                                                 mismatch):
         # chi' = beta psi_n seed holds only at E_n - beta, so the direct
         # Wronskian disagrees with chi for a seed marched at E_n - 1.01 beta.
         # On [0, 14] psi_1 seed has not decayed at x_min, chi is anchored at
-        # the integrand's peak, and the two are compared at chi's peak instead
+        # the integrand's peak, and the two are compared at chi's peak
+        # instead: only that branch can name the seed alone.  From the
+        # left-edge tail estimate the mismatch reads like the stencil error of
+        # a too small beta, so the message names both causes
         model = catalog(name)
         factorize(model, n, beta=beta, grid=grid)
         monkeypatch.setattr("pdmfactor.factor.seed_solution",
                             lambda m, k, b, g: seed_solution(m, k, 1.01 * b, g))
-        with pytest.raises(InconsistentInputError, match="wronskian mismatch"):
+        with pytest.raises(InconsistentInputError) as exc:
             factorize(model, n, beta=beta, grid=grid)
+        if grid is not None:
+            assert str(exc.value) == (
+                f"seed is not a solution at E_n - beta (wronskian mismatch {mismatch})")
+        else:
+            assert str(exc.value) == (
+                f"chi, which scales with beta = {beta}, is below the stencil error of the"
+                " direct Wronskian, or the seed is not a solution at E_n - beta (wronskian"
+                f" mismatch {mismatch}); a larger |--beta| or a finer grid (more"
+                " --grid-points) mends only the first")
 
 
 class TestDeformedPartner:

@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import os
 import subprocess
@@ -26,7 +27,7 @@ from pdmfactor.grids import (
     normalize_state,
     write_csv,
 )
-from tests.conftest import read_csv
+from tests.conftest import read_csv, save_csv
 
 
 def sample(fn, grid):
@@ -393,15 +394,23 @@ class TestCsv:
         vals[10] = np.nan
         f = SampledFunction(g, vals)
         path = tmp_path / "f.csv"
-        write_csv(f, path)
+        save_csv(f, path)
         back = read_csv(path)
         assert np.flatnonzero(back.singular_mask).tolist() == [10]
         assert np.array_equal(back.values, f.values, equal_nan=True)
 
+    def test_formats_into_the_file_it_is_handed(self, tmp_path):
+        # write_csv opens nothing: an in-memory binary file gets the bytes
+        f = SampledFunction(Grid(-1.0, 2.0, 9), np.linspace(0.0, 1.0, 9))
+        buffer = io.BytesIO()
+        write_csv(f, buffer)
+        reference_write_csv(f, tmp_path / "ref.csv")
+        assert buffer.getvalue() == (tmp_path / "ref.csv").read_bytes()
+
     def test_header(self, tmp_path):
         g = Grid(0.0, 1.0, 8)
         path = tmp_path / "f.csv"
-        write_csv(sample(lambda x: x, g), path)
+        save_csv(sample(lambda x: x, g), path)
         with open(path) as f:
             assert f.readline().strip() == "x,value,singular"
 
@@ -416,13 +425,13 @@ class TestCsv:
         mask = rng.random(n) < 0.25
         g = Grid(-1.0 / 3.0, 1e5 * math.pi, n)
         for f in (SampledFunction(g, np.where(mask, np.nan, vals)), SampledFunction(g, vals)):
-            write_csv(f, tmp_path / "new.csv")
+            save_csv(f, tmp_path / "new.csv")
             reference_write_csv(f, tmp_path / "ref.csv")
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     @staticmethod
     def assert_reference_bytes(f, tmp_path):
-        write_csv(f, tmp_path / "new.csv")
+        save_csv(f, tmp_path / "new.csv")
         reference_write_csv(f, tmp_path / "ref.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -478,14 +487,14 @@ class TestCsv:
                             lambda v, out: kernel_rows.append(len(v)) or kernel(v, out))
         g = Grid(0.0, 1.0, 3 * 4096)
         funcs = [SampledFunction(g, np.full(g.n_points, c)) for c in (1.0, 2.0, np.nan)]
-        write_csv(funcs[0], tmp_path / "a.csv")
+        save_csv(funcs[0], tmp_path / "a.csv")
         x_text = g._x_text
         for k, f in enumerate(funcs[1:]):
-            write_csv(f, tmp_path / f"{k}.csv")
+            save_csv(f, tmp_path / f"{k}.csv")
         assert builds == [g]
         assert g._x_text is x_text and len(x_text) == 3 * 4096
         assert kernel_rows == [4096] * (3 + 3 * 3)
-        write_csv(SampledFunction(Grid(0.0, 1.0, 3 * 4096), funcs[0].values), tmp_path / "b.csv")
+        save_csv(SampledFunction(Grid(0.0, 1.0, 3 * 4096), funcs[0].values), tmp_path / "b.csv")
         assert len(builds) == 2
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
@@ -551,7 +560,8 @@ class TestCsv:
             "          grids._text_tables.cache_info().currsize)\n"
             "sizes()\n"
             "g = grids.Grid(0.0, 1.0, 8)\n"
-            "grids.write_csv(grids.SampledFunction(g, g.points()), sys.argv[1])\n"
+            "with open(sys.argv[1], 'wb') as fh:\n"
+            "    grids.write_csv(grids.SampledFunction(g, g.points()), fh)\n"
             "sizes()\n"
         )
         out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "f.csv")], env=env,

@@ -1,8 +1,9 @@
 """Package hygiene: exported names resolve, no module imports what it does
 not use, every private module-level name is used, only grids.py reads the
 node spacing, only cli.main builds, writes and prints a command's inputs
-and outputs, only cli.py writes JSON, a sampled function stores its values
-alone, each model is one frozen dataclass, cli.py reads the model catalog
+and outputs, only cli.py writes JSON and touches the file system, opening
+each output once through its mkstemp descriptor, a sampled function stores
+its values alone, each model is one frozen dataclass, cli.py reads the model catalog
 from models.MODELS, the construction in factor.py never reads the
 eigensolver or the checks built on it, verify.py reads only the finished
 factorization result from factor.py and nothing from grids.py, the package
@@ -208,6 +209,48 @@ def test_only_cli_writes_json(name):
     defs = [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.FunctionDef) and node.name == "to_json_dict"]
     assert defs == []
+
+
+# calls that create, open, write, rename or remove a file, and the modules
+# that provide them
+FILE_SYSTEM_CALLS = {"open", "replace", "rename", "unlink", "remove", "rmdir", "mkdir",
+                     "makedirs", "mkstemp", "write_text", "write_bytes", "save", "savetxt",
+                     "tofile"}
+FILE_SYSTEM_MODULES = {"os", "tempfile", "shutil", "pathlib", "io"}
+
+
+def _called_names(tree):
+    """The name or attribute each call in tree calls, mapped to its lines."""
+    calls = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            calls.setdefault(name, []).append(node.lineno)
+    return calls
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "cli"])
+def test_only_cli_touches_the_file_system(name):
+    # cli.py creates, writes, renames and removes every output file; the
+    # other modules compute, and grids.write_csv formats into the file it is
+    # handed
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    calls = {n: lines for n, lines in _called_names(tree).items() if n in FILE_SYSTEM_CALLS}
+    assert calls == {}
+    assert _imported_module_parts(tree) & FILE_SYSTEM_MODULES == set()
+
+
+def test_cli_opens_each_output_once_through_its_descriptor():
+    # cli._atomic_write opens the descriptor mkstemp returns, never the temp
+    # file's name: one open call, whose file is that descriptor
+    tree = ast.parse((SRC / "cli.py").read_text())
+    descriptors = [node.targets[0].elts[0].id for node in ast.walk(tree)
+                   if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                   and getattr(node.value.func, "attr", None) == "mkstemp"]
+    opens = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "open"]
+    assert len(descriptors) == 1 and len(opens) == 1
+    assert isinstance(opens[0].args[0], ast.Name) and opens[0].args[0].id == descriptors[0]
 
 
 def test_each_model_is_one_frozen_dataclass():

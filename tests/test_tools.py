@@ -98,10 +98,10 @@ def test_changed_csv_values_are_measured(tmp_path):
     grids = tmp_path / "src" / "pdmfactor" / "grids.py"
     grids.write_text(grids.read_text() + (
         "\n\n_write_csv = write_csv\n\n\n"
-        "def write_csv(f, path):\n"
+        "def write_csv(f, fh):\n"
         "    v = f.values.copy()\n"
         "    v[3] *= 2.0\n"
-        "    _write_csv(f.with_values(v), path)\n"
+        "    _write_csv(f.with_values(v), fh)\n"
     ))
     out = compare(ROOT, tmp_path, "construct")
     assert out.returncode == 1

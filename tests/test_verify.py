@@ -43,12 +43,29 @@ class TestCheckIsospectral:
 
     def test_ex2_shifted_factorization_deletes_level_n(self, ex2, fac_ex2_n1):
         # with a nonzero shift the deformed problem loses exactly the level
-        # used in the factorization: its spectrum is {E_k - E_n + beta, k != n}
+        # used in the factorization: its spectrum is {E_k - E_n + beta, k != n},
+        # and the check pairs deformed level j with the j-th level other than n
         rep = check_isospectral(fac_ex2_n1, 4)
-        assert not rep.passed  # the full shifted ladder comparison must fail
+        assert rep.passed
+        assert rep.deleted_level == 1
+        assert rep.original_levels == [0, 2, 3, 4]
         deformed = [b for _, b, _ in rep.pairs]
         expected = [ex2.energy(k) - ex2.energy(1) + 1.0 for k in (0, 2, 3, 4)]
         assert np.max(np.abs(np.array(deformed) - np.array(expected))) <= 1e-2
+
+    @pytest.mark.parametrize("kwargs", [{"lam": 1.0}, {"beta": 0.5}],
+                             ids=["lambda-1", "beta-0.5"])
+    def test_partner_that_matches_neither_pairing_fails(self, ho, kwargs):
+        # V~_n- built with 2.01 f'/sqrt(m) in place of 2 f'/sqrt(m): its
+        # spectrum is neither the full shifted ladder nor the ladder without n
+        fac = factorize(ho, 1, **kwargs)
+        base = fac.V_n_minus.values + fac.spectrum_shift
+        scaled = base + 1.005 * (fac.V_tilde_minus.values - base)
+        wrong = dataclasses.replace(fac, V_tilde_minus=fac.V_tilde_minus.with_values(scaled))
+        assert check_isospectral(fac, 3).passed
+        rep = check_isospectral(wrong, 3)
+        assert rep.deleted_level == fac.deleted_level
+        assert rep.max_gap > rep.tolerance and not rep.passed
 
 
 # lambdas at and next to the window edges, the subnormals above 0 and the
