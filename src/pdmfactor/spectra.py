@@ -12,15 +12,21 @@ removing the leading h^2 error while leaving the base discretization
 untouched.
 
 The eigensolver runs one LDL^T pivot recurrence on Python floats, over
-lists built once per matrix.  Its Sturm counts bracket each eigenvalue, the
-first of them at min(diag), which bounds the lowest level from above.
-Rayleigh-quotient iteration on Fernando's twisted factorization converges to
-it (on the fine grid from the coarse eigenvalue).  A level's first twist runs
-both pivot passes in full; each later step twists at the index where the
-previous twist's vector peaks, which takes one pass, and its count is the
-inertia of that twisted factorization.  Every twist's count narrows the
-bracket; one more count certifies the level, and one more full twist gives an
-O(N) eigenvector per level.
+lists built once per matrix.  Its Sturm counts bracket each eigenvalue;
+cuts that isolate a level alternate between the point where the counts,
+interpolated linearly, reach the level and the midpoint, the first of them
+at min(diag), which bounds the lowest level from above.  Rayleigh-quotient
+iteration on Fernando's twisted factorization converges to it.  Every solve
+starts from what is already known: on the subgrid each level from the third
+on at the line through the two below it, and on the given grid at the
+Rayleigh quotient of the subgrid level's converging twist vector, prolonged,
+with a first twist where that vector peaks.  Each later step twists at the
+index where the previous twist's vector peaks, which takes one pivot pass,
+and its count is the inertia of that twisted factorization.  Every twist's
+count narrows the bracket; one more count certifies the level, so a start
+never decides one.  One more twist, where the converging twist's vector
+peaks when its own vector peaks there too, gives an O(N) eigenvector per
+level.
 """
 
 from __future__ import annotations
@@ -47,8 +53,10 @@ __all__ = [
 _TINY = 1e-300
 # a pair whose residual exceeds _RESIDUAL_SCALE * |diag|_inf is refused
 _RESIDUAL_SCALE = 1e-6
-# a level takes at most _MAX_STEPS counts and twists: 48 bisections shrink any
-# Gershgorin bracket to tol, and the Rayleigh-quotient steps converge cubically
+# a level takes at most _MAX_STEPS counts and twists: every second isolating
+# cut is a midpoint, which halves the bracket, so 96 cuts shrink any
+# Gershgorin bracket to tol (48 halvings), and the Rayleigh-quotient steps
+# converge cubically
 _MAX_STEPS = 120
 
 
@@ -190,23 +198,29 @@ def _twisted_vector(prob: SturmLiouvilleProblem, rows, lam: float, r=None):
 
 
 def _eigenvalues_only(prob: SturmLiouvilleProblem, k: int, hints=None,
-                      rows=None) -> np.ndarray:
+                      rows=None, twists=None, vectors=None) -> np.ndarray:
     """The k lowest eigenvalues, each within tol / 2 of the matrix's; refuses
     k outside 1 .. n_points // 10.  rows, _rows(prob) by default, serve every
     count and twist.
 
     Every Sturm count of the matrix, the twists' included, is kept as a
     (shift, count) pair, and target j's bracket is the tightest the pairs
-    give.  Rayleigh-quotient iteration on the twisted factorization starts at
-    hints[j] when it lies inside that bracket.  Each level's first twist is a
-    full one; every later twist of the level is one-sided, at the index where
-    the previous twist's |z| peaks.  Without a hint, after a step that leaves
-    the bracket or after a failed certificate, bisection isolates target j
-    (its first cut at min(diag) when that lies in the lower half of the
-    bracket) and the iteration restarts from the midpoint.  A converged value
-    lam is returned only when count(lam - tol / 2) <= j < count(lam + tol / 2),
-    one side of which the last twist's count settles, or a bracket at most
-    tol wide certifies its midpoint.
+    give.  Rayleigh-quotient iteration on the twisted factorization starts
+    at hints[j], or without hints from level 2 on at 2 E_(j-1) - E_(j-2),
+    when that lies inside the bracket.  A level's first twist is one-sided
+    at twists[j] when that is given, else a full one; every later twist of
+    the level is one-sided, at the index where the previous twist's |z|
+    peaks.  Without a start inside the bracket, after a step that leaves it
+    or after a failed certificate, counts isolate target j and the iteration
+    restarts from the midpoint.  Each isolating count cuts the bracket [l, u]
+    in turn at the point where the counts, interpolated linearly, reach
+    j + 1 (kept within [l + (u - l) / 1024, (l + u) / 2]) and at the
+    midpoint, or at min(diag) when that lies in the lower half, so a level
+    takes at most twice bisection's counts.  A converged value lam is
+    returned only when count(lam - tol / 2) <= j < count(lam + tol / 2), one
+    side of which the last twist's count settles, or a bracket at most tol
+    wide certifies its midpoint.  A list passed as vectors gets each level's
+    converging twist vector, or None for a level a narrow bracket certified.
     """
     if k < 1 or k > prob.grid.n_points // 10:
         raise ConfigurationError(
@@ -224,22 +238,38 @@ def _eigenvalues_only(prob: SturmLiouvilleProblem, k: int, hints=None,
         pairs.append((x, c))
         return c
 
-    eigs = np.empty(k)
+    # Python floats throughout: a numpy scalar shift slows every pivot row 2-4x
+    eigs = []
     for j in range(k):
-        sigma = math.nan if hints is None else float(hints[j])
-        r = None
+        if hints is not None:
+            sigma = float(hints[j])
+        elif j >= 2:
+            sigma = 2.0 * eigs[j - 1] - eigs[j - 2]
+        else:
+            sigma = math.nan
+        r = None if twists is None else twists[j]
+        interpolate = True
         for _ in range(_MAX_STEPS):
             # the tightest bracket with count(l) <= j < count(u) the pairs give
             l, cl = max(p for p in pairs if p[1] <= j)
             u, cu = min(p for p in pairs if p[1] > j)
             mid = 0.5 * (l + u)
             if u - l <= tol:
-                eigs[j] = mid
+                eigs.append(mid)
+                z = None
                 break
-            if not l < sigma < u:  # NaN, or a hint or step outside the bracket
+            if not l < sigma < u:  # NaN, or a start or step outside the bracket
                 if cl < j or cu > j + 1:
-                    # lambda_0 <= min(diag), so that count is a tight first cut
-                    count(low_diag if l < low_diag < mid else mid)
+                    # lambda_0 <= min(diag), so that count is a tight first
+                    # cut; the midpoints bound the interpolated cuts, which
+                    # creep up from l where the counts bunch near u
+                    if l < low_diag < mid:
+                        x = low_diag
+                    else:
+                        x = l + (u - l) * (j + 1 - cl) / (cu - cl) if interpolate else mid
+                        x = min(max(x, l + (u - l) / 1024), mid)
+                        interpolate = not interpolate
+                    count(x)
                     continue
                 sigma = mid
             z, gamma, c = _twisted_vector(prob, rows, sigma, r)
@@ -252,31 +282,47 @@ def _eigenvalues_only(prob: SturmLiouvilleProblem, k: int, hints=None,
             # count c settles one side of the certificate
             if abs(step) <= 0.25 * tol:
                 if count(sigma + half) > j if c <= j else count(sigma - half) <= j:
-                    eigs[j] = sigma
+                    eigs.append(sigma)
                     break
                 sigma = math.nan
         else:
             raise SolverError(f"eigenvalue {j} not certified in {_MAX_STEPS} steps")
-    return eigs
+        if vectors is not None:
+            vectors.append(z)
+    return np.array(eigs)
 
 
-def lowest_eigenpairs(prob: SturmLiouvilleProblem, k: int, *, _hints=None) -> SpectrumReport:
+def lowest_eigenpairs(prob: SturmLiouvilleProblem, k: int, *, _hints=None,
+                      _twists=None) -> SpectrumReport:
     """k lowest eigenpairs by certified Rayleigh-quotient iteration plus a twist.
 
-    _hints (private) start the iteration, see _eigenvalues_only.
-    One final full twist at each certified eigenvalue gives the vector, and its
-    Rayleigh quotient, kept within tol / 2 of the certified value, is the
+    _hints and _twists (private) start the iteration, see _eigenvalues_only.
+    One final twist at each certified eigenvalue gives the vector: one-sided
+    at the index where the level's converging twist vector peaks, kept only
+    when its own |z| peaks there too, else a full twist at argmin |gamma|.
+    Its Rayleigh quotient, kept within tol / 2 of the certified value, is the
     eigenvalue.  States are normalized by ``grids.normalize_state``; a
     residual above _RESIDUAL_SCALE * |diag|_inf raises SolverError.
     """
     rows = _rows(prob)
-    eigs = _eigenvalues_only(prob, k, _hints, rows)
+    vectors = []
+    eigs = _eigenvalues_only(prob, k, _hints, rows, _twists, vectors)
     lo, hi, tol = _gershgorin(prob)
     half = 0.5 * tol
     cap = _RESIDUAL_SCALE * float(np.max(np.abs(prob.diag)))
     states, nodes, residuals = [], [], []
-    for j in range(k):
-        z, gamma, _ = _twisted_vector(prob, rows, float(eigs[j]))
+    for j, converged in enumerate(vectors):
+        lam = float(eigs[j])
+        z = None
+        if converged is not None:
+            # at a converged shift a twist where z peaks has the residual
+            # bound of the twist at argmin |gamma|
+            r = int(np.argmax(np.abs(converged)))
+            z, gamma, _ = _twisted_vector(prob, rows, lam, r)
+            if int(np.argmax(np.abs(z))) != r:
+                z = None
+        if z is None:
+            z, gamma, _ = _twisted_vector(prob, rows, lam)
         # a matrix whose whole spectrum lies far inside tol leaves the twist
         # unresolved
         with np.errstate(over="ignore"):
@@ -286,8 +332,7 @@ def lowest_eigenpairs(prob: SturmLiouvilleProblem, k: int, *, _hints=None) -> Sp
                 f"eigenvector {j} overflows: the matrix spans {hi - lo:.1e}, against an"
                 f" eigenvalue tolerance of {tol:.1e}"
             )
-        lam = float(eigs[j]) + gamma / zz
-        eigs[j] = lam = min(max(lam, eigs[j] - half), eigs[j] + half)
+        eigs[j] = lam = min(max(lam + gamma / zz, lam - half), lam + half)
         v = z / math.sqrt(zz)
         res = float(np.max(np.abs(prob.matrix_action(v) - lam * v)))
         if not res <= cap:
@@ -299,15 +344,46 @@ def lowest_eigenpairs(prob: SturmLiouvilleProblem, k: int, *, _hints=None) -> Sp
     return SpectrumReport(eigs, states, nodes, residuals)
 
 
+def _prolonged(z: np.ndarray) -> np.ndarray:
+    """A vector on the every-second-node subgrid's interior, on the full
+    grid's interior: subgrid node i is node 2i, and the midpoints between
+    them are cubic, (-1, 9, 9, -1) / 16, except the two end ones, linear."""
+    c = np.pad(z, 1)
+    f = np.empty(2 * c.size - 1)
+    f[::2] = c
+    f[1::2] = 0.5 * (c[:-1] + c[1:])
+    f[3:-3:2] = (9.0 * (c[1:-2] + c[2:-1]) - c[:-3] - c[3:]) / 16.0
+    return f[1:-1]
+
+
+def _seeds(prob: SturmLiouvilleProblem, coarse: np.ndarray, vectors) -> tuple[list, list]:
+    """Starts for prob's levels from the subgrid's eigenvalues and converging
+    twist vectors: each vector prolonged, its Rayleigh quotient on prob and
+    its peak as the first twist index, or for a level without a vector the
+    subgrid's eigenvalue and a full first twist."""
+    hints, twists = [], []
+    for e, z in zip(coarse, vectors):
+        if z is None:
+            hints.append(float(e))
+            twists.append(None)
+        else:
+            z = _prolonged(z)
+            hints.append(float(z @ prob.matrix_action(z)) / float(z @ z))
+            twists.append(int(np.argmax(np.abs(z))))
+    return hints, twists
+
+
 def solve_spectrum(model: PdmModel, v: SampledFunction, k: int) -> SpectrumReport:
     """Solve for the k lowest levels of (m, V) and extrapolate the eigenvalues.
 
     The eigenvalues alone are also found on the every-second-node subgrid
     (identical sampled potential values, exactly representable), which must
-    hold k levels too, and the two sets are combined as (4 E_h - E_2h)/3.  The
-    coarse set also seeds the fine solve.  Eigenvectors, node counts and
-    residuals come from the one full solve on v's grid.  A reported spectrum
-    that does not strictly increase raises SolverError.
+    hold k levels too, and the two sets are combined as (4 E_h - E_2h)/3.
+    The subgrid solve also seeds the full one: each level's converging twist
+    vector, prolonged to v's grid, gives the level's start (its Rayleigh
+    quotient) and first twist index (its peak); see _seeds.  Eigenvectors,
+    node counts and residuals come from the one full solve on v's grid.  A
+    reported spectrum that does not strictly increase raises SolverError.
     """
     n = v.grid.n_points
     if k < 1:
@@ -321,8 +397,10 @@ def solve_spectrum(model: PdmModel, v: SampledFunction, k: int) -> SpectrumRepor
         )
     fine = discretize(model, v)
     v_coarse = SampledFunction(v.grid.coarsened(), v.values[::2])
-    coarse = _eigenvalues_only(discretize(model, v_coarse), k)
-    report = lowest_eigenpairs(fine, k, _hints=coarse)
+    vectors = []
+    coarse = _eigenvalues_only(discretize(model, v_coarse), k, vectors=vectors)
+    hints, twists = _seeds(fine, coarse, vectors)
+    report = lowest_eigenpairs(fine, k, _hints=hints, _twists=twists)
     report.eigenvalues = (4.0 * report.eigenvalues - coarse) / 3.0
     if not np.all(np.diff(report.eigenvalues) > 0.0):
         raise SolverError(

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from pdmfactor.spectra import (
     _eigenvalues_only,
     _gershgorin,
     _pivots,
+    _prolonged,
     _rows,
+    _seeds,
     _twisted_vector,
     count_nodes,
     discretize,
@@ -55,6 +58,15 @@ def certified(prob, j, lam):
     half = 0.5 * _gershgorin(prob)[2]
     diag, off2 = prob.diag.tolist(), [0.0] + (prob.off * prob.off).tolist()
     return _count(diag, off2, lam - half) <= j < _count(diag, off2, lam + half)
+
+
+def subgrid_solve(model, v, k):
+    """v's matrix, and the eigenvalues and converging twist vectors of the
+    every-second-node subgrid's, as solve_spectrum finds them."""
+    vectors = []
+    coarse_v = SampledFunction(v.grid.coarsened(), v.values[::2])
+    coarse = _eigenvalues_only(discretize(model, coarse_v), k, vectors=vectors)
+    return discretize(model, v), coarse, vectors
 
 
 def dense_eigh(prob):
@@ -197,7 +209,7 @@ class TestSolveSpectrum:
         monkeypatch.setattr(pdmfactor.spectra, "lowest_eigenpairs", counted)
         rep = solve_spectrum(model, v, 4)
         assert calls == [v.grid]
-        # the coarse eigenvalues seed the fine bisection's brackets, so the fine
+        # the subgrid's twist vectors only seed the fine solve, so the fine
         # eigenvalues agree with the cold solve's within the stop tolerance
         tol = _gershgorin(discretize(model, v))[2]
         ref = (4.0 * fine.eigenvalues - coarse) / 3.0
@@ -205,6 +217,34 @@ class TestSolveSpectrum:
         assert rep.node_counts == fine.node_counts
         for state, cold in zip(rep.eigenstates, fine.eigenstates):
             assert np.max(np.abs(state.values - cold.values)) < 1e-8 * np.max(np.abs(cold.values))
+
+    def test_prolonged_vector_is_cubic_between_subgrid_nodes(self):
+        # the (-1, 9, 9, -1) / 16 midpoints reproduce a cubic; the two end
+        # midpoints are linear, and the subgrid nodes are kept
+        x = np.linspace(0.0, 1.0, 2 * 40 + 1)
+        f = x * (1.0 - x) * (2.0 + x)
+        fine = _prolonged(f[2:-2:2])
+        assert np.array_equal(fine[1::2], f[2:-2:2])
+        assert np.allclose(fine[2:-2], f[3:-3], rtol=0.0, atol=1e-15)
+        assert np.allclose(fine[[0, -1]], 0.5 * f[[2, -3]], rtol=0.0, atol=1e-15)
+
+    def test_shifts_stay_python_floats(self, monkeypatch):
+        # a numpy.float64 shift sends each pivot row's subtraction to numpy's
+        # scalar __rsub__, which takes 2 to 4 times as long
+        shifts = []
+
+        def twist(prob, rows, lam, r=None):
+            shifts.append(lam)
+            return _twisted_vector(prob, rows, lam, r)
+
+        monkeypatch.setattr(pdmfactor.spectra, "_count",
+                            lambda *a: shifts.append(a[2]) or _count(*a))
+        monkeypatch.setattr(pdmfactor.spectra, "_twisted_vector", twist)
+        for name in ("ex1", "ex2", "ho", "box"):
+            model = catalog(name)
+            solve_spectrum(model, model.potential_samples(), 4)
+        assert shifts
+        assert {type(x) for x in shifts} == {float}
 
 
 class TestAgainstDenseOracle:
@@ -244,7 +284,8 @@ class TestSturmCount:
 
     def test_box_matches_row_by_row(self, monkeypatch):
         # the box's constant stencil meets exact zero pivots, first at the
-        # midpoint of its Gershgorin bracket
+        # midpoint of its Gershgorin bracket; the cold solve's interpolated
+        # cuts miss it, so that shift is counted after the solve's own
         box = Box()
         prob = discretize(box, box.potential_samples())
         counts = []
@@ -255,6 +296,8 @@ class TestSturmCount:
 
         monkeypatch.setattr(pdmfactor.spectra, "_count", recorded)
         _eigenvalues_only(prob, 5)
+        lo, hi, _ = _gershgorin(prob)
+        recorded(*_rows(prob)[:2], 0.5 * (lo + hi))
         shifts = np.array([x for x, _ in counts])
         ref, zeros = plain_sturm_counts(prob.diag, prob.off * prob.off, shifts)
         assert [c for _, c in counts] == ref.tolist()
@@ -390,15 +433,13 @@ class TestCertifiedIteration:
     @pytest.mark.parametrize("name", ["ex1", "ex2", "ho", "box"])
     def test_good_hints_bound_the_pivot_passes(self, name, monkeypatch):
         # a pass is one pivot recurrence over the matrix: a count and a
-        # one-sided twist take one, a full twist two; with the coarse
-        # eigenvalues as hints, a level takes one full twist, a one-sided one
-        # or two, whose counts bracket it, one certifying count and a final
-        # full twist
+        # one-sided twist take one, a full twist two; seeded from the subgrid
+        # as solve_spectrum seeds it, a level takes a one-sided twist or two,
+        # one certifying count and a final one-sided twist, or a full one
+        # where its vector peaks elsewhere: 15 to 26 passes for 5 levels
         model = catalog(name)
-        v = model.potential_samples()
-        coarse = _eigenvalues_only(
-            discretize(model, SampledFunction(v.grid.coarsened(), v.values[::2])), 5
-        )
+        fine, coarse, vectors = subgrid_solve(model, model.potential_samples(), 5)
+        hints, first = _seeds(fine, coarse, vectors)
         counts, twists = [], []
 
         def twist(prob, rows, lam, r=None):
@@ -408,10 +449,26 @@ class TestCertifiedIteration:
         monkeypatch.setattr(pdmfactor.spectra, "_count",
                             lambda *a: counts.append(1) or _count(*a))
         monkeypatch.setattr(pdmfactor.spectra, "_twisted_vector", twist)
-        lowest_eigenpairs(discretize(model, v), 5, _hints=coarse)
+        lowest_eigenpairs(fine, 5, _hints=hints, _twists=first)
         assert len(counts) == 5
-        assert twists.count(2) == 2 * 5
-        assert len(counts) + sum(twists) <= 7 * 5
+        assert twists.count(2) <= 3
+        assert len(counts) + sum(twists) <= 26
+
+    def test_cuts_where_the_counts_bunch_far_above_the_level(self, monkeypatch):
+        # on the geometric diagonal -1000, -500, -250, ... most levels lie
+        # within 0.01 of 0, so the counts interpolated across level 1's first
+        # bracket put the cut just above -1000; the alternating midpoints keep
+        # every level within twice bisection's counts
+        n = 200
+        prob = tridiagonal_problem(-1000.0 * 0.5 ** np.arange(n), np.full(n - 1, 1e-3))
+        k = n // 10
+        shifts = []
+        monkeypatch.setattr(pdmfactor.spectra, "_count",
+                            lambda *a: shifts.append(a[2]) or _count(*a))
+        eigs = _eigenvalues_only(prob, k)
+        lo, hi, tol = _gershgorin(prob)
+        assert len(shifts) <= 2 * k * math.ceil(math.log2((hi - lo) / tol))
+        assert all(certified(prob, j, lam) for j, lam in enumerate(eigs))
 
     @pytest.mark.parametrize("name, most", [("ex1", 16), ("ex2", 22)])
     def test_cold_start_counts_at_the_smallest_diagonal(self, name, most, monkeypatch):
@@ -483,6 +540,20 @@ class TestWarmBrackets:
         rep = lowest_eigenpairs(prob, 4, _hints=hints)
         assert np.max(np.abs(rep.eigenvalues - cold[:4])) <= tol
         assert all(certified(prob, j, lam) for j, lam in enumerate(rep.eigenvalues))
+        assert rep.node_counts == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ho", "box"])
+    def test_seeds_one_level_up_twisting_at_the_edge(self, name):
+        # each level starts from the prolonged vector of the level above, its
+        # first twist at index 0; the counts still decide each level
+        model = catalog(name)
+        fine, coarse, vectors = subgrid_solve(model, model.potential_samples(), 5)
+        hints, _ = _seeds(fine, coarse[1:], vectors[1:])
+        tol = _gershgorin(fine)[2]
+        cold = _eigenvalues_only(fine, 4)
+        rep = lowest_eigenpairs(fine, 4, _hints=hints, _twists=[0] * 4)
+        assert np.max(np.abs(rep.eigenvalues - cold)) <= tol
+        assert all(certified(fine, j, lam) for j, lam in enumerate(rep.eigenvalues))
         assert rep.node_counts == [0, 1, 2, 3]
 
     def test_zero_level_of_ho(self):

@@ -74,7 +74,8 @@ def test_changed_json_key_is_named(tmp_path):
     assert out.returncode == 1
     lines = out.stdout.splitlines()
     assert lines[0].endswith(": scan.json differ")
-    assert lines[1:] == ["  scan.json: n 1 != 2", "scan tiny: 0 of 1 ops identical"]
+    assert lines[1:] == ["  scan.json: max |dvalue| 1.00e+00 at n", "  scan.json: n 1 != 2",
+                         "scan tiny: 0 of 1 ops identical"]
 
 
 def test_json_details_cap_and_nan():
@@ -85,8 +86,30 @@ def test_json_details_cap_and_nan():
     files = [{"files": {"r.json": json.dumps(d).encode(), "x.csv": bytes([i])}}
              for i, d in enumerate((a, b))]
     assert tool.json_details(*files) == [
+        "  r.json: max |dvalue| 1.00e+00 at k[0]",
         "  r.json: k[0] 0 != 1", "  r.json: k[1] 1 != 2", "  r.json: k[2] 2 != 3",
         "  r.json: k[3] 3 != 4", "  r.json: k[4] 4 != 5", "  r.json: and 3 more keys",
+    ]
+
+
+def test_json_details_largest_number_change():
+    # the largest |difference| among numbers both trees wrote, with its key
+    # path; a flipped bool, a NaN against a number and a missing key are
+    # no value difference
+    tool = load_tool()
+    a = {"levels": [{"eigenvalue": 1.0, "residual": 2e-8}, {"eigenvalue": 3.0, "residual": 1e-8}],
+         "passed": True, "gap": float("nan"), "only_a": 1e3}
+    b = {"levels": [{"eigenvalue": 1.0 + 1e-9, "residual": 2.2e-8},
+                    {"eigenvalue": 3.0 - 4e-9, "residual": 1e-8}],
+         "passed": False, "gap": 5.0}
+    files = [{"files": {"r.json": json.dumps(d).encode()}} for d in (a, b)]
+    lines = tool.json_details(*files)
+    assert lines[0] == "  r.json: max |dvalue| 4.00e-09 at levels[1].eigenvalue"
+    assert lines[1:] == [
+        "  r.json: gap nan != 5.0", "  r.json: levels[0].eigenvalue 1.0 != 1.000000001",
+        "  r.json: levels[0].residual 2e-08 != 2.2e-08",
+        "  r.json: levels[1].eigenvalue 3.0 != 2.999999996", "  r.json: only_a (in one tree only)",
+        "  r.json: and 1 more keys",
     ]
 
 

@@ -14,13 +14,15 @@ same argv lists.  Every op runs ``pdmfactor.cli.main`` of each tree in a
 fresh interpreter, in its own empty working directory, with ``--out out``.
 The two runs must agree on the exit code, on stdout, on stderr and on every
 output file byte for byte; in JSON files the value of the ``timestamp`` key
-is ignored.  Each op that differs is printed with what differs; for a JSON
-file, up to five key paths follow, each with both values, so a change that
-expects one value to move can show that nothing else did.  For a CSV file
-follow how many rows differ, the largest |difference| of a value relative
-to the file's largest |value|, with its row, and up to five rows whose x
-or singular flag differs, so a change that expects values to move by
-rounding can show by how much.  One summary line per deck follows, and the
+is ignored.  Each op that differs is printed with what differs.  For a
+JSON file follow the largest |difference| of a number that both trees
+wrote, with its key path, and up to five differing key paths, each with
+both values, so a change that expects one value to move can show that
+nothing else did.  For a CSV file follow how many rows differ, the largest
+|difference| of a value relative to the file's largest |value|, with its
+row, and up to five rows whose x or singular flag differs.  Either largest
+difference lets a change that expects values to move by rounding show by
+how much.  One summary line per deck follows, and the
 exit code is 1 when there is any difference, 0 otherwise.
 """
 
@@ -45,6 +47,7 @@ _RUN_OP = (
 )
 _TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
 _KEYS_PER_FILE = 5
+_MISSING = object()
 
 
 def _load_workloads():
@@ -84,33 +87,47 @@ def differences(a: dict, b: dict) -> list[str]:
     return found
 
 
-def key_differences(a, b, path: str = "") -> list[str]:
-    """The key paths at which two parsed JSON values differ, with both values."""
+def key_differences(a, b, path: str = "") -> list[tuple]:
+    """(key path, value a, value b) where two parsed JSON values differ,
+    with _MISSING for a key that one of them lacks."""
     if isinstance(a, dict) and isinstance(b, dict):
         found = []
         for key in sorted(a.keys() | b.keys()):
             sub = f"{path}.{key}" if path else key
-            if key not in a or key not in b:
-                found.append(f"{sub} (in one tree only)")
-            else:
-                found += key_differences(a[key], b[key], sub)
+            found += key_differences(a.get(key, _MISSING), b.get(key, _MISSING), sub)
         return found
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         return [d for i, (u, v) in enumerate(zip(a, b))
                 for d in key_differences(u, v, f"{path}[{i}]")]
     # compared as text, so that NaN equals NaN
-    return [] if json.dumps(a) == json.dumps(b) else [f"{path} {a!r} != {b!r}"]
+    if _MISSING in (a, b) or json.dumps(a) != json.dumps(b):
+        return [(path, a, b)]
+    return []
+
+
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def json_details(a: dict, b: dict) -> list[str]:
-    """One line per differing key path of each JSON file that both trees
-    wrote, at most _KEYS_PER_FILE per file."""
+    """For each JSON file that both trees wrote and that differs: one line
+    with the largest |difference| of a number present in both, with its key
+    path, then one line per differing key path with both values, at most
+    _KEYS_PER_FILE per file."""
     lines = []
     for name in sorted(a["files"].keys() & b["files"].keys()):
         if not name.endswith(".json") or a["files"][name] == b["files"][name]:
             continue
         found = key_differences(json.loads(a["files"][name]), json.loads(b["files"][name]))
-        lines += [f"  {name}: {d}" for d in found[:_KEYS_PER_FILE]]
+        # a NaN or an infinity on either side is no value difference
+        deltas = [(abs(u - v), path) for path, u, v in found
+                  if _number(u) and _number(v) and math.isfinite(u - v)]
+        if deltas:
+            delta, path = max(deltas, key=lambda d: d[0])
+            lines.append(f"  {name}: max |dvalue| {delta:.2e} at {path}")
+        lines += [f"  {name}: {path} (in one tree only)" if _MISSING in (u, v)
+                  else f"  {name}: {path} {u!r} != {v!r}"
+                  for path, u, v in found[:_KEYS_PER_FILE]]
         if len(found) > _KEYS_PER_FILE:
             lines.append(f"  {name}: and {len(found) - _KEYS_PER_FILE} more keys")
     return lines
