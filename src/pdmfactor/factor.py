@@ -48,10 +48,10 @@ from .errors import (
     NonNormalizableError,
 )
 from .grids import (
-    NOISE_FLOOR,
     Grid,
     SampledFunction,
     _crossings,
+    _node_crossings,
     cumulative_integral,
     definite_integral,
     derivative,
@@ -128,8 +128,7 @@ class Superpotential:
 def _level_crossings(psi_n: SampledFunction, n: int) -> list:
     """The sign changes of the level-n state; by the oscillation theorem
     there are n of them, and any other count is refused."""
-    v = psi_n.values
-    crossings = _crossings(v, NOISE_FLOOR * np.max(np.abs(v)))
+    crossings = _node_crossings(psi_n.values)
     if len(crossings) != n:
         raise InconsistentInputError(
             f"state has {len(crossings)} sign changes but level {n} was requested"

@@ -176,6 +176,12 @@ def _crossings(values: np.ndarray, floor: float) -> list[tuple[int, int]]:
     return list(zip(idx[where].tolist(), idx[where + 1].tolist()))
 
 
+def _node_crossings(values: np.ndarray) -> list[tuple[int, int]]:
+    """The nodes of a state: ``_crossings`` above NOISE_FLOOR times its peak
+    magnitude."""
+    return _crossings(values, NOISE_FLOOR * np.max(np.abs(values)))
+
+
 def derivative(f: SampledFunction) -> SampledFunction:
     """First derivative, 4th-order central stencils, one-sided at the edges.
 

@@ -12,33 +12,35 @@ removing the leading h^2 error while leaving the base discretization
 untouched.
 
 The eigensolver runs one LDL^T pivot recurrence on Python floats, over
-lists built once per matrix.  Its Sturm counts bracket each eigenvalue;
-cuts that isolate a level alternate between the point where the counts,
-interpolated linearly, reach the level and the midpoint, the first of them
-at min(diag), which bounds the lowest level from above.  Rayleigh-quotient
-iteration on Fernando's twisted factorization converges to it.  Every solve
-starts from what is already known: on the subgrid each level from the third
-on at the line through the two below it, and on the given grid at the
-Rayleigh quotient of the subgrid level's converging twist vector, prolonged,
-with a first twist where that vector peaks.  Each later step twists at the
-index where the previous twist's vector peaks, which takes one pivot pass,
-and its count is the inertia of that twisted factorization.  Every twist's
-count narrows the bracket; one more count certifies the level, so a start
-never decides one.  One more twist, where the converging twist's vector
-peaks when its own vector peaks there too, gives an O(N) eigenvector per
-level.
+lists built once per matrix (``SturmLiouvilleProblem.rows``).  Its Sturm
+counts bracket each eigenvalue; cuts that isolate a level alternate between
+the point where the counts, interpolated linearly, reach the level and the
+midpoint, the first of them at min(diag), which bounds the lowest level
+from above.  Rayleigh-quotient iteration on Fernando's twisted
+factorization converges to it.  Each level starts from one pair, (shift,
+first twist index or None), made of what is already known: on the subgrid
+from the third level on the line through the two below it, with a full
+first twist, and on the given grid the Rayleigh quotient of the subgrid
+level's converging twist vector, prolonged, with a first twist where that
+vector peaks.  Each later step twists at the index where the previous
+twist's vector peaks, which takes one pivot pass, and its count is the
+inertia of that twisted factorization.  Every twist's count narrows the
+bracket; one more count certifies the level, so a start never decides one.
+One more twist, where the converging twist's vector peaks when its own
+vector peaks there too, gives an O(N) eigenvector per level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, SolverError
-from .grids import NOISE_FLOOR, Grid, SampledFunction, _crossings, normalize_state
+from .grids import Grid, SampledFunction, _node_crossings, normalize_state
 from .models import PdmModel
 
 __all__ = [
@@ -78,6 +80,15 @@ class SturmLiouvilleProblem:
         out[1:] += self.off * interior[:-1]
         return out
 
+    @cached_property
+    def rows(self):
+        """The Python-float lists every count and twist reads, built on first
+        use: the diagonal and the squared off-diagonal led by a 0.0, top-down
+        and bottom-up."""
+        diag = self.diag.tolist()
+        off2 = (self.off * self.off).tolist()
+        return diag, [0.0] + off2, diag[::-1], [0.0] + off2[::-1]
+
 
 def discretize(model: PdmModel, v: SampledFunction) -> SturmLiouvilleProblem:
     """Assemble the divergence-form matrix for mass profile and potential on v's grid."""
@@ -116,7 +127,7 @@ def count_nodes(psi: SampledFunction) -> int:
     v = psi.values[~psi.singular_mask]
     if v.size == 0:
         raise DomainError("the state has no finite sample to count nodes on")
-    return len(_crossings(v, NOISE_FLOOR * np.max(np.abs(v))))
+    return len(_node_crossings(v))
 
 
 def _gershgorin(prob: SturmLiouvilleProblem) -> tuple[float, float, float]:
@@ -128,14 +139,6 @@ def _gershgorin(prob: SturmLiouvilleProblem) -> tuple[float, float, float]:
     hi = float(np.max(prob.diag + offsum))
     # Sturm counts resolve eigenvalues down to a few ulps of the matrix scale
     return lo, hi, max(hi - lo, 1.0) * 4e-15 + 1e-13
-
-
-def _rows(prob: SturmLiouvilleProblem):
-    """The Python-float lists every count and twist of prob reads: the diagonal
-    and the squared off-diagonal led by a 0.0, top-down and bottom-up."""
-    diag = prob.diag.tolist()
-    off2 = (prob.off * prob.off).tolist()
-    return diag, [0.0] + off2, diag[::-1], [0.0] + off2[::-1]
 
 
 def _pivots(diag, off2, lam: float, stop: int) -> np.ndarray:
@@ -159,7 +162,7 @@ def _count(diag, off2, x: float) -> int:
     return n
 
 
-def _twisted_vector(prob: SturmLiouvilleProblem, rows, lam: float, r=None):
+def _twisted_vector(prob: SturmLiouvilleProblem, lam: float, r=None):
     """Fernando's twisted factorization of T - lam (Dhillon & Parlett, LAA 387, 2004).
 
     The pivots D+ of LDL^T and D- of UDU^T meet at the twist r, where
@@ -169,9 +172,9 @@ def _twisted_vector(prob: SturmLiouvilleProblem, rows, lam: float, r=None):
     among D+.  Given r, one pass runs D+ down to r and D- up to r, and count
     is the negatives among D+_0 .. D+_(r-1), gamma_r, D-_(r+1) .. D-_(n-1),
     the inertia of the twisted factorization.  Either count is the
-    eigenvalues below lam.  Returns (z, gamma_r, count); rows is _rows(prob).
+    eigenvalues below lam.  Returns (z, gamma_r, count).
     """
-    diag, lead, rdiag, rlead = rows
+    diag, lead, rdiag, rlead = prob.rows
     n = len(diag)
     full = r is None
     if full:
@@ -197,30 +200,29 @@ def _twisted_vector(prob: SturmLiouvilleProblem, rows, lam: float, r=None):
     return z, gamma, count
 
 
-def _eigenvalues_only(prob: SturmLiouvilleProblem, k: int, hints=None,
-                      rows=None, twists=None, vectors=None) -> np.ndarray:
-    """The k lowest eigenvalues, each within tol / 2 of the matrix's; refuses
-    k outside 1 .. n_points // 10.  rows, _rows(prob) by default, serve every
-    count and twist.
+def _eigenvalues_only(prob: SturmLiouvilleProblem, k: int, starts=None):
+    """The k lowest eigenvalues, each within tol / 2 of the matrix's, and
+    each level's converging twist vector, None for a level a narrow bracket
+    certified; refuses k outside 1 .. n_points // 10.
 
     Every Sturm count of the matrix, the twists' included, is kept as a
     (shift, count) pair, and target j's bracket is the tightest the pairs
-    give.  Rayleigh-quotient iteration on the twisted factorization starts
-    at hints[j], or without hints from level 2 on at 2 E_(j-1) - E_(j-2),
-    when that lies inside the bracket.  A level's first twist is one-sided
-    at twists[j] when that is given, else a full one; every later twist of
-    the level is one-sided, at the index where the previous twist's |z|
-    peaks.  Without a start inside the bracket, after a step that leaves it
-    or after a failed certificate, counts isolate target j and the iteration
-    restarts from the midpoint.  Each isolating count cuts the bracket [l, u]
+    give.  Level j starts from starts[j], the pair (shift, first twist index
+    or None), or without starts from level 2 on at (2 E_(j-1) - E_(j-2),
+    None).  Rayleigh-quotient iteration on the twisted factorization starts
+    at the shift when that lies inside the bracket, with a first twist
+    one-sided at the index or, for None, full; every later twist of the
+    level is one-sided, at the index where the previous twist's |z| peaks.
+    Without a start inside the bracket, after a step that leaves it or after
+    a failed certificate, counts isolate target j and the iteration restarts
+    from the midpoint.  Each isolating count cuts the bracket [l, u]
     in turn at the point where the counts, interpolated linearly, reach
     j + 1 (kept within [l + (u - l) / 1024, (l + u) / 2]) and at the
     midpoint, or at min(diag) when that lies in the lower half, so a level
     takes at most twice bisection's counts.  A converged value lam is
     returned only when count(lam - tol / 2) <= j < count(lam + tol / 2), one
     side of which the last twist's count settles, or a bracket at most tol
-    wide certifies its midpoint.  A list passed as vectors gets each level's
-    converging twist vector, or None for a level a narrow bracket certified.
+    wide certifies its midpoint.
     """
     if k < 1 or k > prob.grid.n_points // 10:
         raise ConfigurationError(
@@ -228,8 +230,7 @@ def _eigenvalues_only(prob: SturmLiouvilleProblem, k: int, hints=None,
         )
     lo, hi, tol = _gershgorin(prob)
     half = 0.5 * tol
-    rows = rows or _rows(prob)
-    diag, lead = rows[:2]
+    diag, lead = prob.rows[:2]
     low_diag = min(diag)
     pairs = [(lo, 0), (hi, len(diag))]
 
@@ -239,15 +240,13 @@ def _eigenvalues_only(prob: SturmLiouvilleProblem, k: int, hints=None,
         return c
 
     # Python floats throughout: a numpy scalar shift slows every pivot row 2-4x
-    eigs = []
+    eigs, vectors = [], []
     for j in range(k):
-        if hints is not None:
-            sigma = float(hints[j])
-        elif j >= 2:
-            sigma = 2.0 * eigs[j - 1] - eigs[j - 2]
+        if starts is not None:
+            sigma, r = starts[j]
         else:
-            sigma = math.nan
-        r = None if twists is None else twists[j]
+            sigma = 2.0 * eigs[j - 1] - eigs[j - 2] if j >= 2 else math.nan
+            r = None
         interpolate = True
         for _ in range(_MAX_STEPS):
             # the tightest bracket with count(l) <= j < count(u) the pairs give
@@ -272,7 +271,7 @@ def _eigenvalues_only(prob: SturmLiouvilleProblem, k: int, hints=None,
                     count(x)
                     continue
                 sigma = mid
-            z, gamma, c = _twisted_vector(prob, rows, sigma, r)
+            z, gamma, c = _twisted_vector(prob, sigma, r)
             r = int(np.argmax(np.abs(z)))
             pairs.append((sigma, c))
             step = gamma / float(z @ z)
@@ -287,42 +286,36 @@ def _eigenvalues_only(prob: SturmLiouvilleProblem, k: int, hints=None,
                 sigma = math.nan
         else:
             raise SolverError(f"eigenvalue {j} not certified in {_MAX_STEPS} steps")
-        if vectors is not None:
-            vectors.append(z)
-    return np.array(eigs)
+        vectors.append(z)
+    return np.array(eigs), vectors
 
 
-def lowest_eigenpairs(prob: SturmLiouvilleProblem, k: int, *, _hints=None,
-                      _twists=None) -> SpectrumReport:
+def lowest_eigenpairs(prob: SturmLiouvilleProblem, k: int, *, _starts=None) -> SpectrumReport:
     """k lowest eigenpairs by certified Rayleigh-quotient iteration plus a twist.
 
-    _hints and _twists (private) start the iteration, see _eigenvalues_only.
-    One final twist at each certified eigenvalue gives the vector: one-sided
-    at the index where the level's converging twist vector peaks, kept only
-    when its own |z| peaks there too, else a full twist at argmin |gamma|.
-    Its Rayleigh quotient, kept within tol / 2 of the certified value, is the
-    eigenvalue.  States are normalized by ``grids.normalize_state``; a
-    residual above _RESIDUAL_SCALE * |diag|_inf raises SolverError.
+    _starts (private), one (shift, first twist index or None) pair per
+    level, starts the iteration, see _eigenvalues_only.  One final twist at
+    each certified eigenvalue gives the vector: one-sided at the index where
+    the level's converging twist vector peaks, or full at argmin |gamma| for
+    a level certified without one; a one-sided twist whose own |z| peaks
+    elsewhere gives way to a full one.  Its Rayleigh quotient, kept within
+    tol / 2 of the certified value, is the eigenvalue.  States are normalized
+    by ``grids.normalize_state``; a residual above _RESIDUAL_SCALE *
+    |diag|_inf raises SolverError.
     """
-    rows = _rows(prob)
-    vectors = []
-    eigs = _eigenvalues_only(prob, k, _hints, rows, _twists, vectors)
+    eigs, vectors = _eigenvalues_only(prob, k, _starts)
     lo, hi, tol = _gershgorin(prob)
     half = 0.5 * tol
     cap = _RESIDUAL_SCALE * float(np.max(np.abs(prob.diag)))
     states, nodes, residuals = [], [], []
     for j, converged in enumerate(vectors):
         lam = float(eigs[j])
-        z = None
-        if converged is not None:
-            # at a converged shift a twist where z peaks has the residual
-            # bound of the twist at argmin |gamma|
-            r = int(np.argmax(np.abs(converged)))
-            z, gamma, _ = _twisted_vector(prob, rows, lam, r)
-            if int(np.argmax(np.abs(z))) != r:
-                z = None
-        if z is None:
-            z, gamma, _ = _twisted_vector(prob, rows, lam)
+        # at a converged shift a twist where z peaks has the residual bound
+        # of the twist at argmin |gamma|
+        r = None if converged is None else int(np.argmax(np.abs(converged)))
+        z, gamma, _ = _twisted_vector(prob, lam, r)
+        if r is not None and int(np.argmax(np.abs(z))) != r:
+            z, gamma, _ = _twisted_vector(prob, lam)
         # a matrix whose whole spectrum lies far inside tol leaves the twist
         # unresolved
         with np.errstate(over="ignore"):
@@ -356,21 +349,20 @@ def _prolonged(z: np.ndarray) -> np.ndarray:
     return f[1:-1]
 
 
-def _seeds(prob: SturmLiouvilleProblem, coarse: np.ndarray, vectors) -> tuple[list, list]:
+def _seeds(prob: SturmLiouvilleProblem, coarse: np.ndarray, vectors) -> list:
     """Starts for prob's levels from the subgrid's eigenvalues and converging
     twist vectors: each vector prolonged, its Rayleigh quotient on prob and
     its peak as the first twist index, or for a level without a vector the
     subgrid's eigenvalue and a full first twist."""
-    hints, twists = [], []
+    starts = []
     for e, z in zip(coarse, vectors):
         if z is None:
-            hints.append(float(e))
-            twists.append(None)
+            starts.append((float(e), None))
         else:
             z = _prolonged(z)
-            hints.append(float(z @ prob.matrix_action(z)) / float(z @ z))
-            twists.append(int(np.argmax(np.abs(z))))
-    return hints, twists
+            starts.append((float(z @ prob.matrix_action(z)) / float(z @ z),
+                           int(np.argmax(np.abs(z)))))
+    return starts
 
 
 def solve_spectrum(model: PdmModel, v: SampledFunction, k: int) -> SpectrumReport:
@@ -379,11 +371,10 @@ def solve_spectrum(model: PdmModel, v: SampledFunction, k: int) -> SpectrumRepor
     The eigenvalues alone are also found on the every-second-node subgrid
     (identical sampled potential values, exactly representable), which must
     hold k levels too, and the two sets are combined as (4 E_h - E_2h)/3.
-    The subgrid solve also seeds the full one: each level's converging twist
-    vector, prolonged to v's grid, gives the level's start (its Rayleigh
-    quotient) and first twist index (its peak); see _seeds.  Eigenvectors,
-    node counts and residuals come from the one full solve on v's grid.  A
-    reported spectrum that does not strictly increase raises SolverError.
+    The subgrid solve also seeds the full one, a start pair per level from
+    its converging twist vectors; see _seeds.  Eigenvectors, node counts and
+    residuals come from the one full solve on v's grid.  A reported spectrum
+    that does not strictly increase raises SolverError.
     """
     n = v.grid.n_points
     if k < 1:
@@ -397,10 +388,8 @@ def solve_spectrum(model: PdmModel, v: SampledFunction, k: int) -> SpectrumRepor
         )
     fine = discretize(model, v)
     v_coarse = SampledFunction(v.grid.coarsened(), v.values[::2])
-    vectors = []
-    coarse = _eigenvalues_only(discretize(model, v_coarse), k, vectors=vectors)
-    hints, twists = _seeds(fine, coarse, vectors)
-    report = lowest_eigenpairs(fine, k, _hints=hints, _twists=twists)
+    coarse, vectors = _eigenvalues_only(discretize(model, v_coarse), k)
+    report = lowest_eigenpairs(fine, k, _starts=_seeds(fine, coarse, vectors))
     report.eigenvalues = (4.0 * report.eigenvalues - coarse) / 3.0
     if not np.all(np.diff(report.eigenvalues) > 0.0):
         raise SolverError(

@@ -16,7 +16,7 @@ from pdmfactor.errors import (
     InconsistentInputError,
 )
 from pdmfactor.factor import DEFAULT_GUARD_BAND
-from pdmfactor.grids import NOISE_FLOOR, SampledFunction, _crossings, derivative
+from pdmfactor.grids import SampledFunction, _node_crossings, derivative
 
 _LADDER_KINDS = ("A_plus", "A_minus", "Atilde_plus", "Atilde_minus")
 
@@ -104,7 +104,7 @@ def node_positions(w):
     x, v = w.state.x, w.state.values
     return [
         float(x[lo] + (x[hi] - x[lo]) * v[lo] / (v[lo] - v[hi]))
-        for lo, hi in _crossings(v, NOISE_FLOOR * np.max(np.abs(v)))
+        for lo, hi in _node_crossings(v)
     ]
 
 

@@ -3,8 +3,9 @@ exits 0, and a right one never exits 1.
 
 Each row is one ``cli.main`` call, in process, and the closed form its
 answer is checked against within the model's spectrum_tolerance: the
-original spectrum for ``spectrum``, and for ``verify --beta`` != 0 the
-shifted ladder {E_k - E_n + beta} without the deleted levels.  A run that
+original spectrum for ``spectrum``, for ``verify --beta`` != 0 the shifted
+ladder {E_k - E_n + beta} without the deleted levels, and for ``verify
+--lambda`` on the beta = 0 route the whole ladder {E_k - E_n}.  A run that
 reports no levels is a refusal, exit 1 or 2 with one line on stderr.
 A row answered right today also pins its exit code.  A row answered wrong
 today is a strict xfail naming the ROADMAP item that mends it, so the item
@@ -44,6 +45,15 @@ def _verify(model, n, beta, code, *, deleted=None, item=None):
                         id=f"verify-{model}-n{n}-beta{beta}", marks=marks)
 
 
+def _verify_lambda(model, n, lam):
+    """A ``verify --lambda`` row on the beta = 0 route, which deletes no
+    level and exits 0."""
+    argv = ["verify", "--model", model, "--n", str(n), "--lambda", str(lam),
+            "--levels", str(LEVELS)]
+    return pytest.param(argv, model, {}, (n, 0.0), (), 0,
+                        id=f"verify-{model}-n{n}-lambda{lam}")
+
+
 ROWS = [
     *(_spectrum("ex1", 0, alpha=alpha) for alpha in (0.1, 0.5, 1.0, 1.5)),
     # the window [-250, 250] truncates the slowly decaying states: 5.7e-2,
@@ -65,6 +75,9 @@ ROWS = [
     # reports a level at -0.0215 and is refused, ex2 is right and refused
     _verify("ho", 1, -2.0, 1, deleted=(1, 2)),
     _verify("ex2", 1, -9.0, None, deleted=(1, 2), item=19),
+    # lambda outside [-1, 0] as well as inside it
+    *(_verify_lambda(model, n, lam)
+      for model in ("ho", "ex1", "ex2") for n in (0, 1, 2) for lam in (-1.5, 0.3, 1.0)),
 ]
 
 

@@ -18,7 +18,6 @@ from pdmfactor.spectra import (
     _gershgorin,
     _pivots,
     _prolonged,
-    _rows,
     _seeds,
     _twisted_vector,
     count_nodes,
@@ -63,10 +62,13 @@ def certified(prob, j, lam):
 def subgrid_solve(model, v, k):
     """v's matrix, and the eigenvalues and converging twist vectors of the
     every-second-node subgrid's, as solve_spectrum finds them."""
-    vectors = []
     coarse_v = SampledFunction(v.grid.coarsened(), v.values[::2])
-    coarse = _eigenvalues_only(discretize(model, coarse_v), k, vectors=vectors)
-    return discretize(model, v), coarse, vectors
+    return discretize(model, v), *_eigenvalues_only(discretize(model, coarse_v), k)
+
+
+def full_twists_at(shifts):
+    """Starts at the given shifts, each level's first twist a full one."""
+    return [(x, None) for x in np.asarray(shifts).tolist()]
 
 
 def dense_eigh(prob):
@@ -199,12 +201,12 @@ class TestSolveSpectrum:
         v = model.potential_samples()
         coarse_v = SampledFunction(v.grid.coarsened(), v.values[::2])
         fine = lowest_eigenpairs(discretize(model, v), 4)
-        coarse = _eigenvalues_only(discretize(model, coarse_v), 4)
+        coarse = _eigenvalues_only(discretize(model, coarse_v), 4)[0]
         calls = []
 
-        def counted(prob, k, **hints):
+        def counted(prob, k, **starts):
             calls.append(prob.grid)
-            return lowest_eigenpairs(prob, k, **hints)
+            return lowest_eigenpairs(prob, k, **starts)
 
         monkeypatch.setattr(pdmfactor.spectra, "lowest_eigenpairs", counted)
         rep = solve_spectrum(model, v, 4)
@@ -217,6 +219,17 @@ class TestSolveSpectrum:
         assert rep.node_counts == fine.node_counts
         for state, cold in zip(rep.eigenstates, fine.eigenstates):
             assert np.max(np.abs(state.values - cold.values)) < 1e-8 * np.max(np.abs(cold.values))
+
+    def test_rows_built_once_per_matrix(self, ho, monkeypatch):
+        # every count and twist of a matrix reads one set of lists, so a
+        # solve builds them twice: for the subgrid's matrix and for the grid's
+        built = []
+        build = SturmLiouvilleProblem.rows.func
+        monkeypatch.setattr(SturmLiouvilleProblem.rows, "func",
+                            lambda prob: built.append(prob.grid) or build(prob))
+        v = ho.potential_samples()
+        solve_spectrum(ho, v, 4)
+        assert built == [v.grid.coarsened(), v.grid]
 
     def test_prolonged_vector_is_cubic_between_subgrid_nodes(self):
         # the (-1, 9, 9, -1) / 16 midpoints reproduce a cubic; the two end
@@ -233,9 +246,9 @@ class TestSolveSpectrum:
         # scalar __rsub__, which takes 2 to 4 times as long
         shifts = []
 
-        def twist(prob, rows, lam, r=None):
+        def twist(prob, lam, r=None):
             shifts.append(lam)
-            return _twisted_vector(prob, rows, lam, r)
+            return _twisted_vector(prob, lam, r)
 
         monkeypatch.setattr(pdmfactor.spectra, "_count",
                             lambda *a: shifts.append(a[2]) or _count(*a))
@@ -254,7 +267,7 @@ class TestAgainstDenseOracle:
             n = 200
             diag = rng.uniform(1.0, 10.0, n)
             off = rng.uniform(-3.0, -0.5, n - 1)
-            eigs = _eigenvalues_only(tridiagonal_problem(diag, off), 4)
+            eigs = _eigenvalues_only(tridiagonal_problem(diag, off), 4)[0]
             ref = scipy_linalg.eigh_tridiagonal(
                 diag, off, select="i", select_range=(0, 3), eigvals_only=True
             )
@@ -297,7 +310,7 @@ class TestSturmCount:
         monkeypatch.setattr(pdmfactor.spectra, "_count", recorded)
         _eigenvalues_only(prob, 5)
         lo, hi, _ = _gershgorin(prob)
-        recorded(*_rows(prob)[:2], 0.5 * (lo + hi))
+        recorded(*prob.rows[:2], 0.5 * (lo + hi))
         shifts = np.array([x for x, _ in counts])
         ref, zeros = plain_sturm_counts(prob.diag, prob.off * prob.off, shifts)
         assert [c for _, c in counts] == ref.tolist()
@@ -310,13 +323,12 @@ class TestSturmCount:
         # its Gershgorin bracket
         for prob in (discretize(box, box.potential_samples()),
                      tridiagonal_problem(diag, np.sqrt(off2))):
-            rows = _rows(prob)
-            diag, lead = rows[:2]
+            diag, lead = prob.rows[:2]
             lo, hi, _ = _gershgorin(prob)
             for x in [0.5 * (lo + hi), *rng.uniform(lo, lo + 0.1 * (hi - lo), 20).tolist()]:
                 negatives = int(np.count_nonzero(_pivots(diag, lead, x, len(diag)) < 0.0))
                 assert _count(diag, lead, x) == negatives
-                assert _twisted_vector(prob, rows, x)[2] == negatives
+                assert _twisted_vector(prob, x)[2] == negatives
 
 
 def twist_problems(rng):
@@ -340,23 +352,22 @@ class TestOneSidedTwist:
 
     def test_count_is_the_sturm_count(self, rng):
         for prob in twist_problems(rng):
-            rows = _rows(prob)
-            diag, lead = rows[:2]
+            diag, lead = prob.rows[:2]
             n = len(diag)
             for x in twist_shifts(rng, prob):
                 for r in (0, int(rng.integers(n)), n - 1):
-                    assert _twisted_vector(prob, rows, x, r)[2] == _count(diag, lead, x)
+                    assert _twisted_vector(prob, x, r)[2] == _count(diag, lead, x)
 
     def test_full_twist_index_gives_the_same_bits(self, rng):
         for prob in twist_problems(rng):
-            rows = _rows(prob)
+            rows = prob.rows
             n = len(rows[0])
             for x in twist_shifts(rng, prob):
                 dp = _pivots(rows[0], rows[1], x, n)
                 dm = _pivots(rows[2], rows[3], x, n)[::-1]
                 r = int(np.argmin(np.abs(dp + dm - (prob.diag - x))))
-                z, gamma, _ = _twisted_vector(prob, rows, x)
-                z_r, gamma_r, _ = _twisted_vector(prob, rows, x, r)
+                z, gamma, _ = _twisted_vector(prob, x)
+                z_r, gamma_r, _ = _twisted_vector(prob, x, r)
                 assert z_r.tobytes() == z.tobytes()
                 assert np.float64(gamma_r).tobytes() == np.float64(gamma).tobytes()
 
@@ -377,7 +388,7 @@ class TestCertifiedIteration:
         off = scale * rng.uniform(0.5, 3.0, n - 1) * rng.choice([-1.0, 1.0], n - 1)
         prob = tridiagonal_problem(diag, off)
         k = len(diag) // 10
-        eigs = _eigenvalues_only(prob, k)
+        eigs = _eigenvalues_only(prob, k)[0]
         ref = scipy_linalg.eigh_tridiagonal(
             diag, off, select="i", select_range=(0, k - 1), eigvals_only=True
         )
@@ -397,9 +408,18 @@ class TestCertifiedIteration:
         ref = scipy_linalg.eigh_tridiagonal(diag, off, select="i", select_range=(0, 5),
                                             eigvals_only=True)
         assert np.array_equal(ref[:3], [-20.0] * 3)
-        eigs = _eigenvalues_only(prob, 6)
+        eigs, vectors = _eigenvalues_only(prob, 6)
         assert np.max(np.abs(eigs - ref)) <= _gershgorin(prob)[2]
         assert all(certified(prob, j, lam) for j, lam in enumerate(eigs))
+        # the bracket-certified levels carry no twist vector, so their seeds
+        # on a finer matrix start at the eigenvalue with a full first twist
+        assert [z is None for z in vectors] == [True] * 3 + [False] * 3
+        assert all(isinstance(z, np.ndarray) and z.shape == (60,) for z in vectors[3:])
+        diag, off2 = random_tridiagonal(rng, 2 * 60 + 1)
+        fine = tridiagonal_problem(diag, np.sqrt(off2))
+        starts = _seeds(fine, eigs, vectors)
+        assert starts[:3] == [(float(e), None) for e in eigs[:3]]
+        assert all(isinstance(r, int) for _, r in starts[3:])
 
     @pytest.mark.parametrize("name", ["ex1", "ex2", "ho", "box"])
     @pytest.mark.parametrize("factor", [-1.0, 0.0, 0.5, 1e6])
@@ -407,16 +427,16 @@ class TestCertifiedIteration:
         model = catalog(name)
         g = model.recommended_grid
         prob = discretize(model, model.potential_samples(Grid(g.x_min, g.x_max, 401)))
-        cold = _eigenvalues_only(prob, 4)
+        cold = _eigenvalues_only(prob, 4)[0]
 
         # every twist, full or one-sided, goes through the one twist function
-        def sabotaged(prob, rows, lam, r=None):
-            z, gamma, count = _twisted_vector(prob, rows, lam, r)
+        def sabotaged(prob, lam, r=None):
+            z, gamma, count = _twisted_vector(prob, lam, r)
             return z, factor * gamma, count
 
         monkeypatch.setattr(pdmfactor.spectra, "_twisted_vector", sabotaged)
-        for hints in (None, cold + 0.1 * (cold[1] - cold[0])):
-            eigs = _eigenvalues_only(prob, 4, hints)
+        for starts in (None, full_twists_at(cold + 0.1 * (cold[1] - cold[0]))):
+            eigs = _eigenvalues_only(prob, 4, starts)[0]
             assert np.max(np.abs(eigs - cold)) <= _gershgorin(prob)[2]
             assert all(certified(prob, j, lam) for j, lam in enumerate(eigs))
 
@@ -431,7 +451,7 @@ class TestCertifiedIteration:
             _eigenvalues_only(prob, 1)
 
     @pytest.mark.parametrize("name", ["ex1", "ex2", "ho", "box"])
-    def test_good_hints_bound_the_pivot_passes(self, name, monkeypatch):
+    def test_good_starts_bound_the_pivot_passes(self, name, monkeypatch):
         # a pass is one pivot recurrence over the matrix: a count and a
         # one-sided twist take one, a full twist two; seeded from the subgrid
         # as solve_spectrum seeds it, a level takes a one-sided twist or two,
@@ -439,17 +459,17 @@ class TestCertifiedIteration:
         # where its vector peaks elsewhere: 15 to 26 passes for 5 levels
         model = catalog(name)
         fine, coarse, vectors = subgrid_solve(model, model.potential_samples(), 5)
-        hints, first = _seeds(fine, coarse, vectors)
+        starts = _seeds(fine, coarse, vectors)
         counts, twists = [], []
 
-        def twist(prob, rows, lam, r=None):
+        def twist(prob, lam, r=None):
             twists.append(2 if r is None else 1)
-            return _twisted_vector(prob, rows, lam, r)
+            return _twisted_vector(prob, lam, r)
 
         monkeypatch.setattr(pdmfactor.spectra, "_count",
                             lambda *a: counts.append(1) or _count(*a))
         monkeypatch.setattr(pdmfactor.spectra, "_twisted_vector", twist)
-        lowest_eigenpairs(fine, 5, _hints=hints, _twists=first)
+        lowest_eigenpairs(fine, 5, _starts=starts)
         assert len(counts) == 5
         assert twists.count(2) <= 3
         assert len(counts) + sum(twists) <= 26
@@ -465,7 +485,7 @@ class TestCertifiedIteration:
         shifts = []
         monkeypatch.setattr(pdmfactor.spectra, "_count",
                             lambda *a: shifts.append(a[2]) or _count(*a))
-        eigs = _eigenvalues_only(prob, k)
+        eigs = _eigenvalues_only(prob, k)[0]
         lo, hi, tol = _gershgorin(prob)
         assert len(shifts) <= 2 * k * math.ceil(math.log2((hi - lo) / tol))
         assert all(certified(prob, j, lam) for j, lam in enumerate(eigs))
@@ -511,33 +531,33 @@ class TestTwistedVectors:
 
 
 class TestWarmBrackets:
-    """A wrong hint costs at most one Rayleigh-quotient run, never a wrong
-    eigenvalue: the level then bisects and iterates as without hints."""
+    """A wrong start costs at most one Rayleigh-quotient run, never a wrong
+    eigenvalue: the level then bisects and iterates as without starts."""
 
     @pytest.mark.parametrize("name", ["ex1", "ex2", "ho", "box"])
-    def test_hints_many_spacings_off(self, name):
+    def test_starts_many_spacings_off(self, name):
         model = catalog(name)
         prob = discretize(model, model.potential_samples())
         tol = _gershgorin(prob)[2]
-        cold = _eigenvalues_only(prob, 4)
+        cold = _eigenvalues_only(prob, 4)[0]
         spacing = cold[1] - cold[0]
-        for hints in (cold + 10.0 * spacing, cold - 3.0 * spacing, cold[::-1].copy()):
-            warm = _eigenvalues_only(prob, 4, hints)
+        for shifts in (cold + 10.0 * spacing, cold - 3.0 * spacing, cold[::-1]):
+            warm = _eigenvalues_only(prob, 4, full_twists_at(shifts))[0]
             assert np.max(np.abs(warm - cold)) <= tol
 
     @pytest.mark.parametrize("name", ["ex1", "ex2", "ho", "box"])
-    def test_hints_one_level_up(self, name):
+    def test_starts_one_level_up(self, name):
         # level j's first twist lands on level j + 1, so the carried twist
         # index starts at that level's peak; the counts still decide each level
         model = catalog(name)
         prob = discretize(model, model.potential_samples())
         tol = _gershgorin(prob)[2]
-        cold = _eigenvalues_only(prob, 5)
-        hints = cold[1:]
-        warm = _eigenvalues_only(prob, 4, hints)
+        cold = _eigenvalues_only(prob, 5)[0]
+        starts = full_twists_at(cold[1:])
+        warm = _eigenvalues_only(prob, 4, starts)[0]
         assert np.max(np.abs(warm - cold[:4])) <= tol
         assert all(certified(prob, j, lam) for j, lam in enumerate(warm))
-        rep = lowest_eigenpairs(prob, 4, _hints=hints)
+        rep = lowest_eigenpairs(prob, 4, _starts=starts)
         assert np.max(np.abs(rep.eigenvalues - cold[:4])) <= tol
         assert all(certified(prob, j, lam) for j, lam in enumerate(rep.eigenvalues))
         assert rep.node_counts == [0, 1, 2, 3]
@@ -548,10 +568,10 @@ class TestWarmBrackets:
         # first twist at index 0; the counts still decide each level
         model = catalog(name)
         fine, coarse, vectors = subgrid_solve(model, model.potential_samples(), 5)
-        hints, _ = _seeds(fine, coarse[1:], vectors[1:])
+        starts = [(x, 0) for x, _ in _seeds(fine, coarse[1:], vectors[1:])]
         tol = _gershgorin(fine)[2]
-        cold = _eigenvalues_only(fine, 4)
-        rep = lowest_eigenpairs(fine, 4, _hints=hints, _twists=[0] * 4)
+        cold = _eigenvalues_only(fine, 4)[0]
+        rep = lowest_eigenpairs(fine, 4, _starts=starts)
         assert np.max(np.abs(rep.eigenvalues - cold)) <= tol
         assert all(certified(fine, j, lam) for j, lam in enumerate(rep.eigenvalues))
         assert rep.node_counts == [0, 1, 2, 3]
@@ -562,11 +582,11 @@ class TestWarmBrackets:
         ho = HarmonicOscillator()
         prob = discretize(ho, ho.potential_samples())
         tol = _gershgorin(prob)[2]
-        cold = _eigenvalues_only(prob, 3)
-        for hints in (np.array([0.0, 2.0, 4.0]), np.zeros(3)):
-            warm = _eigenvalues_only(prob, 3, hints)
+        cold = _eigenvalues_only(prob, 3)[0]
+        for shifts in ([0.0, 2.0, 4.0], [0.0] * 3):
+            warm = _eigenvalues_only(prob, 3, full_twists_at(shifts))[0]
             assert np.max(np.abs(warm - cold)) <= tol
-            rep = lowest_eigenpairs(prob, 3, _hints=hints)
+            rep = lowest_eigenpairs(prob, 3, _starts=full_twists_at(shifts))
             assert np.max(np.abs(rep.eigenvalues - cold)) <= tol
 
 
